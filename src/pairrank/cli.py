@@ -117,7 +117,8 @@ def cmd_train(args) -> int:
     opts = _merged_options(args)
     dataset, table, examples = _load_data(args.data, args.embeddings)
     if args.valid:
-        _, _, valid = _load_data(args.valid, args.embeddings)
+        with open(args.valid, encoding="utf-8") as f:
+            valid = data_ingest.vectorize(data_ingest.load_dataset(f), table)
     else:
         valid = examples
     sentence_dim = dataset.sentence_dim or (table.dimension if table else 0)

@@ -8,6 +8,7 @@ auto-detected, and lines starting with ``#`` are skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
@@ -128,6 +129,46 @@ def save_embedding_table(table: EmbeddingTable, sink: IO[str]) -> None:
         sink.write(token + " " + " ".join(repr(float(v)) for v in vec) + "\n")
 
 
+def compose_mean_matrix(
+    sentences: Sequence[Sequence[str]], table: EmbeddingTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean-composed vectors of ``sentences`` as an (S, d) array, and their OOV counts.
+
+    Token vectors are summed position by position into a zeroed buffer,
+    and an out-of-vocabulary token adds a zero row, so each sentence's sum
+    runs in token order, exactly as one token at a time would. Sentences
+    with no token found come back as zero vectors.
+    """
+    d = table.dimension
+    vocab = dict.fromkeys(chain.from_iterable(sentences), 0)
+    rows = [np.zeros(d)]  # row 0: what an out-of-vocabulary token adds
+    for tok in vocab:
+        vec = table.entries.get(tok)
+        if vec is not None:
+            vocab[tok] = len(rows)
+            rows.append(vec)
+    matrix = np.array(rows)
+    lens = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    ids = np.fromiter(map(vocab.__getitem__, chain.from_iterable(sentences)), dtype=np.int64,
+                      count=int(lens.sum()))
+    starts = np.cumsum(lens) - lens
+    found_before = np.concatenate(([0], np.cumsum(ids != 0)))
+    found = found_before[starts + lens] - found_before[starts]
+    # Longest first, so the sentences still open at any position are a prefix.
+    order = np.argsort(-lens, kind="stable")
+    first, length = starts[order], lens[order]
+    acc = np.zeros((len(sentences), d))
+    step = np.empty_like(acc)
+    for pos in range(int(length.max(initial=0))):
+        m = np.count_nonzero(length > pos)
+        np.take(matrix, ids[first[:m] + pos], axis=0, out=step[:m], mode="clip")
+        acc[:m] += step[:m]
+    values = np.empty_like(acc)
+    values[order] = acc
+    np.divide(values, found[:, None], out=values, where=found[:, None] > 0)
+    return values, lens - found
+
+
 def compose_sentence_vector(
     tokens: Sequence[str],
     table: EmbeddingTable,
@@ -141,14 +182,5 @@ def compose_sentence_vector(
     """
     if strategy != "mean":
         raise ValueError(f"unknown composition strategy: {strategy}")
-    acc = np.zeros(table.dimension)
-    found = 0
-    for tok in tokens:
-        vec = table.entries.get(tok)
-        if vec is None:
-            continue
-        acc += vec
-        found += 1
-    if found == 0:
-        return SentenceVector(np.zeros(table.dimension), table.dimension, len(tokens))
-    return SentenceVector(acc / found, table.dimension, len(tokens) - found)
+    values, oov = compose_mean_matrix([tokens], table)
+    return SentenceVector(values[0], table.dimension, int(oov[0]))

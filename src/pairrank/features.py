@@ -9,8 +9,8 @@ and embedding similarities are appended in sorted-name order.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -53,6 +53,20 @@ class BleuComponents:
             dtype=float,
         )
 
+    @classmethod
+    def from_row(cls, row: np.ndarray) -> "BleuComponents":
+        """Inverse of :meth:`flatten`."""
+        v = row.tolist()
+        return cls(
+            precisions=tuple(v[0:4]),
+            matches=tuple(int(x) for x in v[4:8]),
+            totals=tuple(int(x) for x in v[8:12]),
+            hyp_len=int(v[12]),
+            ref_len=int(v[13]),
+            length_ratio=v[14],
+            brevity_penalty=v[15],
+        )
+
 
 BLEUCOMP_FEATURE_NAMES: tuple[str, ...] = tuple(
     [f"precision_{n}" for n in range(1, 5)]
@@ -75,15 +89,79 @@ class PairwiseFeatures:
             raise NonFiniteFeature("feature vector contains non-finite values")
 
 
+def _encode(sentences: Sequence[Sequence[str]]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Flat dense integer ids of all tokens, per-sentence lengths, and the id count."""
+    vocab = {t: i for i, t in enumerate(dict.fromkeys(chain.from_iterable(sentences)))}
+    lens = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    ids = np.fromiter(map(vocab.__getitem__, chain.from_iterable(sentences)), dtype=np.int64,
+                      count=int(lens.sum()))
+    return ids, lens, len(vocab)
+
+
+def bleu_matrix(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]]) -> np.ndarray:
+    """The 16 decomposed-BLEU features of each (hyps[i], refs[i]) pair, as an (N, 16) array.
+
+    Tokens become integer ids, and each k-gram gets an exact dense id from
+    the (k-1)-gram id before it and its last token, so no two distinct
+    grams share an id. Grams are counted per hypothesis, and once per
+    distinct reference; clipped matches come from a sorted lookup of each
+    hypothesis gram in its reference's counts. Row i equals
+    ``bleu_components(hyps[i], refs[i]).flatten()`` bit for bit.
+    """
+    n = len(hyps)
+    if len(refs) != n:
+        raise ValueError(f"{n} hypotheses but {len(refs)} references")
+    distinct: dict[tuple[str, ...], int] = {}
+    ref_of = np.fromiter((distinct.setdefault(tuple(r), len(distinct)) for r in refs),
+                         dtype=np.int64, count=n)
+    ids, lens, n_ids = _encode(list(hyps) + list(distinct))
+    starts = np.cumsum(lens) - lens
+    sentence = np.repeat(np.arange(len(lens)), lens)
+    # Tokens from each position to the end of its sentence, itself included.
+    room = lens[sentence] - (np.arange(len(ids)) - starts[sentence])
+    hyp_len, ref_len = lens[:n], lens[n:][ref_of]
+    ref_sentence = n + ref_of
+    out = np.zeros((n, 16))
+    code, n_codes = ids, n_ids
+    for k in range(1, MAX_ORDER + 1):
+        if k > 1:
+            extended = code[: len(ids) - k + 1] * n_ids + ids[k - 1 :]
+            grams, code = np.unique(extended, return_inverse=True)
+            n_codes = len(grams)
+        ok = room[: len(code)] >= k
+        # One key per (sentence, gram); hypotheses sort before references.
+        keys, counts = np.unique(sentence[: len(code)][ok] * n_codes + code[ok], return_counts=True)
+        split = np.searchsorted(keys, n * n_codes)
+        hyp_keys, hyp_counts = keys[:split], counts[:split]
+        row, gram = np.divmod(hyp_keys, n_codes)
+        # A sentinel past every key keeps the lookup in bounds.
+        ref_keys = np.append(keys[split:], np.iinfo(np.int64).max)
+        ref_counts = np.append(counts[split:], 0)
+        want = ref_sentence[row] * n_codes + gram
+        at = np.searchsorted(ref_keys, want)
+        in_ref = np.where(ref_keys[at] == want, ref_counts[at], 0)
+        matches = np.bincount(row, weights=np.minimum(hyp_counts, in_ref), minlength=n)
+        totals = np.maximum(hyp_len - k + 1, 0)
+        np.divide(matches, totals, out=out[:, k - 1], where=totals > 0)
+        out[:, 3 + k] = matches
+        out[:, 7 + k] = totals
+    out[:, 12] = hyp_len
+    out[:, 13] = ref_len
+    np.divide(hyp_len, ref_len, out=out[:, 14], where=ref_len > 0)
+    out[:, 15] = hyp_len >= ref_len
+    out[hyp_len == 0, 15] = 0.0
+    # math.exp, not np.exp, so the penalty matches brevity_penalty to the last bit.
+    for i in np.flatnonzero((hyp_len > 0) & (hyp_len < ref_len)).tolist():
+        out[i, 15] = brevity_penalty(int(hyp_len[i]), int(ref_len[i]))
+    return out
+
+
 def ngram_stats(hyp: Sequence[str], ref: Sequence[str], order: int) -> NGramStats:
     """Clipped n-gram match count and hypothesis n-gram total."""
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
-    hyp_grams = Counter(tuple(hyp[i : i + order]) for i in range(len(hyp) - order + 1))
-    ref_grams = Counter(tuple(ref[i : i + order]) for i in range(len(ref) - order + 1))
-    total = max(0, len(hyp) - order + 1)
-    matches = sum(min(c, ref_grams[g]) for g, c in hyp_grams.items())
-    return NGramStats(order=order, matches=matches, total=total)
+    row = bleu_matrix([hyp], [ref])[0]
+    return NGramStats(order=order, matches=int(row[3 + order]), total=int(row[7 + order]))
 
 
 def brevity_penalty(hyp_len: int, ref_len: int) -> float:
@@ -96,19 +174,7 @@ def brevity_penalty(hyp_len: int, ref_len: int) -> float:
 
 
 def bleu_components(hyp: Sequence[str], ref: Sequence[str]) -> BleuComponents:
-    stats = [ngram_stats(hyp, ref, n) for n in range(1, MAX_ORDER + 1)]
-    precisions = tuple(s.matches / s.total if s.total > 0 else 0.0 for s in stats)
-    hyp_len, ref_len = len(hyp), len(ref)
-    ratio = hyp_len / ref_len if ref_len > 0 else 0.0
-    return BleuComponents(
-        precisions=precisions,
-        matches=tuple(s.matches for s in stats),
-        totals=tuple(s.total for s in stats),
-        hyp_len=hyp_len,
-        ref_len=ref_len,
-        length_ratio=ratio,
-        brevity_penalty=brevity_penalty(hyp_len, ref_len),
-    )
+    return BleuComponents.from_row(bleu_matrix([hyp], [ref])[0])
 
 
 def bleu_score(c: BleuComponents, smoothing: str = "none") -> float:

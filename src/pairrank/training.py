@@ -124,20 +124,6 @@ def kendall_cost(delta: float, y: int, cfg: CostConfig) -> float:
     return float(disagreement + lam * math.exp(-b * delta * delta / 2.0))
 
 
-def _batch_cost(model: Model, batch: Batch, ys: np.ndarray, cfg: CostConfig, kind: str) -> float:
-    if kind == LOGISTIC:
-        sigma, _ = forward_batch(model, batch)
-        s = np.clip(sigma, SIGMA_CLAMP, 1.0 - SIGMA_CLAMP)
-        return float(-np.sum(ys * np.log(s) + (1 - ys) * np.log(1.0 - s)))
-    sigma, _ = forward_batch(model, batch)
-    sigma_rev, _ = forward_batch(model, batch.swapped())
-    delta = sigma - sigma_rev
-    g, b, lam = cfg.gamma, cfg.beta, cfg.tie_weight
-    cost = ys * sigmoid(-g * delta) + (1 - ys) * sigmoid(g * delta)
-    cost = cost + lam * np.exp(-b * delta * delta / 2.0)
-    return float(np.sum(cost))
-
-
 def _batch_gradients(
     model: Model, batch: Batch, ys: np.ndarray, cfg: CostConfig, kind: str
 ) -> tuple[dict[str, np.ndarray], float]:

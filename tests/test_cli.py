@@ -1,6 +1,9 @@
+import hashlib
 import json
 
 import pytest
+
+import pairrank.cli
 
 from pairrank.cli import run
 from pairrank.synthetic import token_dataset_lines, toy_embedding_lines
@@ -126,3 +129,27 @@ def test_missing_file_error(capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "\n" not in err.strip()
+
+
+# sha256 of `pairrank extract` on the data below, recorded with the
+# per-tuple Counter counting and sentence loop that the bulk path replaced.
+# The embedding table covers 24 of the 30 tokens, so composition meets OOV.
+EXTRACT_SHA256 = "11119b74e1e7a465afb19541a733df81d0ed53a8fbdc76c6c838d03038286184"
+
+
+def test_extract_golden_bytes(tmp_path):
+    data, emb, out = tmp_path / "data.jsonl", tmp_path / "emb.txt", tmp_path / "f.jsonl"
+    data.write_text("\n".join(token_dataset_lines(200, seed=7, splits=["cz", "de"],
+                                                   with_external=True)) + "\n")
+    emb.write_text("\n".join(toy_embedding_lines(24, dim=5, seed=3)) + "\n")
+    assert run(["extract", "--data", str(data), "--embeddings", str(emb), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXTRACT_SHA256
+
+
+def test_train_loads_embeddings_once(tmp_path, data_file, emb_file, monkeypatch):
+    loads = []
+    real = pairrank.cli.load_embedding_table
+    monkeypatch.setattr(pairrank.cli, "load_embedding_table", lambda f: loads.append(1) or real(f))
+    model = str(tmp_path / "m.json")
+    assert run(train_args(data_file, model, embeddings=emb_file, valid=data_file)) == 0
+    assert len(loads) == 1

@@ -1,12 +1,18 @@
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from pairrank import data_ingest
 
 from pairrank.data_ingest import (
     Dataset,
     DatasetFormatError,
+    EvaluationTuple,
     InconsistentSchema,
     load_dataset,
     save_dataset,
@@ -47,6 +53,19 @@ def test_gold_ties_dropped():
 def test_bad_label():
     with pytest.raises(DatasetFormatError):
         load_dataset(io.StringIO(make_line(y=2)))
+
+
+def test_boolean_label_rejected():
+    with pytest.raises(DatasetFormatError, match="line 2"):
+        load_dataset(io.StringIO(make_line() + "\n" + make_line(y=True)))
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_external_score_reports_line(bad):
+    good = make_line(external_scores_1={"TER": 0.5}, external_scores_2={"TER": 0.4})
+    line = good.replace("0.4", bad)
+    with pytest.raises(DatasetFormatError, match="line 2: external_scores_2"):
+        load_dataset(io.StringIO(good + "\n" + line))
 
 
 def test_malformed_json_reports_line():
@@ -143,3 +162,27 @@ def test_splits_of():
     lines = token_dataset_lines(4, seed=0, splits=["cz", "de"])
     ds = load_dataset(io.StringIO("\n".join(lines)))
     assert splits_of(ds) == ["cz", "de", "cz", "de"]
+
+
+sentence = st.lists(st.sampled_from(["w0", "w1", "w2", "oov"]), max_size=8)
+
+
+@given(st.lists(st.tuples(sentence, sentence, st.integers(0, 2)), min_size=1, max_size=10),
+       st.lists(sentence, min_size=3, max_size=3),
+       st.integers(1, 4))
+def test_vectorize_same_in_one_chunk_or_several(rows, refs, chunk):
+    tuples = [
+        EvaluationTuple(id=f"t{i}", split="all", reference=refs[j], hyp1=h1, hyp2=h2, y=i % 2,
+                        external_scores_1={"M": i / 7}, external_scores_2={"M": 1.0})
+        for i, (h1, h2, j) in enumerate(rows)
+    ]
+    ds = Dataset(tuples=tuples, feature_schema=["M"], sentence_dim=0)
+    table = load_embedding_table(io.StringIO("w0 0.1 -0.0\nw1 0.3 2.5\nw2 -7.0 1e-3\n"))
+    whole = vectorize(ds, table)
+    with mock.patch.object(data_ingest, "CHUNK_TUPLES", chunk):
+        chunked = vectorize(ds, table)
+    assert len(whole) == len(chunked) == len(tuples)
+    for (a, ya), (b, yb) in zip(whole, chunked):
+        assert ya == yb
+        for field in ("psi_t1", "psi_t2", "psi_r", "phi_t1r", "phi_t2r"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()

@@ -2,13 +2,15 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pairrank.embeddings import (
+    EmbeddingTable,
     EmptyTableError,
     InconsistentDimensionError,
     DimensionMismatchError,
+    compose_mean_matrix,
     compose_sentence_vector,
     load_embedding_table,
     save_embedding_table,
@@ -128,3 +130,34 @@ def test_compose_duplication_invariant(tokens):
 
 def test_tokenize():
     assert tokenize("The  cat\tSAT ") == ["the", "cat", "sat"]
+
+
+def sequential_mean(tokens, table):
+    """Reference composition: one token at a time, OOV tokens skipped."""
+    acc = np.zeros(table.dimension)
+    found = 0
+    for tok in tokens:
+        vec = table.entries.get(tok)
+        if vec is not None:
+            acc += vec
+            found += 1
+    values = acc / found if found else np.zeros(table.dimension)
+    return values, len(tokens) - found
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "zzz", "qqq"]), max_size=10), max_size=8),
+       st.lists(finite, min_size=9, max_size=9))
+@example(sentences=[["a"], ["zzz", "b"], []], values=[-0.0] * 9)
+def test_bulk_compose_matches_sequential_mean(sentences, values):
+    # Empty and all-OOV sentences come up often with two OOV tokens in five.
+    table = EmbeddingTable(3, {w: np.array(values[3 * i : 3 * i + 3]) for i, w in enumerate("abc")})
+    got, oov = compose_mean_matrix(sentences, table)
+    assert got.shape == (len(sentences), 3)
+    for row, n_oov, tokens in zip(got, oov, sentences):
+        want, want_oov = sequential_mean(tokens, table)
+        assert np.array_equal(row, want)
+        assert row.tobytes() == want.tobytes()  # sign of zero too
+        assert n_oov == want_oov

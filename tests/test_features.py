@@ -10,9 +10,11 @@ from pairrank.features import (
     NonFiniteFeature,
     assemble_pairwise,
     bleu_components,
+    bleu_matrix,
     bleu_score,
     ngram_stats,
 )
+from test_acceptance import brute_bleu_fields
 
 
 def brute_ngram_counts(hyp, ref, order):
@@ -168,3 +170,27 @@ def test_assemble_deterministic(hyp, ref):
     b = assemble_pairwise(bleu_components(hyp, ref), {"x": 0.5})
     assert a.names == b.names
     assert np.array_equal(a.values, b.values)
+
+
+# A three-token vocabulary gives heavy repetition; sizes 0-3 give empty
+# sentences and sentences with no 4-grams.
+short_sentence = st.lists(st.sampled_from(["a", "b", "c"]), max_size=10)
+
+
+@given(st.lists(short_sentence, min_size=1, max_size=4),
+       st.lists(st.tuples(short_sentence, st.integers(0, 3)), max_size=12))
+def test_bleu_matrix_matches_brute_force(refs, rows):
+    # Rows draw references from a small pool, so many share one.
+    hyps = [h for h, _ in rows]
+    row_refs = [refs[j % len(refs)] for _, j in rows]
+    got = bleu_matrix(hyps, row_refs)
+    assert got.shape == (len(rows), 16)
+    for row, hyp, ref in zip(got, hyps, row_refs):
+        p, m, t, hl, rl, ratio, bp = brute_bleu_fields(hyp, ref)
+        want = np.array(p + m + t + [hl, rl, ratio, bp], dtype=float)
+        assert row.tobytes() == want.tobytes()
+
+
+def test_bleu_matrix_length_mismatch():
+    with pytest.raises(ValueError):
+        bleu_matrix([["a"]], [])

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import data_ingest, evaluation, training
-from .embeddings import load_embedding_table
+from .embeddings import EmbeddingTable, load_embedding_table
 from .features import BLEUCOMP_FEATURE_NAMES
 from .model import (
     DEFAULT_TIE_EPSILON,
@@ -46,15 +46,17 @@ TRAIN_DEFAULTS = {
 }
 
 
-def _load_data(path: str, embeddings_path: Optional[str]):
+def _load_table(embeddings_path: Optional[str]) -> Optional[EmbeddingTable]:
+    if not embeddings_path:
+        return None
+    with open(embeddings_path, encoding="utf-8") as f:
+        return load_embedding_table(f)
+
+
+def _load_data(path: str, table: Optional[EmbeddingTable]):
     with open(path, encoding="utf-8") as f:
         dataset = data_ingest.load_dataset(f)
-    table = None
-    if embeddings_path:
-        with open(embeddings_path, encoding="utf-8") as f:
-            table = load_embedding_table(f)
-    examples = data_ingest.vectorize(dataset, table)
-    return dataset, table, examples
+    return dataset, data_ingest.vectorize(dataset, table)
 
 
 def _merged_options(args: argparse.Namespace) -> dict:
@@ -85,7 +87,7 @@ def _cost_config(opts: dict) -> CostConfig:
 
 
 def cmd_extract(args) -> int:
-    dataset, _, examples = _load_data(args.data, args.embeddings)
+    dataset, examples = _load_data(args.data, _load_table(args.embeddings))
     if args.schema:
         for name in list(BLEUCOMP_FEATURE_NAMES) + dataset.feature_schema:
             print(name)
@@ -115,12 +117,9 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     opts = _merged_options(args)
-    dataset, table, examples = _load_data(args.data, args.embeddings)
-    if args.valid:
-        with open(args.valid, encoding="utf-8") as f:
-            valid = data_ingest.vectorize(data_ingest.load_dataset(f), table)
-    else:
-        valid = examples
+    table = _load_table(args.embeddings)
+    dataset, examples = _load_data(args.data, table)
+    valid = _load_data(args.valid, table)[1] if args.valid else examples
     sentence_dim = dataset.sentence_dim or (table.dimension if table else 0)
     pairwise_dim = len(examples[0][0].phi_t1r) if examples else 0
     config = ModelConfig(
@@ -159,7 +158,7 @@ def _print_tau_table(report: evaluation.EvalReport) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    dataset, _, examples = _load_data(args.data, args.embeddings)
+    dataset, examples = _load_data(args.data, _load_table(args.embeddings))
     with open(args.model, encoding="utf-8") as f:
         model = load_model(f)
     report = evaluation.evaluate(
@@ -173,7 +172,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    dataset, _, examples = _load_data(args.data, args.embeddings)
+    dataset, examples = _load_data(args.data, _load_table(args.embeddings))
     with open(args.model, encoding="utf-8") as f:
         model = load_model(f)
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout

@@ -64,6 +64,18 @@ def tokenize(text: str) -> list[str]:
     return text.lower().split()
 
 
+def encode_tokens(sentences: Sequence[Sequence[str]]) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
+    """Flat integer ids of all tokens, per-sentence lengths, and the token -> id vocabulary.
+
+    Ids are dense and follow first appearance.
+    """
+    vocab = {t: i for i, t in enumerate(dict.fromkeys(chain.from_iterable(sentences)))}
+    lens = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    ids = np.fromiter(map(vocab.__getitem__, chain.from_iterable(sentences)), dtype=np.int64,
+                      count=int(lens.sum()))
+    return ids, lens, vocab
+
+
 def _is_header(fields: Sequence[str]) -> bool:
     if len(fields) != 2:
         return False
@@ -140,17 +152,13 @@ def compose_mean_matrix(
     with no token found come back as zero vectors.
     """
     d = table.dimension
-    vocab = dict.fromkeys(chain.from_iterable(sentences), 0)
-    rows = [np.zeros(d)]  # row 0: what an out-of-vocabulary token adds
-    for tok in vocab:
-        vec = table.entries.get(tok)
-        if vec is not None:
-            vocab[tok] = len(rows)
-            rows.append(vec)
-    matrix = np.array(rows)
-    lens = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
-    ids = np.fromiter(map(vocab.__getitem__, chain.from_iterable(sentences)), dtype=np.int64,
-                      count=int(lens.sum()))
+    tokens, lens, vocab = encode_tokens(sentences)
+    vecs = [table.entries.get(t) for t in vocab]
+    # Row 0 is what an out-of-vocabulary token adds; tokens in the table
+    # take rows 1, 2, ... in vocabulary order.
+    matrix = np.array([np.zeros(d)] + [v for v in vecs if v is not None])
+    in_table = np.fromiter((v is not None for v in vecs), dtype=bool, count=len(vecs))
+    ids = np.where(in_table, np.cumsum(in_table), 0)[tokens]
     starts = np.cumsum(lens) - lens
     found_before = np.concatenate(([0], np.cumsum(ids != 0)))
     found = found_before[starts + lens] - found_before[starts]

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+
+from .embeddings import encode_tokens
 
 MAX_ORDER = 4
 
@@ -53,20 +54,6 @@ class BleuComponents:
             dtype=float,
         )
 
-    @classmethod
-    def from_row(cls, row: np.ndarray) -> "BleuComponents":
-        """Inverse of :meth:`flatten`."""
-        v = row.tolist()
-        return cls(
-            precisions=tuple(v[0:4]),
-            matches=tuple(int(x) for x in v[4:8]),
-            totals=tuple(int(x) for x in v[8:12]),
-            hyp_len=int(v[12]),
-            ref_len=int(v[13]),
-            length_ratio=v[14],
-            brevity_penalty=v[15],
-        )
-
 
 BLEUCOMP_FEATURE_NAMES: tuple[str, ...] = tuple(
     [f"precision_{n}" for n in range(1, 5)]
@@ -89,24 +76,17 @@ class PairwiseFeatures:
             raise NonFiniteFeature("feature vector contains non-finite values")
 
 
-def _encode(sentences: Sequence[Sequence[str]]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Flat dense integer ids of all tokens, per-sentence lengths, and the id count."""
-    vocab = {t: i for i, t in enumerate(dict.fromkeys(chain.from_iterable(sentences)))}
-    lens = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
-    ids = np.fromiter(map(vocab.__getitem__, chain.from_iterable(sentences)), dtype=np.int64,
-                      count=int(lens.sum()))
-    return ids, lens, len(vocab)
+def _clipped_counts(
+    hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]], max_order: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Clipped n-gram matches and hypothesis n-gram totals of each (hyps[i], refs[i]) pair.
 
-
-def bleu_matrix(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]]) -> np.ndarray:
-    """The 16 decomposed-BLEU features of each (hyps[i], refs[i]) pair, as an (N, 16) array.
-
-    Tokens become integer ids, and each k-gram gets an exact dense id from
-    the (k-1)-gram id before it and its last token, so no two distinct
-    grams share an id. Grams are counted per hypothesis, and once per
-    distinct reference; clipped matches come from a sorted lookup of each
-    hypothesis gram in its reference's counts. Row i equals
-    ``bleu_components(hyps[i], refs[i]).flatten()`` bit for bit.
+    Returns (N, max_order) arrays of matches and totals for n = 1..max_order,
+    then both lengths. Tokens become integer ids, and each k-gram gets an
+    exact dense id from the (k-1)-gram id before it and its last token, so
+    no two distinct grams share an id. Grams are counted per hypothesis,
+    and once per distinct reference; clipped matches come from a sorted
+    lookup of each hypothesis gram in its reference's counts.
     """
     n = len(hyps)
     if len(refs) != n:
@@ -114,16 +94,18 @@ def bleu_matrix(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]]) ->
     distinct: dict[tuple[str, ...], int] = {}
     ref_of = np.fromiter((distinct.setdefault(tuple(r), len(distinct)) for r in refs),
                          dtype=np.int64, count=n)
-    ids, lens, n_ids = _encode(list(hyps) + list(distinct))
+    ids, lens, vocab = encode_tokens(list(hyps) + list(distinct))
+    n_ids = len(vocab)
     starts = np.cumsum(lens) - lens
     sentence = np.repeat(np.arange(len(lens)), lens)
     # Tokens from each position to the end of its sentence, itself included.
     room = lens[sentence] - (np.arange(len(ids)) - starts[sentence])
     hyp_len, ref_len = lens[:n], lens[n:][ref_of]
     ref_sentence = n + ref_of
-    out = np.zeros((n, 16))
+    matches = np.zeros((n, max_order))
+    totals = np.zeros((n, max_order), dtype=np.int64)
     code, n_codes = ids, n_ids
-    for k in range(1, MAX_ORDER + 1):
+    for k in range(1, max_order + 1):
         if k > 1:
             extended = code[: len(ids) - k + 1] * n_ids + ids[k - 1 :]
             grams, code = np.unique(extended, return_inverse=True)
@@ -140,11 +122,21 @@ def bleu_matrix(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]]) ->
         want = ref_sentence[row] * n_codes + gram
         at = np.searchsorted(ref_keys, want)
         in_ref = np.where(ref_keys[at] == want, ref_counts[at], 0)
-        matches = np.bincount(row, weights=np.minimum(hyp_counts, in_ref), minlength=n)
-        totals = np.maximum(hyp_len - k + 1, 0)
-        np.divide(matches, totals, out=out[:, k - 1], where=totals > 0)
-        out[:, 3 + k] = matches
-        out[:, 7 + k] = totals
+        matches[:, k - 1] = np.bincount(row, weights=np.minimum(hyp_counts, in_ref), minlength=n)
+        totals[:, k - 1] = np.maximum(hyp_len - k + 1, 0)
+    return matches, totals, hyp_len, ref_len
+
+
+def bleu_matrix(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]]) -> np.ndarray:
+    """The 16 decomposed-BLEU features of each (hyps[i], refs[i]) pair, as an (N, 16) array.
+
+    Row i equals ``bleu_components(hyps[i], refs[i]).flatten()`` bit for bit.
+    """
+    matches, totals, hyp_len, ref_len = _clipped_counts(hyps, refs, MAX_ORDER)
+    out = np.zeros((len(hyps), 16))
+    np.divide(matches, totals, out=out[:, 0:4], where=totals > 0)
+    out[:, 4:8] = matches
+    out[:, 8:12] = totals
     out[:, 12] = hyp_len
     out[:, 13] = ref_len
     np.divide(hyp_len, ref_len, out=out[:, 14], where=ref_len > 0)
@@ -160,8 +152,8 @@ def ngram_stats(hyp: Sequence[str], ref: Sequence[str], order: int) -> NGramStat
     """Clipped n-gram match count and hypothesis n-gram total."""
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
-    row = bleu_matrix([hyp], [ref])[0]
-    return NGramStats(order=order, matches=int(row[3 + order]), total=int(row[7 + order]))
+    matches, totals, _, _ = _clipped_counts([hyp], [ref], order)
+    return NGramStats(order=order, matches=int(matches[0, -1]), total=int(totals[0, -1]))
 
 
 def brevity_penalty(hyp_len: int, ref_len: int) -> float:
@@ -174,7 +166,17 @@ def brevity_penalty(hyp_len: int, ref_len: int) -> float:
 
 
 def bleu_components(hyp: Sequence[str], ref: Sequence[str]) -> BleuComponents:
-    return BleuComponents.from_row(bleu_matrix([hyp], [ref])[0])
+    stats = [ngram_stats(hyp, ref, n) for n in range(1, MAX_ORDER + 1)]
+    hyp_len, ref_len = len(hyp), len(ref)
+    return BleuComponents(
+        precisions=tuple(s.matches / s.total if s.total > 0 else 0.0 for s in stats),
+        matches=tuple(s.matches for s in stats),
+        totals=tuple(s.total for s in stats),
+        hyp_len=hyp_len,
+        ref_len=ref_len,
+        length_ratio=hyp_len / ref_len if ref_len > 0 else 0.0,
+        brevity_penalty=brevity_penalty(hyp_len, ref_len),
+    )
 
 
 def bleu_score(c: BleuComponents, smoothing: str = "none") -> float:

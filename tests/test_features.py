@@ -189,6 +189,7 @@ def test_bleu_matrix_matches_brute_force(refs, rows):
         p, m, t, hl, rl, ratio, bp = brute_bleu_fields(hyp, ref)
         want = np.array(p + m + t + [hl, rl, ratio, bp], dtype=float)
         assert row.tobytes() == want.tobytes()
+        assert bleu_components(hyp, ref).flatten().tobytes() == want.tobytes()
 
 
 def test_bleu_matrix_length_mismatch():

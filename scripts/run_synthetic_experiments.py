@@ -26,8 +26,8 @@ def architecture_experiment(seeds: int) -> None:
         for arch in taus:
             model = init_model(ModelConfig(3, 0, 16, arch, seed=seed))
             tcfg = TrainConfig(learning_rate=0.05, epochs=40, batch_size=32, shuffle_seed=seed)
-            trained, _ = train(model, tr, va, tcfg, CostConfig(kind="logistic"))
-            taus[arch].append(evaluate(trained, va).tau)
+            trained, _ = train(model, *tr, *va, tcfg, CostConfig(kind="logistic"))
+            taus[arch].append(evaluate(trained, *va).tau)
     print(f"{'arch':>14} {'mean tau':>9}  per-seed")
     for arch, vals in taus.items():
         print(f"{arch:>14} {np.mean(vals):9.3f}  {[round(v, 3) for v in vals]}")
@@ -48,8 +48,8 @@ def cost_experiment(seeds: int) -> None:
             va = linear_rule_dataset(500, 8, seed=800 + seed, noise=0.2, rule_seed=seed)
             model = init_model(ModelConfig(0, 8, architecture="single-layer", seed=seed))
             tcfg = TrainConfig(learning_rate=0.01, epochs=40, batch_size=32, shuffle_seed=seed)
-            trained, _ = train(model, tr, va, tcfg, ccfg)
-            report = evaluate(trained, va, tie_epsilon=0.05)
+            trained, _ = train(model, *tr, *va, tcfg, ccfg)
+            report = evaluate(trained, *va, tie_epsilon=0.05)
             taus.append(report.tau)
             ties.append(report.counts.ties)
         print(f"{name:>22} {np.mean(taus):9.3f} {np.mean(ties):10.1f}")

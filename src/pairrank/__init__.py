@@ -11,23 +11,21 @@ from .features import (
     ngram_stats,
 )
 from .model import (
+    Batch,
     Model,
     ModelConfig,
-    ModelInput,
-    PredictionDelta,
     decide,
-    forward,
+    forward_batch,
     init_model,
     load_model,
-    predict_delta,
+    pack,
     save_model,
 )
-from .evaluation import EvalReport, PairCounts, evaluate, kendall_tau
+from .evaluation import EvalReport, PairCounts, evaluate, kendall_tau, predict_delta
 from .training import (
     CostConfig,
     TrainConfig,
     TrainReport,
-    backward,
     grad_check,
     kendall_cost,
     logistic_cost,

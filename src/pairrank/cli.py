@@ -8,6 +8,7 @@ seeded via flags, and a JSON config file can supply any flag's value
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
@@ -17,15 +18,8 @@ import numpy as np
 from . import data_ingest, evaluation, training
 from .embeddings import EmbeddingTable, load_embedding_table
 from .features import BLEUCOMP_FEATURE_NAMES
-from .model import (
-    DEFAULT_TIE_EPSILON,
-    ModelConfig,
-    decide,
-    init_model,
-    load_model,
-    predict_delta,
-    save_model,
-)
+from .evaluation import predict_delta
+from .model import DEFAULT_TIE_EPSILON, ModelConfig, decide, init_model, load_model, save_model
 from .training import CostConfig, TrainConfig, grad_check, train
 
 TRAIN_DEFAULTS = {
@@ -54,9 +48,10 @@ def _load_table(embeddings_path: Optional[str]) -> Optional[EmbeddingTable]:
 
 
 def _load_data(path: str, table: Optional[EmbeddingTable]):
+    """The dataset at ``path``, its batch of model inputs and its labels."""
     with open(path, encoding="utf-8") as f:
         dataset = data_ingest.load_dataset(f)
-    return dataset, data_ingest.vectorize(dataset, table)
+    return (dataset, *data_ingest.vectorize(dataset, table))
 
 
 def _merged_options(args: argparse.Namespace) -> dict:
@@ -87,24 +82,26 @@ def _cost_config(opts: dict) -> CostConfig:
 
 
 def cmd_extract(args) -> int:
-    dataset, examples = _load_data(args.data, _load_table(args.embeddings))
+    dataset, batch, _ = _load_data(args.data, _load_table(args.embeddings))
     if args.schema:
         for name in list(BLEUCOMP_FEATURE_NAMES) + dataset.feature_schema:
             print(name)
         return 0
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for t, (inp, y) in zip(dataset.tuples, examples):
+        rows = zip(dataset.tuples, batch.F1.tolist(), batch.F2.tolist(),
+                   batch.P1.tolist(), batch.P2.tolist(), batch.Pr.tolist())
+        for t, phi_t1r, phi_t2r, psi_t1, psi_t2, psi_r in rows:
             json.dump(
                 {
                     "id": t.id,
                     "split": t.split,
-                    "y": y,
-                    "phi_t1r": inp.phi_t1r.tolist(),
-                    "phi_t2r": inp.phi_t2r.tolist(),
-                    "psi_t1": inp.psi_t1.tolist(),
-                    "psi_t2": inp.psi_t2.tolist(),
-                    "psi_r": inp.psi_r.tolist(),
+                    "y": t.y,
+                    "phi_t1r": phi_t1r,
+                    "phi_t2r": phi_t2r,
+                    "psi_t1": psi_t1,
+                    "psi_t2": psi_t2,
+                    "psi_r": psi_r,
                 },
                 sink,
             )
@@ -118,13 +115,12 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     opts = _merged_options(args)
     table = _load_table(args.embeddings)
-    dataset, examples = _load_data(args.data, table)
-    valid = _load_data(args.valid, table)[1] if args.valid else examples
-    sentence_dim = dataset.sentence_dim or (table.dimension if table else 0)
-    pairwise_dim = len(examples[0][0].phi_t1r) if examples else 0
+    _, batch, y = _load_data(args.data, table)
+    # Without --valid, training validates on the training set itself.
+    valid = _load_data(args.valid, table)[1:] if args.valid else (batch, y)
     config = ModelConfig(
-        sentence_dim=sentence_dim,
-        pairwise_dim=pairwise_dim,
+        sentence_dim=batch.P1.shape[1],
+        pairwise_dim=batch.F1.shape[1],
         hidden_per_block=int(opts["hidden"]),
         architecture=opts["arch"],
         seed=int(opts["seed"]),
@@ -137,14 +133,15 @@ def cmd_train(args) -> int:
         l2=float(opts["l2"]),
         early_stop_patience=int(opts["patience"]),
     )
-    model, report = train(init_model(config), examples, valid, tcfg, _cost_config(opts))
+    model, report = train(init_model(config), batch, y, *valid, tcfg, _cost_config(opts))
     with open(args.out, "w", encoding="utf-8") as f:
         save_model(model, f)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as f:
             report.to_jsonl(f)
     final_tau = report.epochs[-1].valid_tau if report.epochs else float("nan")
-    print(f"trained {len(report.epochs)} epochs, final valid tau {final_tau:.4f}")
+    measured_on = "valid" if args.valid else "train"
+    print(f"trained {len(report.epochs)} epochs, final {measured_on} tau {final_tau:.4f}")
     return 0
 
 
@@ -158,11 +155,11 @@ def _print_tau_table(report: evaluation.EvalReport) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    dataset, examples = _load_data(args.data, _load_table(args.embeddings))
+    dataset, batch, y = _load_data(args.data, _load_table(args.embeddings))
     with open(args.model, encoding="utf-8") as f:
         model = load_model(f)
     report = evaluation.evaluate(
-        model, examples, tie_epsilon=args.tie_epsilon, splits=data_ingest.splits_of(dataset)
+        model, batch, y, tie_epsilon=args.tie_epsilon, splits=data_ingest.splits_of(dataset)
     )
     _print_tau_table(report)
     if args.report:
@@ -172,20 +169,21 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    dataset, examples = _load_data(args.data, _load_table(args.embeddings))
+    dataset, batch, _ = _load_data(args.data, _load_table(args.embeddings))
     with open(args.model, encoding="utf-8") as f:
         model = load_model(f)
+    sigma, sigma_rev = predict_delta(model, batch)
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for t, (inp, _) in zip(dataset.tuples, examples):
-            pred = predict_delta(model, inp)
+        for t, s, s_rev in zip(dataset.tuples, sigma.tolist(), sigma_rev.tolist()):
+            delta = s - s_rev
             json.dump(
                 {
                     "id": t.id,
-                    "sigma": pred.sigma,
-                    "sigma_rev": pred.sigma_rev,
-                    "delta": pred.delta,
-                    "decision": decide(pred.delta, args.tie_epsilon),
+                    "sigma": s,
+                    "sigma_rev": s_rev,
+                    "delta": delta,
+                    "decision": decide(delta, args.tie_epsilon),
                 },
                 sink,
             )
@@ -207,15 +205,11 @@ def cmd_gradcheck(args) -> int:
         seed=args.seed,
     )
     model = init_model(config)
-    # Mix sentence and pairwise features into one batch of inputs.
-    examples = []
-    sent = interaction_rule_dataset(8, sentence_dim=3, seed=args.seed)
-    pair = linear_rule_dataset(8, pairwise_dim=2, seed=args.seed + 1)
-    for (si, _), (pi, y) in zip(sent, pair):
-        si.phi_t1r, si.phi_t2r = pi.phi_t1r, pi.phi_t2r
-        examples.append((si, y))
-    cfg = CostConfig(kind=args.cost)
-    err = grad_check(model, examples, cfg, step=args.step)
+    # Sentence vectors from one planted rule, pairwise features and labels from the other.
+    sent, _ = interaction_rule_dataset(8, sentence_dim=3, seed=args.seed)
+    pair, y = linear_rule_dataset(8, pairwise_dim=2, seed=args.seed + 1)
+    batch = dataclasses.replace(sent, F1=pair.F1, F2=pair.F2)
+    err = grad_check(model, batch, y, CostConfig(kind=args.cost), step=args.step)
     print(f"max relative error {err:.3e}")
     return 0 if err <= 1e-5 else 1
 

@@ -17,8 +17,8 @@ from typing import IO, Iterable, Optional
 import numpy as np
 
 from .embeddings import EmbeddingTable, compose_mean_matrix, tokenize
-from .features import NonFiniteFeature, bleu_matrix
-from .model import ModelInput
+from .features import BLEUCOMP_FEATURE_NAMES, NonFiniteFeature, bleu_matrix
+from .model import Batch
 
 # Not called here: the benchmark's traced run hooks these names on this module.
 from .embeddings import compose_sentence_vector  # noqa: F401
@@ -59,7 +59,10 @@ class Dataset:
     dropped_ties: int = 0
 
 
-def _tokens(value, lineno: int, name: str) -> list[str]:
+def _tokens(obj: dict, lineno: int, name: str) -> list[str]:
+    if name not in obj:
+        raise DatasetFormatError(f"line {lineno}: missing {name}")
+    value = obj[name]
     if isinstance(value, str):
         return tokenize(value)
     if isinstance(value, list) and all(isinstance(t, str) for t in value):
@@ -67,25 +70,42 @@ def _tokens(value, lineno: int, name: str) -> list[str]:
     raise DatasetFormatError(f"line {lineno}: {name} must be a string or token array")
 
 
+def _number(value, lineno: int, what: str) -> float:
+    # bool is an int subclass, so True would otherwise pass as 1.0.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DatasetFormatError(f"line {lineno}: {what} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise DatasetFormatError(f"line {lineno}: {what} is not finite: {value}")
+    return x
+
+
 def _vectors(obj: dict, lineno: int) -> tuple[Optional[list], Optional[list], Optional[list]]:
-    vecs = [obj.get(k) for k in ("psi_t1", "psi_t2", "psi_r")]
+    names = ("psi_t1", "psi_t2", "psi_r")
+    vecs = [obj.get(k) for k in names]
     present = [v is not None for v in vecs]
     if not any(present):
         return None, None, None
     if not all(present):
         raise DatasetFormatError(f"line {lineno}: precomputed vectors must all be present or absent")
-    dims = {len(v) for v in vecs}
-    if len(dims) != 1:
+    for name, v in zip(names, vecs):
+        if not isinstance(v, list):
+            raise DatasetFormatError(f"line {lineno}: {name} must be an array of numbers")
+    if len({len(v) for v in vecs}) != 1:
         raise DatasetFormatError(f"line {lineno}: precomputed vectors differ in dimension")
-    return tuple([float(x) for x in v] for v in vecs)
+    return tuple([_number(x, lineno, name) for x in v] for name, v in zip(names, vecs))
 
 
 def _scores(obj: dict, lineno: int, name: str) -> dict[str, float]:
-    scores = {k: float(v) for k, v in (obj.get(name) or {}).items()}
-    for k, v in scores.items():
-        if not math.isfinite(v):
-            raise DatasetFormatError(f"line {lineno}: {name}[{k!r}] is not finite: {v}")
-    return scores
+    scores = obj.get(name)
+    if scores is None:
+        return {}
+    if not isinstance(scores, dict):
+        raise DatasetFormatError(f"line {lineno}: {name} must be an object of named scores")
+    return {k: _number(v, lineno, f"{name}[{k!r}]") for k, v in scores.items()}
 
 
 def load_dataset(source: IO[str] | Iterable[str]) -> Dataset:
@@ -99,8 +119,12 @@ def load_dataset(source: IO[str] | Iterable[str]) -> Dataset:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"line {lineno}: malformed JSON: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:
+            # Besides decode errors: an integer too long to convert, nesting too deep.
+            msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+            raise DatasetFormatError(f"line {lineno}: malformed JSON: {msg}") from exc
+        if not isinstance(obj, dict):
+            raise DatasetFormatError(f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
         y = obj.get("y")
         if y == "tie":
             dropped += 1
@@ -134,9 +158,9 @@ def load_dataset(source: IO[str] | Iterable[str]) -> Dataset:
             EvaluationTuple(
                 id=str(obj.get("id", lineno)),
                 split=str(obj.get("split", "all")),
-                reference=_tokens(obj["reference"], lineno, "reference"),
-                hyp1=_tokens(obj["hyp1"], lineno, "hyp1"),
-                hyp2=_tokens(obj["hyp2"], lineno, "hyp2"),
+                reference=_tokens(obj, lineno, "reference"),
+                hyp1=_tokens(obj, lineno, "hyp1"),
+                hyp2=_tokens(obj, lineno, "hyp2"),
                 y=int(y),
                 external_scores_1=ext1,
                 external_scores_2=ext2,
@@ -175,26 +199,39 @@ def save_dataset(dataset: Dataset, sink: IO[str]) -> None:
 def vectorize(
     dataset: Dataset,
     table: Optional[EmbeddingTable] = None,
-) -> list[tuple[ModelInput, int]]:
-    """Turn tuples into model inputs, preserving order.
+) -> tuple[Batch, np.ndarray]:
+    """Turn tuples into one batch of model inputs and an int label array, in order.
 
-    Sentence vectors come from the precomputed fields when present,
-    otherwise from mean composition over ``table``. The pairwise feature
-    vectors always include freshly computed BLEU components, with any
-    external scores appended. The work runs in bulk, ``CHUNK_TUPLES``
-    tuples at a time, and gives the same values bit for bit as counting
-    and composing one tuple at a time.
+    Sentence vectors come from the precomputed fields when the dataset has
+    them, otherwise from mean composition over ``table``, otherwise they
+    have width 0. The pairwise feature vectors always include freshly
+    computed BLEU components, with any external scores appended. The work
+    runs in bulk, ``CHUNK_TUPLES`` tuples at a time, into preallocated
+    columns, and gives the same values bit for bit as counting and
+    composing one tuple at a time.
     """
-    out: list[tuple[ModelInput, int]] = []
-    for lo in range(0, len(dataset.tuples), CHUNK_TUPLES):
-        out += _vectorize_chunk(dataset.tuples[lo : lo + CHUNK_TUPLES], dataset.sentence_dim, table)
-    return out
-
-
-def _vectorize_chunk(
-    tuples: list[EvaluationTuple], sentence_dim: int, table: Optional[EmbeddingTable]
-) -> list[tuple[ModelInput, int]]:
+    tuples = dataset.tuples
+    missing = [t.id for t in tuples if t.psi_t1 is None]
+    if dataset.sentence_dim and missing:
+        raise DatasetFormatError(
+            f"tuple {missing[0]}: no precomputed vectors of dimension {dataset.sentence_dim}"
+        )
+    compose = table is not None and dataset.sentence_dim == 0
     n = len(tuples)
+    dim = table.dimension if compose else dataset.sentence_dim
+    width = len(BLEUCOMP_FEATURE_NAMES) + len(dataset.feature_schema)
+    batch = Batch(*(np.empty((n, dim)) for _ in range(3)), *(np.empty((n, width)) for _ in range(2)))
+    for lo in range(0, n, CHUNK_TUPLES):
+        _fill_chunk(batch, lo, tuples[lo : lo + CHUNK_TUPLES], table if compose else None)
+    return batch, np.array([t.y for t in tuples], dtype=int)
+
+
+def _fill_chunk(
+    batch: Batch, lo: int, tuples: list[EvaluationTuple], table: Optional[EmbeddingTable]
+) -> None:
+    """Write the rows of ``tuples`` into ``batch`` from row ``lo``; compose vectors over ``table`` if given."""
+    n = len(tuples)
+    rows = slice(lo, lo + n)
     bleu = bleu_matrix([t.hyp1 for t in tuples] + [t.hyp2 for t in tuples],
                        [t.reference for t in tuples] * 2)
     scores = [t.external_scores_1 for t in tuples] + [t.external_scores_2 for t in tuples]
@@ -202,26 +239,20 @@ def _vectorize_chunk(
     bad = np.flatnonzero(~np.isfinite(external).all(axis=1))
     if len(bad):
         raise NonFiniteFeature(f"tuple {tuples[bad[0] % n].id}: non-finite external score")
-    phi = np.hstack([bleu, external])
-
-    psi = [(t.psi_t1, t.psi_t2, t.psi_r) for t in tuples]
-    missing = [i for i, t in enumerate(tuples) if t.psi_t1 is None]
-    if missing and table is not None:
+    k = bleu.shape[1]
+    batch.F1[rows, :k], batch.F2[rows, :k] = bleu[:n], bleu[n:]
+    batch.F1[rows, k:], batch.F2[rows, k:] = external[:n], external[n:]
+    if table is not None:
         # Each distinct sentence is composed once; its tuples share the row.
         index: dict[tuple[str, ...], int] = {}
-        slots = [[index.setdefault(tuple(s), len(index)) for s in (t.hyp1, t.hyp2, t.reference)]
-                 for t in (tuples[i] for i in missing)]
+        slots = np.array([[index.setdefault(tuple(s), len(index)) for s in (t.hyp1, t.hyp2, t.reference)]
+                          for t in tuples])
         vectors, _ = compose_mean_matrix(list(index), table)
-        for i, js in zip(missing, slots):
-            psi[i] = tuple(vectors[j] for j in js)
-    elif missing and sentence_dim == 0:
-        for i in missing:
-            psi[i] = ([], [], [])
-    elif missing:
-        raise DatasetFormatError(
-            f"tuple {tuples[missing[0]].id}: no precomputed vectors and no embedding table"
-        )
-    return [(ModelInput(*psi[i], phi[i], phi[n + i]), t.y) for i, t in enumerate(tuples)]
+        batch.P1[rows], batch.P2[rows], batch.Pr[rows] = (vectors[j] for j in slots.T)
+    elif batch.P1.shape[1]:
+        batch.P1[rows] = [t.psi_t1 for t in tuples]
+        batch.P2[rows] = [t.psi_t2 for t in tuples]
+        batch.Pr[rows] = [t.psi_r for t in tuples]
 
 
 def splits_of(dataset: Dataset) -> list[str]:

@@ -29,7 +29,6 @@ class ModelConfig:
     pairwise_dim: int
     hidden_per_block: int = 4
     architecture: str = MULTI_LAYER
-    hidden_activation: str = "tanh"
     seed: int = 0
 
     def __post_init__(self):
@@ -39,8 +38,6 @@ class ModelConfig:
             raise ValueError("need at least one input source")
         if self.architecture not in (MULTI_LAYER, SINGLE_LAYER):
             raise ValueError(f"unknown architecture: {self.architecture}")
-        if self.hidden_activation != "tanh":
-            raise ValueError(f"unknown activation: {self.hidden_activation}")
         if self.architecture == MULTI_LAYER and self.hidden_per_block < 1:
             raise ValueError("hidden_per_block must be positive")
 
@@ -50,33 +47,6 @@ class ModelConfig:
         if self.architecture == MULTI_LAYER:
             return 3 * self.hidden_per_block + 2 * self.pairwise_dim
         return 3 * self.sentence_dim + 2 * self.pairwise_dim
-
-
-@dataclass
-class ModelInput:
-    psi_t1: np.ndarray
-    psi_t2: np.ndarray
-    psi_r: np.ndarray
-    phi_t1r: np.ndarray
-    phi_t2r: np.ndarray
-
-    def __post_init__(self):
-        self.psi_t1 = np.asarray(self.psi_t1, dtype=float)
-        self.psi_t2 = np.asarray(self.psi_t2, dtype=float)
-        self.psi_r = np.asarray(self.psi_r, dtype=float)
-        self.phi_t1r = np.asarray(self.phi_t1r, dtype=float)
-        self.phi_t2r = np.asarray(self.phi_t2r, dtype=float)
-
-    def swapped(self) -> "ModelInput":
-        """The same tuple with the two hypotheses exchanged."""
-        return ModelInput(self.psi_t2, self.psi_t1, self.psi_r, self.phi_t2r, self.phi_t1r)
-
-
-@dataclass(frozen=True)
-class PredictionDelta:
-    sigma: float
-    sigma_rev: float
-    delta: float
 
 
 # Hypothesis 1 better / hypothesis 2 better / undecided.
@@ -152,7 +122,13 @@ def init_model(config: ModelConfig) -> Model:
 
 @dataclass
 class Batch:
-    """Column-stacked model inputs for vectorized forward/backward."""
+    """Model inputs for a set of tuples, one row per tuple.
+
+    P1, P2 and Pr hold the sentence vectors of hypothesis 1, hypothesis 2
+    and the reference (N x sentence_dim); F1 and F2 hold each
+    hypothesis's pairwise features against the reference
+    (N x pairwise_dim).
+    """
 
     P1: np.ndarray
     P2: np.ndarray
@@ -164,17 +140,21 @@ class Batch:
         return self.P1.shape[0]
 
     def swapped(self) -> "Batch":
+        """The same tuples with the two hypotheses exchanged."""
         return Batch(self.P2, self.P1, self.Pr, self.F2, self.F1)
 
+    def take(self, idx) -> "Batch":
+        """The rows at ``idx``, in that order."""
+        return Batch(self.P1[idx], self.P2[idx], self.Pr[idx], self.F1[idx], self.F2[idx])
 
-def pack(inputs: Sequence[ModelInput]) -> Batch:
-    return Batch(
-        P1=np.stack([i.psi_t1 for i in inputs]),
-        P2=np.stack([i.psi_t2 for i in inputs]),
-        Pr=np.stack([i.psi_r for i in inputs]),
-        F1=np.stack([i.phi_t1r for i in inputs]),
-        F2=np.stack([i.phi_t2r for i in inputs]),
-    )
+    def astype(self, dtype) -> "Batch":
+        """A copy with every column cast to ``dtype``."""
+        return Batch(*(a.astype(dtype) for a in (self.P1, self.P2, self.Pr, self.F1, self.F2)))
+
+
+def pack(rows: Sequence[tuple]) -> Batch:
+    """A batch from one or more (psi_t1, psi_t2, psi_r, phi_t1r, phi_t2r) rows of number sequences."""
+    return Batch(*(np.array(column, dtype=float) for column in zip(*rows)))
 
 
 def _check_batch(model: Model, batch: Batch) -> None:
@@ -231,19 +211,6 @@ def backward_batch(model: Model, batch: Batch, cache, dz: np.ndarray) -> dict[st
     return grads
 
 
-def forward(model: Model, inp: ModelInput) -> float:
-    """Output activation in (0, 1) for a single tuple."""
-    sigma, _ = forward_batch(model, pack([inp]))
-    return float(sigma[0])
-
-
-def predict_delta(model: Model, inp: ModelInput) -> PredictionDelta:
-    """Both orderings of the hypotheses, and their activation difference."""
-    sigma = forward(model, inp)
-    sigma_rev = forward(model, inp.swapped())
-    return PredictionDelta(sigma=sigma, sigma_rev=sigma_rev, delta=sigma - sigma_rev)
-
-
 def decide(delta: float, tie_epsilon: float = DEFAULT_TIE_EPSILON) -> str:
     if abs(delta) <= tie_epsilon:
         return TIE
@@ -260,6 +227,10 @@ def save_model(model: Model, sink: IO[str]) -> None:
 
 def load_model(source: IO[str]) -> Model:
     doc = json.load(source)
+    # Older checkpoints name the hidden activation, which is always tanh.
+    activation = doc["config"].pop("hidden_activation", "tanh")
+    if activation != "tanh":
+        raise ValueError(f"unknown activation: {activation}")
     config = ModelConfig(**doc["config"])
     params = {k: np.array(v, dtype=float) for k, v in doc["params"].items()}
     params["b_out"] = np.array(float(doc["params"]["b_out"]))

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ModelInput
+from .model import Batch, pack
 
 
 def linear_rule_dataset(
@@ -22,7 +22,7 @@ def linear_rule_dataset(
     seed: int = 0,
     noise: float = 0.0,
     rule_seed: int = 0,
-) -> list[tuple[ModelInput, int]]:
+) -> tuple[Batch, np.ndarray]:
     """Label = sign of a fixed weight vector applied to phi(t1,r) - phi(t2,r).
 
     ``rule_seed`` fixes the planted weight vector, so train and
@@ -31,16 +31,17 @@ def linear_rule_dataset(
     """
     rng = np.random.default_rng(seed)
     w_star = np.random.default_rng(rule_seed).normal(size=pairwise_dim)
-    out = []
+    rows, ys = [], []
+    empty = np.zeros(0)
     for _ in range(n):
         f1 = rng.normal(size=pairwise_dim)
         f2 = rng.normal(size=pairwise_dim)
         y = int(w_star @ (f1 - f2) > 0)
         if noise > 0 and rng.random() < noise:
             y = 1 - y
-        empty = np.zeros(0)
-        out.append((ModelInput(empty, empty, empty, f1, f2), y))
-    return out
+        rows.append((empty, empty, empty, f1, f2))
+        ys.append(y)
+    return pack(rows), np.array(ys)
 
 
 def interaction_rule_dataset(
@@ -48,14 +49,14 @@ def interaction_rule_dataset(
     sentence_dim: int = 3,
     seed: int = 0,
     noise: float = 0.0,
-) -> list[tuple[ModelInput, int]]:
+) -> tuple[Batch, np.ndarray]:
     """Label = which hypothesis vector has the larger inner product with the reference.
 
     The rule is a product of inputs, so it is invisible to a linear model
     over the concatenated vectors but learnable by the interaction blocks.
     """
     rng = np.random.default_rng(seed)
-    out = []
+    rows, ys = [], []
     empty = np.zeros(0)
     for _ in range(n):
         p1 = rng.normal(size=sentence_dim)
@@ -64,8 +65,9 @@ def interaction_rule_dataset(
         y = int(p1 @ pr > p2 @ pr)
         if noise > 0 and rng.random() < noise:
             y = 1 - y
-        out.append((ModelInput(p1, p2, pr, empty, empty), y))
-    return out
+        rows.append((p1, p2, pr, empty, empty))
+        ys.append(y)
+    return pack(rows), np.array(ys)
 
 
 def token_dataset_lines(

@@ -14,20 +14,15 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import IO, Optional, Sequence
+from typing import IO, Optional
 
 import numpy as np
 
-from .evaluation import evaluate
-from .model import (
-    Batch,
-    Model,
-    ModelInput,
-    backward_batch,
-    forward_batch,
-    pack,
-    sigmoid,
-)
+from .evaluation import evaluate, predict_delta
+from .model import Batch, Model, backward_batch, forward_batch, sigmoid
+
+# Not called here: the benchmark's traced run hooks this name on this module.
+from .model import pack  # noqa: F401
 
 LOGISTIC = "logistic"
 KENDALL = "kendall"
@@ -113,15 +108,23 @@ class TrainReport:
             sink.write("\n")
 
 
-def logistic_cost(sigma: float, y: int) -> float:
-    s = min(max(sigma, SIGMA_CLAMP), 1.0 - SIGMA_CLAMP)
-    return -(y * math.log(s) + (1 - y) * math.log(1.0 - s))
+def logistic_cost(sigma, y):
+    """Cross-entropy of output activations against labels, summed over the batch.
+
+    ``sigma`` and ``y`` are scalars or arrays; the sum keeps their dtype.
+    """
+    s = np.clip(sigma, SIGMA_CLAMP, 1.0 - SIGMA_CLAMP)
+    return -np.sum(y * np.log(s) + (1 - y) * np.log(1.0 - s))
 
 
-def kendall_cost(delta: float, y: int, cfg: CostConfig) -> float:
+def kendall_cost(delta, y, cfg: CostConfig):
+    """Ranking cost of activation differences against labels, summed over the batch.
+
+    ``delta`` and ``y`` are scalars or arrays; the sum keeps their dtype.
+    """
     g, b, lam = cfg.gamma, cfg.beta, cfg.tie_weight
     disagreement = y * sigmoid(-g * delta) + (1 - y) * sigmoid(g * delta)
-    return float(disagreement + lam * math.exp(-b * delta * delta / 2.0))
+    return np.sum(disagreement + lam * np.exp(-b * delta * delta / 2.0))
 
 
 def _batch_gradients(
@@ -131,9 +134,7 @@ def _batch_gradients(
     if kind == LOGISTIC:
         sigma, cache = forward_batch(model, batch, keep_cache=True)
         grads = backward_batch(model, batch, cache, sigma - ys)
-        s = np.clip(sigma, SIGMA_CLAMP, 1.0 - SIGMA_CLAMP)
-        cost = float(-np.sum(ys * np.log(s) + (1 - ys) * np.log(1.0 - s)))
-        return grads, cost
+        return grads, float(logistic_cost(sigma, ys))
     if kind != KENDALL:
         raise ValueError(f"cannot take gradients of unresolved cost kind {kind!r}")
     swapped = batch.swapped()
@@ -156,57 +157,16 @@ def _batch_gradients(
     )
     for name in grads:
         grads[name] = grads[name] + grads_rev[name]
-    cost = float(np.sum(ys * sig_neg + (1 - ys) * sig_pos + lam * np.exp(-b * delta * delta / 2.0)))
-    return grads, cost
+    return grads, float(kendall_cost(delta, ys, cfg))
 
 
-def _cost_highprec(model: Model, batch: Batch, ys: np.ndarray, cfg: CostConfig, kind: str):
-    """Batch cost recomputed independently in extended precision.
-
-    Used as the finite-difference oracle so that the difference quotient
-    is not dominated by float64 rounding of the cost itself.
-    """
-    ld = np.longdouble
-    p = {k: v.astype(ld) for k, v in model.params.items()}
-    ys = ys.astype(ld)
-
-    def fwd(P1, P2, Pr, F1, F2):
-        if model.config.architecture == "multi-layer":
-            H12 = np.tanh(np.hstack([P1, P2]) @ p["W12"].T + p["b12"])
-            H1r = np.tanh(np.hstack([P1, Pr]) @ p["W1r"].T + p["b1r"])
-            H2r = np.tanh(np.hstack([P2, Pr]) @ p["W2r"].T + p["b2r"])
-            Z = np.hstack([H12, H1r, H2r, F1, F2])
-        else:
-            Z = np.hstack([P1, P2, Pr, F1, F2])
-        return 1.0 / (1.0 + np.exp(-(Z @ p["w_out"] + p["b_out"])))
-
-    P1, P2, Pr = batch.P1.astype(ld), batch.P2.astype(ld), batch.Pr.astype(ld)
-    F1, F2 = batch.F1.astype(ld), batch.F2.astype(ld)
-    sigma = fwd(P1, P2, Pr, F1, F2)
+def _cost(model: Model, batch: Batch, ys: np.ndarray, cfg: CostConfig, kind: str):
+    """The batch cost of one resolved cost kind, in the dtype of the parameters and batch."""
     if kind == LOGISTIC:
-        s = np.clip(sigma, SIGMA_CLAMP, 1.0 - SIGMA_CLAMP)
-        return -np.sum(ys * np.log(s) + (1 - ys) * np.log(1.0 - s))
-    delta = sigma - fwd(P2, P1, Pr, F2, F1)
-    g, b, lam = cfg.gamma, cfg.beta, cfg.tie_weight
-    cost = ys / (1.0 + np.exp(g * delta)) + (1 - ys) / (1.0 + np.exp(-g * delta))
-    return np.sum(cost + lam * np.exp(-b * delta * delta / 2.0))
-
-
-def backward(
-    model: Model,
-    inp: ModelInput,
-    y: int,
-    cfg: CostConfig,
-    kind: Optional[str] = None,
-) -> dict[str, np.ndarray]:
-    """Exact gradient of the per-example cost w.r.t. every parameter.
-
-    For the pre-train/fine-tune schedule the effective phase must be
-    passed explicitly via ``kind``.
-    """
-    kind = kind or cfg.kind
-    grads, _ = _batch_gradients(model, pack([inp]), np.array([y], dtype=float), cfg, kind)
-    return grads
+        sigma, _ = forward_batch(model, batch)
+        return logistic_cost(sigma, ys)
+    sigma, sigma_rev = predict_delta(model, batch)
+    return kendall_cost(sigma - sigma_rev, ys, cfg)
 
 
 def _resolved_kinds(cfg: CostConfig) -> tuple[str, ...]:
@@ -217,18 +177,28 @@ def _resolved_kinds(cfg: CostConfig) -> tuple[str, ...]:
 
 def grad_check(
     model: Model,
-    examples: Sequence[tuple[ModelInput, int]],
+    batch: Batch,
+    y: np.ndarray,
     cfg: CostConfig,
     step: float = 1e-6,
 ) -> float:
     """Max relative error of analytic vs. central-difference gradients.
 
-    The schedule cost kind checks both of its phases.
+    The difference quotient takes the cost in extended precision (the
+    same forward pass and cost on longdouble copies of the parameters and
+    the batch), so float64 rounding of the cost does not dominate it. The
+    schedule cost kind checks both of its phases.
     """
     if not 0 < step <= 1e-3:
         raise InvalidStep(f"step must be in (0, 1e-3], got {step}")
-    batch = pack([inp for inp, _ in examples])
-    ys = np.array([y for _, y in examples], dtype=float)
+    ld = np.longdouble
+    ys = np.asarray(y, dtype=float)
+    batch_ld, ys_ld = batch.astype(ld), ys.astype(ld)
+
+    def cost_ld(kind):
+        params = {k: v.astype(ld) for k, v in model.params.items()}
+        return _cost(Model(model.config, params), batch_ld, ys_ld, cfg, kind)
+
     max_err = 0.0
     for kind in _resolved_kinds(cfg):
         analytic, _ = _batch_gradients(model, batch, ys, cfg, kind)
@@ -240,14 +210,14 @@ def grad_check(
                 orig = flat[i]
                 flat[i] = orig + step
                 p_plus = flat[i]
-                c_plus = _cost_highprec(model, batch, ys, cfg, kind)
+                c_plus = cost_ld(kind)
                 flat[i] = orig - step
                 p_minus = flat[i]
-                c_minus = _cost_highprec(model, batch, ys, cfg, kind)
+                c_minus = cost_ld(kind)
                 flat[i] = orig
                 # Effective step: the float64 perturbations round, so use
                 # the realized parameter difference.
-                numeric = float((c_plus - c_minus) / np.longdouble(p_plus - p_minus))
+                numeric = float((c_plus - c_minus) / ld(p_plus - p_minus))
                 denom = max(abs(a_flat[i]), abs(numeric), 1e-12)
                 max_err = max(max_err, abs(a_flat[i] - numeric) / denom)
     return max_err
@@ -255,23 +225,27 @@ def grad_check(
 
 def train(
     model: Model,
-    train_set: Sequence[tuple[ModelInput, int]],
-    valid_set: Sequence[tuple[ModelInput, int]],
+    batch: Batch,
+    y: np.ndarray,
+    valid_batch: Batch,
+    valid_y: np.ndarray,
     tcfg: TrainConfig,
     ccfg: CostConfig,
 ) -> tuple[Model, TrainReport]:
     """Mini-batch gradient descent with seeded per-epoch shuffling.
 
-    With early stopping enabled (patience > 0) the returned model is the
-    best-validation-tau checkpoint; otherwise the final one.
+    Each epoch reports Kendall's tau on the validation set, or NaN when
+    that set is empty. With early stopping enabled (patience > 0) the
+    returned model is the best-validation-tau checkpoint; otherwise the
+    final one.
     """
     report = TrainReport()
-    if tcfg.epochs == 0 or not train_set:
+    n = len(batch)
+    if tcfg.epochs == 0 or n == 0:
         return model, report
     model = model.copy()
-    batch_all = pack([inp for inp, _ in train_set])
-    ys_all = np.array([y for _, y in train_set], dtype=float)
-    n = len(ys_all)
+    ys_all = np.asarray(y, dtype=float)
+    has_valid = len(valid_batch) > 0
     rng = np.random.default_rng(tcfg.shuffle_seed)
     best: Optional[Model] = None
     best_tau = -math.inf
@@ -283,14 +257,7 @@ def train(
         epoch_cost = 0.0
         for start in range(0, n, tcfg.batch_size):
             idx = perm[start : start + tcfg.batch_size]
-            batch = Batch(
-                batch_all.P1[idx],
-                batch_all.P2[idx],
-                batch_all.Pr[idx],
-                batch_all.F1[idx],
-                batch_all.F2[idx],
-            )
-            grads, cost = _batch_gradients(model, batch, ys_all[idx], ccfg, kind)
+            grads, cost = _batch_gradients(model, batch.take(idx), ys_all[idx], ccfg, kind)
             if not math.isfinite(cost):
                 raise DivergenceError(f"non-finite cost at epoch {epoch}")
             epoch_cost += cost
@@ -301,7 +268,7 @@ def train(
                 model.params[name] = model.params[name] - tcfg.learning_rate * g
                 if not np.all(np.isfinite(model.params[name])):
                     raise DivergenceError(f"non-finite parameter {name} at epoch {epoch}")
-        valid_tau = evaluate(model, valid_set).tau if valid_set else float("nan")
+        valid_tau = evaluate(model, valid_batch, valid_y).tau if has_valid else float("nan")
         report.epochs.append(
             EpochRecord(
                 epoch=epoch,
@@ -311,7 +278,7 @@ def train(
                 seconds=time.perf_counter() - t0,
             )
         )
-        if valid_set and valid_tau > best_tau:
+        if has_valid and valid_tau > best_tau:
             best_tau = valid_tau
             best = model.copy()
             report.best_epoch = epoch

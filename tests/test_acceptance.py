@@ -2,6 +2,7 @@
 direction-of-effect replication on synthetic data. Each test prints one
 PASS line (visible with ``pytest -s``) once its assertions hold."""
 
+import dataclasses
 import math
 import time
 
@@ -25,13 +26,9 @@ def _report(n, detail):
 
 
 def mixed_examples(n, seed):
-    sent = interaction_rule_dataset(n, sentence_dim=3, seed=seed)
-    pair = linear_rule_dataset(n, pairwise_dim=2, seed=seed + 1)
-    out = []
-    for (si, _), (pi, y) in zip(sent, pair):
-        si.phi_t1r, si.phi_t2r = pi.phi_t1r, pi.phi_t2r
-        out.append((si, y))
-    return out
+    sent, _ = interaction_rule_dataset(n, sentence_dim=3, seed=seed)
+    pair, y = linear_rule_dataset(n, pairwise_dim=2, seed=seed + 1)
+    return dataclasses.replace(sent, F1=pair.F1, F2=pair.F2), y
 
 
 def test_criterion_1_gradient_suite():
@@ -41,7 +38,7 @@ def test_criterion_1_gradient_suite():
         for kind in ("logistic", "kendall", "logistic-then-kendall"):
             for seed in range(10):
                 model = init_model(ModelConfig(3, 2, 2, arch, seed=seed))
-                err = grad_check(model, mixed_examples(4, seed), CostConfig(kind=kind), step=1e-6)
+                err = grad_check(model, *mixed_examples(4, seed), CostConfig(kind=kind), step=1e-6)
                 worst = max(worst, err)
                 assert err <= 1e-5, f"{arch}/{kind} seed {seed}: {err}"
     elapsed = time.perf_counter() - t0
@@ -128,8 +125,8 @@ def test_criterion_4_architecture_direction_of_effect():
         for arch in taus:
             model = init_model(ModelConfig(3, 0, 16, arch, seed=seed))
             tcfg = TrainConfig(learning_rate=0.05, epochs=40, batch_size=32, shuffle_seed=seed)
-            trained, _ = train(model, tr, va, tcfg, CostConfig(kind="logistic"))
-            taus[arch].append(evaluate(trained, va).tau)
+            trained, _ = train(model, *tr, *va, tcfg, CostConfig(kind="logistic"))
+            taus[arch].append(evaluate(trained, *va).tau)
     multi, single = np.mean(taus["multi-layer"]), np.mean(taus["single-layer"])
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
@@ -152,8 +149,8 @@ def test_criterion_5_cost_schedule_direction_of_effect():
         for name, ccfg in configs.items():
             model = init_model(ModelConfig(0, 8, architecture="single-layer", seed=seed))
             tcfg = TrainConfig(learning_rate=0.01, epochs=40, batch_size=32, shuffle_seed=seed)
-            trained, _ = train(model, tr, va, tcfg, ccfg)
-            report = evaluate(trained, va, tie_epsilon=eps)
+            trained, _ = train(model, *tr, *va, tcfg, ccfg)
+            report = evaluate(trained, *va, tie_epsilon=eps)
             taus[name].append(report.tau)
             ties[name].append(report.counts.ties)
     sched_tau = np.mean(taus["schedule"])
@@ -186,8 +183,8 @@ def test_criterion_7_separable_sanity():
     va = linear_rule_dataset(400, pairwise_dim=8, seed=2, rule_seed=17)
     model = init_model(ModelConfig(0, 8, architecture="single-layer", seed=0))
     tcfg = TrainConfig(learning_rate=0.01, epochs=50, batch_size=32, shuffle_seed=0)
-    trained, _ = train(model, tr, va, tcfg, CostConfig(kind="logistic"))
-    tau = evaluate(trained, va).tau
+    trained, _ = train(model, *tr, *va, tcfg, CostConfig(kind="logistic"))
+    tau = evaluate(trained, *va).tau
     assert tau >= 0.9
     _report(7, f"validation tau {tau:.3f} within 50 epochs")
 

@@ -98,7 +98,24 @@ def test_predict(tmp_path, data_file):
     assert len(lines) == 60
     for l in lines:
         assert l["decision"] in ("t1-better", "t2-better", "tie")
-        assert l["delta"] == pytest.approx(l["sigma"] - l["sigma_rev"])
+        assert l["delta"] == l["sigma"] - l["sigma_rev"]
+    # The decisions agree with evaluate's counts, split by split.
+    report_path = tmp_path / "eval.json"
+    assert run(["evaluate", "--data", data_file, "--model", model, "--report", str(report_path)]) == 0
+    counts = {}
+    with open(data_file) as f:
+        records = [json.loads(l) for l in f]
+    for record, l in zip(records, lines):
+        assert l["id"] == record["id"]
+        c = counts.setdefault(record["split"], {"concordant": 0, "disconcordant": 0, "ties": 0})
+        if l["decision"] == "tie":
+            c["ties"] += 1
+        elif (l["decision"] == "t1-better") == (record["y"] == 1):
+            c["concordant"] += 1
+        else:
+            c["disconcordant"] += 1
+    report = json.loads(report_path.read_text())
+    assert counts == {name: split["counts"] for name, split in report["per_split"].items()}
 
 
 def test_evaluate_matches_library(tmp_path, data_file):
@@ -113,7 +130,7 @@ def test_evaluate_matches_library(tmp_path, data_file):
         model = load_model(f)
     with open(data_file) as f:
         ds = data_ingest.load_dataset(f)
-    lib = evaluation.evaluate(model, data_ingest.vectorize(ds), splits=data_ingest.splits_of(ds))
+    lib = evaluation.evaluate(model, *data_ingest.vectorize(ds), splits=data_ingest.splits_of(ds))
     doc = json.loads(open(report_path).read())
     assert doc["tau"] == lib.tau
 
@@ -153,3 +170,14 @@ def test_train_loads_embeddings_once(tmp_path, data_file, emb_file, monkeypatch)
     model = str(tmp_path / "m.json")
     assert run(train_args(data_file, model, embeddings=emb_file, valid=data_file)) == 0
     assert len(loads) == 1
+
+
+def test_train_names_the_set_its_tau_is_measured_on(tmp_path, capsys, data_file):
+    paths = {name: (str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}.jsonl")) for name in "ab"}
+    assert run(train_args(data_file, *paths["a"])) == 0
+    assert ", final train tau " in capsys.readouterr().out
+    assert run(train_args(data_file, *paths["b"], valid=data_file)) == 0
+    assert ", final valid tau " in capsys.readouterr().out
+    # Without --valid the training set stands in for it: same model, same report.
+    for a, b in zip(paths["a"], paths["b"]):
+        assert open(a, "rb").read() == open(b, "rb").read()

@@ -1,10 +1,11 @@
+import copy
 import io
 import json
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairrank import data_ingest
@@ -114,19 +115,20 @@ def test_roundtrip():
 def test_vectorize_precomputed():
     line = make_line(psi_t1=[1.0] * 25, psi_t2=[0.5] * 25, psi_r=[0.2] * 25)
     ds = load_dataset(io.StringIO(line))
-    [(inp, y)] = vectorize(ds)
-    assert inp.psi_t1.shape == (25,)
-    assert inp.phi_t1r.shape == (16,)
-    assert y == 1
+    batch, y = vectorize(ds)
+    assert batch.P1.shape == (1, 25)
+    assert batch.F1.shape == (1, 16)
+    assert np.array_equal(batch.P2, np.full((1, 25), 0.5))
+    assert y.tolist() == [1]
 
 
 def test_vectorize_with_table():
     table = load_embedding_table(io.StringIO("the 1 0\ncat 0 1\nsat 1 1\na 2 2\nstood 3 3\n"))
     ds = load_dataset(io.StringIO(make_line()))
-    [(inp, _)] = vectorize(ds, table)
-    assert inp.psi_t1.shape == (2,)
+    batch, _ = vectorize(ds, table)
+    assert batch.P1.shape == (1, 2)
     expected_ref = np.mean([[1, 0], [0, 1], [1, 1]], axis=0)
-    assert np.array_equal(inp.psi_r, expected_ref)
+    assert np.array_equal(batch.Pr[0], expected_ref)
 
 
 def test_vectorize_missing_table():
@@ -142,20 +144,22 @@ def test_vectorize_features_match_independent_extraction():
     table = load_embedding_table(io.StringIO("\n".join(
         f"w{i} {float(i)} {float(i * 2)}" for i in range(30)
     )))
-    examples = vectorize(ds, table)
-    for t, (inp, y) in zip(ds.tuples, examples):
+    batch, ys = vectorize(ds, table)
+    assert len(batch) == len(ys) == len(ds.tuples)
+    for i, t in enumerate(ds.tuples):
         phi1 = assemble_pairwise(bleu_components(t.hyp1, t.reference), t.external_scores_1)
         phi2 = assemble_pairwise(bleu_components(t.hyp2, t.reference), t.external_scores_2)
-        assert np.array_equal(inp.phi_t1r, phi1.values)
-        assert np.array_equal(inp.phi_t2r, phi2.values)
-        assert y == t.y
+        assert np.array_equal(batch.F1[i], phi1.values)
+        assert np.array_equal(batch.F2[i], phi2.values)
+        assert ys[i] == t.y
 
 
 def test_vectorize_order_preserving():
     lines = token_dataset_lines(10, seed=0)
     ds = load_dataset(io.StringIO("\n".join(lines)))
-    examples = vectorize(ds)
-    assert [y for _, y in examples] == [t.y for t in ds.tuples]
+    _, ys = vectorize(ds)
+    assert ys.dtype.kind == "i"
+    assert ys.tolist() == [t.y for t in ds.tuples]
 
 
 def test_splits_of():
@@ -178,11 +182,99 @@ def test_vectorize_same_in_one_chunk_or_several(rows, refs, chunk):
     ]
     ds = Dataset(tuples=tuples, feature_schema=["M"], sentence_dim=0)
     table = load_embedding_table(io.StringIO("w0 0.1 -0.0\nw1 0.3 2.5\nw2 -7.0 1e-3\n"))
-    whole = vectorize(ds, table)
+    whole, ya = vectorize(ds, table)
     with mock.patch.object(data_ingest, "CHUNK_TUPLES", chunk):
-        chunked = vectorize(ds, table)
+        chunked, yb = vectorize(ds, table)
     assert len(whole) == len(chunked) == len(tuples)
-    for (a, ya), (b, yb) in zip(whole, chunked):
-        assert ya == yb
-        for field in ("psi_t1", "psi_t2", "psi_r", "phi_t1r", "phi_t2r"):
-            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+    assert ya.tolist() == yb.tolist()
+    for field in ("P1", "P2", "Pr", "F1", "F2"):
+        assert getattr(whole, field).tobytes() == getattr(chunked, field).tobytes()
+
+
+def without(key):
+    doc = json.loads(make_line())
+    del doc[key]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("bad_line", [
+    make_line(psi_t1=[float("nan")], psi_t2=[0.5], psi_r=[0.2]),
+    make_line(psi_t1=["high"], psi_t2=[0.5], psi_r=[0.2]),
+    make_line(psi_t1=1.0, psi_t2=0.5, psi_r=0.2),
+    make_line(external_scores_1={"M": True}, external_scores_2={"M": 0.5}),
+    make_line(external_scores_1={"M": "high"}, external_scores_2={"M": 0.5}),
+    make_line(external_scores_1={"M": 10 ** 400}, external_scores_2={"M": 0.5}),
+    make_line(external_scores_1=[0.5], external_scores_2=[0.4]),
+    without("reference"),
+    without("hyp1"),
+    without("hyp2"),
+    "[1, 2]",
+    "5",
+    '"s"',
+    "null",
+    "1" * 5000,
+    "[" * 100000,
+], ids=["nan-psi", "string-psi", "scalar-psi", "bool-score", "string-score", "huge-score",
+        "list-scores", "no-reference", "no-hyp1", "no-hyp2", "array-line", "number-line",
+        "string-line", "null-line", "long-integer", "deep-nesting"])
+def test_malformed_record_raises_typed_error_naming_line(bad_line):
+    with pytest.raises(DatasetFormatError, match=r"^line 2: "):
+        load_dataset(io.StringIO(make_line() + "\n" + bad_line + "\n"))
+
+
+# Field-level mutations of valid records: replace or delete a field, an
+# element of a vector or a named score, or the whole record.
+json_leaves = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+               | st.sampled_from(["w0 w1", "tie"]))
+json_values = json_leaves | st.recursive(
+    st.lists(json_leaves, max_size=3) | st.dictionaries(st.text(max_size=3), json_leaves, max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+FUZZ_BASES = [
+    json.loads(make_line()),
+    json.loads(make_line(reference=["w0", "w1"], hyp1="w1 w0", hyp2=[], y=0,
+                         external_scores_1={"M": 0.5}, external_scores_2={"M": -2})),
+    json.loads(make_line(psi_t1=[1.0, 2.0], psi_t2=[0.5, 0], psi_r=[-1.5, 3.0])),
+]
+FUZZ_PATHS = [(), ("id",), ("split",), ("reference",), ("hyp1",), ("hyp2",), ("y",),
+              ("external_scores_1",), ("external_scores_2",), ("external_scores_1", "M"),
+              ("psi_t1",), ("psi_t2",), ("psi_r",), ("psi_t1", 0), ("psi_r", 1)]
+DELETE = object()
+
+
+def mutated(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` replaced, or deleted for DELETE."""
+    if not path:
+        return doc if value is DELETE else value
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    try:
+        target = doc
+        for key in parents:
+            target = target[key]
+        if value is DELETE:
+            del target[last]
+        else:
+            target[last] = value
+    except (KeyError, IndexError, TypeError):
+        pass  # an earlier mutation removed or retyped this path
+    return doc
+
+
+@given(st.sampled_from(FUZZ_BASES),
+       st.lists(st.tuples(st.sampled_from(FUZZ_PATHS), st.just(DELETE) | json_values),
+                min_size=1, max_size=3))
+@settings(max_examples=500)
+def test_mutated_record_loads_and_vectorizes_or_raises_typed_error(base, mutations):
+    doc = base
+    for path, value in mutations:
+        doc = mutated(doc, path, value)
+    table = load_embedding_table(io.StringIO("w0 0.5 1.0\nw1 -2.0 0.25\n"))
+    try:
+        ds = load_dataset([json.dumps(doc)])
+        for t in (None, table):
+            batch, y = vectorize(ds, t)
+            assert len(batch) == len(y) == len(ds.tuples)
+    except DatasetFormatError:
+        pass

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pairrank.evaluation import EmptyEvaluation, PairCounts, evaluate, kendall_tau
-from pairrank.model import ModelConfig, init_model, predict_delta, decide
+from pairrank.evaluation import EmptyEvaluation, PairCounts, evaluate, kendall_tau, predict_delta
+from pairrank.model import Batch, ModelConfig, decide, init_model
 from pairrank.synthetic import interaction_rule_dataset
 
 CFG = ModelConfig(sentence_dim=3, pairwise_dim=0, hidden_per_block=2)
@@ -40,7 +40,7 @@ def test_zero_model_all_ties():
     for name in m.param_names:
         m.params[name] = np.zeros_like(m.params[name])
     data = interaction_rule_dataset(20, sentence_dim=3, seed=0)
-    report = evaluate(m, data)
+    report = evaluate(m, *data)
     assert report.counts.ties == 20
     assert report.tau == -1.0
 
@@ -48,19 +48,20 @@ def test_zero_model_all_ties():
 def test_constructed_concordance():
     # Gold labels generated from the very model being evaluated.
     m = init_model(ModelConfig(3, 0, 2, seed=4))
-    data = interaction_rule_dataset(50, sentence_dim=3, seed=1)
-    relabeled = [(inp, int(predict_delta(m, inp).delta > 0)) for inp, _ in data]
-    report = evaluate(m, relabeled, tie_epsilon=1e-9)
+    batch, _ = interaction_rule_dataset(50, sentence_dim=3, seed=1)
+    sigma, sigma_rev = predict_delta(m, batch)
+    report = evaluate(m, batch, (sigma - sigma_rev > 0).astype(int), tie_epsilon=1e-9)
     assert report.tau == 1.0
 
 
 def test_counts_match_brute_force():
     m = init_model(ModelConfig(3, 0, 2, seed=7))
-    data = interaction_rule_dataset(300, sentence_dim=3, seed=2)
-    report = evaluate(m, data, tie_epsilon=1e-6)
+    batch, labels = interaction_rule_dataset(300, sentence_dim=3, seed=2)
+    report = evaluate(m, batch, labels, tie_epsilon=1e-6)
     c = d = t = 0
-    for inp, y in data:
-        decision = decide(predict_delta(m, inp).delta, 1e-6)
+    for i, y in enumerate(labels):
+        sigma, sigma_rev = predict_delta(m, batch.take([i]))
+        decision = decide(float(sigma[0] - sigma_rev[0]), 1e-6)
         if decision == "tie":
             t += 1
         elif (decision == "t1-better") == (y == 1):
@@ -72,17 +73,16 @@ def test_counts_match_brute_force():
 
 def test_label_flip_swaps_counts():
     m = init_model(ModelConfig(3, 0, 2, seed=3))
-    data = interaction_rule_dataset(100, sentence_dim=3, seed=5)
-    flipped = [(inp, 1 - y) for inp, y in data]
-    a = evaluate(m, data).counts
-    b = evaluate(m, flipped).counts
+    batch, labels = interaction_rule_dataset(100, sentence_dim=3, seed=5)
+    a = evaluate(m, batch, labels).counts
+    b = evaluate(m, batch, 1 - labels).counts
     assert (a.concordant, a.disconcordant, a.ties) == (b.disconcordant, b.concordant, b.ties)
 
 
 def test_evaluation_read_only():
     m = init_model(ModelConfig(3, 0, 2, seed=1))
     before = {n: m.params[n].copy() for n in m.param_names}
-    evaluate(m, interaction_rule_dataset(10, sentence_dim=3, seed=0))
+    evaluate(m, *interaction_rule_dataset(10, sentence_dim=3, seed=0))
     for n in before:
         assert np.array_equal(before[n], m.params[n])
 
@@ -92,7 +92,7 @@ def test_smaller_epsilon_fewer_ties():
     data = interaction_rule_dataset(200, sentence_dim=3, seed=9)
     prev = None
     for eps in (0.1, 0.01, 0.001, 1e-6):
-        ties = evaluate(m, data, tie_epsilon=eps).counts.ties
+        ties = evaluate(m, *data, tie_epsilon=eps).counts.ties
         if prev is not None:
             assert ties <= prev
         prev = ties
@@ -102,7 +102,7 @@ def test_per_split_breakdown():
     m = init_model(ModelConfig(3, 0, 2, seed=2))
     data = interaction_rule_dataset(40, sentence_dim=3, seed=9)
     splits = ["cz", "de"] * 20
-    report = evaluate(m, data, splits=splits)
+    report = evaluate(m, *data, splits=splits)
     assert set(report.per_split) == {"cz", "de"}
     totals = sum(c.total for c, _ in report.per_split.values())
     assert totals == report.counts.total
@@ -110,5 +110,6 @@ def test_per_split_breakdown():
 
 def test_empty_dataset():
     m = init_model(CFG)
+    empty = Batch(*(np.zeros((0, 3)) for _ in range(3)), np.zeros((0, 0)), np.zeros((0, 0)))
     with pytest.raises(EmptyEvaluation):
-        evaluate(m, [])
+        evaluate(m, empty, np.zeros(0, dtype=int))

@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairrank.evaluation import predict_delta
 from pairrank.model import (
-    Model,
     ModelConfig,
-    ModelInput,
     ShapeMismatchError,
     decide,
-    forward,
+    forward_batch,
     init_model,
     load_model,
-    predict_delta,
+    pack,
     save_model,
 )
 
@@ -28,12 +27,19 @@ def zero_model(config):
 
 
 def random_input(config, seed=0):
+    """A one-row batch of standard-normal inputs."""
     rng = np.random.default_rng(seed)
     d, p = config.sentence_dim, config.pairwise_dim
-    return ModelInput(
+    return pack([(
         rng.normal(size=d), rng.normal(size=d), rng.normal(size=d),
         rng.normal(size=p), rng.normal(size=p),
-    )
+    )])
+
+
+def forward_one(model, batch):
+    """The output activation of a one-row batch."""
+    [sigma] = forward_batch(model, batch)[0]
+    return sigma
 
 
 CFG = ModelConfig(sentence_dim=3, pairwise_dim=2, hidden_per_block=4)
@@ -74,7 +80,7 @@ def test_biases_zero_at_init():
 
 
 def test_forward_zero_params():
-    assert forward(zero_model(CFG), random_input(CFG)) == 0.5
+    assert forward_one(zero_model(CFG), random_input(CFG)) == 0.5
 
 
 def test_forward_hand_computed():
@@ -87,13 +93,13 @@ def test_forward_hand_computed():
     m.params["b1r"] = np.zeros(1)
     m.params["b2r"] = np.zeros(1)
     m.params["b_out"] = np.array(0.0)
-    inp = ModelInput([1.0, 2.0], [3.0, 4.0], [0.5, -0.5], [2.0], [-1.0])
+    inp = pack([([1.0, 2.0], [3.0, 4.0], [0.5, -0.5], [2.0], [-1.0])])
     h12 = math.tanh(0.1 * (1 + 2 + 3 + 4))
     h1r = math.tanh(0.1 * (1 + 2 + 0.5 - 0.5))
     h2r = math.tanh(0.1 * (3 + 4 + 0.5 - 0.5))
     z = 0.1 * (h12 + h1r + h2r + 2.0 - 1.0)
     expected = 1.0 / (1.0 + math.exp(-z))
-    assert forward(m, inp) == pytest.approx(expected, abs=1e-12)
+    assert forward_one(m, inp) == pytest.approx(expected, abs=1e-12)
 
 
 def test_single_layer_projection():
@@ -102,21 +108,21 @@ def test_single_layer_projection():
     w[0] = 1.0  # one-hot on the first coordinate of psi_t1
     m.params["w_out"] = w
     inp = random_input(CFG_FLAT, seed=3)
-    expected = 1.0 / (1.0 + math.exp(-inp.psi_t1[0]))
-    assert forward(m, inp) == pytest.approx(expected, abs=1e-15)
+    expected = 1.0 / (1.0 + math.exp(-inp.P1[0, 0]))
+    assert forward_one(m, inp) == pytest.approx(expected, abs=1e-15)
 
 
 def test_forward_in_unit_interval():
     m = init_model(CFG)
     for seed in range(20):
-        s = forward(m, random_input(CFG, seed))
+        s = forward_one(m, random_input(CFG, seed))
         assert 0.0 < s < 1.0
 
 
 def test_shape_mismatch_rejected():
     m = init_model(CFG)
     with pytest.raises(ShapeMismatchError):
-        forward(m, random_input(ModelConfig(5, 2), seed=0))
+        forward_one(m, random_input(ModelConfig(5, 2), seed=0))
 
 
 def test_delta_symmetry_equal_hypotheses():
@@ -124,13 +130,14 @@ def test_delta_symmetry_equal_hypotheses():
     rng = np.random.default_rng(0)
     psi = rng.normal(size=3)
     phi = rng.normal(size=2)
-    inp = ModelInput(psi, psi.copy(), rng.normal(size=3), phi, phi.copy())
-    assert predict_delta(m, inp).delta == 0.0
+    inp = pack([(psi, psi.copy(), rng.normal(size=3), phi, phi.copy())])
+    sigma, sigma_rev = predict_delta(m, inp)
+    assert sigma - sigma_rev == 0.0
 
 
 def test_delta_zero_params():
-    pred = predict_delta(zero_model(CFG), random_input(CFG))
-    assert (pred.sigma, pred.sigma_rev, pred.delta) == (0.5, 0.5, 0.0)
+    sigma, sigma_rev = predict_delta(zero_model(CFG), random_input(CFG))
+    assert (sigma, sigma_rev, sigma - sigma_rev) == (0.5, 0.5, 0.0)
 
 
 @given(st.integers(0, 1000))
@@ -138,10 +145,10 @@ def test_delta_zero_params():
 def test_delta_antisymmetric_under_swap(seed):
     m = init_model(CFG)
     inp = random_input(CFG, seed)
-    a = predict_delta(m, inp)
-    b = predict_delta(m, inp.swapped())
-    assert a.delta == -b.delta
-    assert a.sigma == b.sigma_rev
+    sigma, sigma_rev = predict_delta(m, inp)
+    swapped_sigma, swapped_sigma_rev = predict_delta(m, inp.swapped())
+    assert sigma - sigma_rev == -(swapped_sigma - swapped_sigma_rev)
+    assert sigma == swapped_sigma_rev
 
 
 def test_decide():
@@ -167,3 +174,28 @@ def test_checkpoint_bytes_deterministic():
     save_model(init_model(CFG), a)
     save_model(init_model(CFG), b)
     assert a.getvalue() == b.getvalue()
+
+
+# Written by save_model when the config still named the hidden activation.
+OLD_CHECKPOINT = (
+    '{"config": {"sentence_dim": 1, "pairwise_dim": 1, "hidden_per_block": 1, '
+    '"architecture": "multi-layer", "hidden_activation": "tanh", "seed": 3}, '
+    '"params": {"W12": [[-1.171961134812148, -0.7444123020918001]], '
+    '"W1r": [[0.8521328693831751, 0.23238933142883256]], '
+    '"W2r": [[-1.14797755744482, -0.18914557614993055]], "b12": [0.0], "b1r": [0.0], "b2r": [0.0], '
+    '"w_out": [-0.04189740371833195, -0.6805221707258429, 0.46915430281842907, '
+    '-0.7726559601571932, -0.21754361900867591], "b_out": 0.0}}'
+)
+
+
+def test_checkpoint_naming_tanh_activation_loads():
+    config = ModelConfig(sentence_dim=1, pairwise_dim=1, hidden_per_block=1, seed=3)
+    m = load_model(io.StringIO(OLD_CHECKPOINT))
+    assert m.config == config
+    for name in m.param_names:
+        assert np.array_equal(m.params[name], init_model(config).params[name])
+    buf = io.StringIO()
+    save_model(m, buf)
+    assert buf.getvalue() == OLD_CHECKPOINT.replace('"hidden_activation": "tanh", ', "")
+    with pytest.raises(ValueError, match="unknown activation: relu"):
+        load_model(io.StringIO(OLD_CHECKPOINT.replace('"tanh"', '"relu"')))

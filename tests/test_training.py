@@ -1,17 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from pairrank.evaluation import evaluate
-from pairrank.model import ModelConfig, ModelInput, init_model
+from pairrank.model import ModelConfig, init_model, pack
 from pairrank.synthetic import interaction_rule_dataset, linear_rule_dataset
 from pairrank.training import (
     CostConfig,
     DivergenceError,
     InvalidStep,
     TrainConfig,
-    backward,
+    _batch_gradients,
     grad_check,
     kendall_cost,
     logistic_cost,
@@ -22,14 +23,10 @@ CFG = ModelConfig(sentence_dim=3, pairwise_dim=2, hidden_per_block=2)
 
 
 def mixed_examples(n=6, seed=0):
-    """Inputs exercising both sentence and pairwise channels."""
-    sent = interaction_rule_dataset(n, sentence_dim=3, seed=seed)
-    pair = linear_rule_dataset(n, pairwise_dim=2, seed=seed + 1)
-    out = []
-    for (si, _), (pi, y) in zip(sent, pair):
-        si.phi_t1r, si.phi_t2r = pi.phi_t1r, pi.phi_t2r
-        out.append((si, y))
-    return out
+    """Inputs exercising both sentence and pairwise channels, and their labels."""
+    sent, _ = interaction_rule_dataset(n, sentence_dim=3, seed=seed)
+    pair, y = linear_rule_dataset(n, pairwise_dim=2, seed=seed + 1)
+    return dataclasses.replace(sent, F1=pair.F1, F2=pair.F2), y
 
 
 def test_logistic_cost_values():
@@ -75,7 +72,8 @@ def test_backward_zero_model_logistic():
     m = init_model(CFG)
     for name in m.param_names:
         m.params[name] = np.zeros_like(m.params[name])
-    grads = backward(m, mixed_examples(1)[0][0], 1, CostConfig(kind="logistic"))
+    batch, _ = mixed_examples(1)
+    grads, _ = _batch_gradients(m, batch, np.array([1.0]), CostConfig(kind="logistic"), "logistic")
     assert grads["b_out"] == pytest.approx(-0.5, abs=1e-15)
 
 
@@ -86,11 +84,11 @@ def test_backward_kendall_tie_stationary():
     rng = np.random.default_rng(0)
     psi = rng.normal(size=3)
     phi = rng.normal(size=2)
-    inp = ModelInput(psi, psi.copy(), rng.normal(size=3), phi, phi.copy())
-    grads = backward(m, inp, 1, CostConfig(kind="kendall"), kind="kendall")
+    inp = pack([(psi, psi.copy(), rng.normal(size=3), phi, phi.copy())])
+    grads, _ = _batch_gradients(m, inp, np.array([1.0]), CostConfig(kind="kendall"), "kendall")
     # dJ/dDelta at Delta=0 is -gamma/4; sigma grads of the two passes differ,
     # but the Gaussian term itself is stationary. Check that numerically.
-    err = grad_check(m, [(inp, 1)], CostConfig(kind="kendall"))
+    err = grad_check(m, inp, np.array([1]), CostConfig(kind="kendall"))
     assert err <= 1e-5
 
 
@@ -100,16 +98,16 @@ def test_gradients_match_finite_differences(arch, kind):
     cfg = ModelConfig(3, 2, hidden_per_block=2, architecture=arch, seed=11)
     for seed in range(3):
         m = init_model(ModelConfig(3, 2, 2, arch, seed=seed))
-        err = grad_check(m, mixed_examples(5, seed=seed), CostConfig(kind=kind), step=1e-6)
+        err = grad_check(m, *mixed_examples(5, seed=seed), CostConfig(kind=kind), step=1e-6)
         assert err <= 1e-5, f"{arch}/{kind} seed {seed}: {err}"
 
 
 def test_grad_check_invalid_step():
     m = init_model(CFG)
     with pytest.raises(InvalidStep):
-        grad_check(m, mixed_examples(2), CostConfig(), step=0.0)
+        grad_check(m, *mixed_examples(2), CostConfig(), step=0.0)
     with pytest.raises(InvalidStep):
-        grad_check(m, mixed_examples(2), CostConfig(), step=1e-2)
+        grad_check(m, *mixed_examples(2), CostConfig(), step=1e-2)
 
 
 def test_cost_config_validation():
@@ -133,15 +131,15 @@ def test_train_separable():
     va = linear_rule_dataset(300, pairwise_dim=8, seed=2, rule_seed=9)
     m = init_model(ModelConfig(0, 8, architecture="single-layer", seed=0))
     tcfg = TrainConfig(learning_rate=0.01, epochs=50, batch_size=32, shuffle_seed=0)
-    m2, report = train(m, tr, va, tcfg, CostConfig(kind="logistic"))
-    assert evaluate(m2, va).tau >= 0.9
+    m2, report = train(m, *tr, *va, tcfg, CostConfig(kind="logistic"))
+    assert evaluate(m2, *va).tau >= 0.9
     assert len(report.epochs) == 50
 
 
 def test_train_zero_epochs_noop():
     m = init_model(CFG)
     data = mixed_examples(4)
-    m2, report = train(m, data, data, TrainConfig(epochs=0), CostConfig())
+    m2, report = train(m, *data, *data, TrainConfig(epochs=0), CostConfig())
     assert report.epochs == []
     for name in m.param_names:
         assert np.array_equal(m.params[name], m2.params[name])
@@ -153,7 +151,7 @@ def test_train_deterministic():
     for _ in range(2):
         m = init_model(ModelConfig(3, 2, 2, seed=5))
         tcfg = TrainConfig(learning_rate=0.05, epochs=5, batch_size=8, shuffle_seed=7)
-        m2, report = train(m, data, data, tcfg, CostConfig(kind="logistic-then-kendall"))
+        m2, report = train(m, *data, *data, tcfg, CostConfig(kind="logistic-then-kendall"))
         results.append((m2, [r.train_cost for r in report.epochs]))
     (a, costs_a), (b, costs_b) = results
     assert costs_a == costs_b
@@ -165,18 +163,17 @@ def test_train_schedule_records_phases():
     data = mixed_examples(32, seed=2)
     m = init_model(ModelConfig(3, 2, 2, seed=1))
     tcfg = TrainConfig(learning_rate=0.01, epochs=6, batch_size=8, shuffle_seed=1)
-    _, report = train(m, data, data, tcfg, CostConfig(kind="logistic-then-kendall"))
+    _, report = train(m, *data, *data, tcfg, CostConfig(kind="logistic-then-kendall"))
     assert [r.cost_kind for r in report.epochs] == ["logistic"] * 3 + ["kendall"] * 3
 
 
 def test_train_divergence_detected():
     data = mixed_examples(32, seed=4)
-    inp, y = data[0]
-    inp.phi_t1r = np.array([np.nan, 0.0])
+    data[0].F1[0] = [np.nan, 0.0]
     m = init_model(ModelConfig(3, 2, 2, seed=1))
     tcfg = TrainConfig(learning_rate=0.01, epochs=2, batch_size=32, shuffle_seed=1)
     with pytest.raises(DivergenceError):
-        train(m, data, data, tcfg, CostConfig(kind="logistic"))
+        train(m, *data, *data, tcfg, CostConfig(kind="logistic"))
 
 
 def test_train_early_stopping_returns_best():
@@ -185,9 +182,9 @@ def test_train_early_stopping_returns_best():
     m = init_model(ModelConfig(0, 4, architecture="single-layer", seed=0))
     tcfg = TrainConfig(learning_rate=0.05, epochs=40, batch_size=16, shuffle_seed=0,
                        early_stop_patience=5)
-    m2, report = train(m, tr, va, tcfg, CostConfig(kind="logistic"))
+    m2, report = train(m, *tr, *va, tcfg, CostConfig(kind="logistic"))
     best = max(r.valid_tau for r in report.epochs)
-    assert evaluate(m2, va).tau == best
+    assert evaluate(m2, *va).tau == best
     assert report.best_epoch is not None
 
 
@@ -196,7 +193,7 @@ def test_report_jsonl_roundtrip():
 
     data = mixed_examples(16, seed=0)
     m = init_model(ModelConfig(3, 2, 2, seed=0))
-    _, report = train(m, data, data, TrainConfig(epochs=3, batch_size=8), CostConfig())
+    _, report = train(m, *data, *data, TrainConfig(epochs=3, batch_size=8), CostConfig())
     buf = io.StringIO()
     report.to_jsonl(buf)
     lines = [json.loads(l) for l in buf.getvalue().splitlines()]

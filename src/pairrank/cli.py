@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -54,6 +55,26 @@ def _load_data(path: str, table: Optional[EmbeddingTable]):
     return (dataset, *data_ingest.vectorize(dataset, table))
 
 
+def _write_jsonl(rows: Iterable[dict], path: Optional[str]) -> None:
+    """Write ``rows`` as JSON lines to ``path``, or to standard output without one.
+
+    A reader that closes standard output early (``pairrank predict | head``)
+    ends the output quietly, as the end of a pipeline, not as an error.
+    """
+    lines = (json.dumps(row) + "\n" for row in rows)
+    if path:
+        with open(path, "w", encoding="utf-8") as sink:
+            sink.writelines(lines)
+        return
+    try:
+        sys.stdout.writelines(lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes standard output again at exit; send what is
+        # still buffered to the null device so that flush cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _merged_options(args: argparse.Namespace) -> dict:
     """Hard defaults, overridden by the config file, overridden by flags."""
     opts = dict(TRAIN_DEFAULTS)
@@ -87,28 +108,24 @@ def cmd_extract(args) -> int:
         for name in list(BLEUCOMP_FEATURE_NAMES) + dataset.feature_schema:
             print(name)
         return 0
-    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        rows = zip(dataset.tuples, batch.F1.tolist(), batch.F2.tolist(),
-                   batch.P1.tolist(), batch.P2.tolist(), batch.Pr.tolist())
-        for t, phi_t1r, phi_t2r, psi_t1, psi_t2, psi_r in rows:
-            json.dump(
-                {
-                    "id": t.id,
-                    "split": t.split,
-                    "y": t.y,
-                    "phi_t1r": phi_t1r,
-                    "phi_t2r": phi_t2r,
-                    "psi_t1": psi_t1,
-                    "psi_t2": psi_t2,
-                    "psi_r": psi_r,
-                },
-                sink,
-            )
-            sink.write("\n")
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+    rows = zip(dataset.tuples, batch.F1.tolist(), batch.F2.tolist(),
+               batch.P1.tolist(), batch.P2.tolist(), batch.Pr.tolist())
+    _write_jsonl(
+        (
+            {
+                "id": t.id,
+                "split": t.split,
+                "y": t.y,
+                "phi_t1r": phi_t1r,
+                "phi_t2r": phi_t2r,
+                "psi_t1": psi_t1,
+                "psi_t2": psi_t2,
+                "psi_r": psi_r,
+            }
+            for t, phi_t1r, phi_t2r, psi_t1, psi_t2, psi_r in rows
+        ),
+        args.out,
+    )
     return 0
 
 
@@ -173,24 +190,20 @@ def cmd_predict(args) -> int:
     with open(args.model, encoding="utf-8") as f:
         model = load_model(f)
     sigma, sigma_rev = predict_delta(model, batch)
-    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        for t, s, s_rev in zip(dataset.tuples, sigma.tolist(), sigma_rev.tolist()):
-            delta = s - s_rev
-            json.dump(
-                {
-                    "id": t.id,
-                    "sigma": s,
-                    "sigma_rev": s_rev,
-                    "delta": delta,
-                    "decision": decide(delta, args.tie_epsilon),
-                },
-                sink,
-            )
-            sink.write("\n")
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+    rows = zip(dataset.tuples, sigma.tolist(), sigma_rev.tolist(), (sigma - sigma_rev).tolist())
+    _write_jsonl(
+        (
+            {
+                "id": t.id,
+                "sigma": s,
+                "sigma_rev": s_rev,
+                "delta": delta,
+                "decision": decide(delta, args.tie_epsilon),
+            }
+            for t, s, s_rev, delta in rows
+        ),
+        args.out,
+    )
     return 0
 
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -7,6 +10,8 @@ import pairrank.cli
 
 from pairrank.cli import run
 from pairrank.synthetic import token_dataset_lines, toy_embedding_lines
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture
@@ -148,6 +153,15 @@ def test_missing_file_error(capsys, tmp_path):
     assert "\n" not in err.strip()
 
 
+def test_extract_rejects_non_finite_table_value(capsys, tmp_path, data_file):
+    emb = tmp_path / "emb.txt"
+    emb.write_text("w0 0.5 1\nthe nan 1\n")
+    assert run(["extract", "--data", data_file, "--embeddings", str(emb)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: EmbeddingError: line 2: non-finite vector value\n"
+    assert captured.out == ""
+
+
 # sha256 of `pairrank extract` on the data below, recorded with the
 # per-tuple Counter counting and sentence loop that the bulk path replaced.
 # The embedding table covers 24 of the 30 tokens, so composition meets OOV.
@@ -181,3 +195,24 @@ def test_train_names_the_set_its_tau_is_measured_on(tmp_path, capsys, data_file)
     # Without --valid the training set stands in for it: same model, same report.
     for a, b in zip(paths["a"], paths["b"]):
         assert open(a, "rb").read() == open(b, "rb").read()
+
+
+@pytest.mark.parametrize("subcommand", ["extract", "predict"])
+def test_closed_stdout_ends_output_quietly(tmp_path, data_file, subcommand):
+    # 2000 rows are far more than a pipe buffers, so the writer meets the closed pipe.
+    data = tmp_path / "big.jsonl"
+    data.write_text("\n".join(token_dataset_lines(2000, seed=4)) + "\n")
+    args = [subcommand, "--data", str(data)]
+    if subcommand == "predict":
+        model = str(tmp_path / "m.json")
+        assert run(train_args(data_file, model)) == 0
+        args += ["--model", model]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-c", "from pairrank.cli import main; main()", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = json.loads(proc.stdout.readline())
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert first["id"] == "s0"
+    assert err == b""
+    assert proc.returncode == 0

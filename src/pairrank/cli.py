@@ -1,8 +1,8 @@
 """Command-line front end: extract, train, evaluate, predict, gradcheck.
 
 Every subcommand is a thin wrapper over the library; all randomness is
-seeded via flags, and a JSON config file can supply any flag's value
-(explicit flags win).
+seeded via flags, and a JSON config file can supply any train option,
+checked as its flag is (explicit flags win).
 """
 
 from __future__ import annotations
@@ -20,25 +20,72 @@ from . import data_ingest, evaluation, training
 from .embeddings import EmbeddingTable, load_embedding_table
 from .features import BLEUCOMP_FEATURE_NAMES
 from .evaluation import predict_delta
-from .model import DEFAULT_TIE_EPSILON, ModelConfig, decide, init_model, load_model, save_model
+from .model import ARCHITECTURES, DEFAULT_TIE_EPSILON, ModelConfig, decide, init_model, load_model, save_model
 from .training import CostConfig, TrainConfig, grad_check, train
 
-TRAIN_DEFAULTS = {
-    "cost": "logistic",
-    "epochs": 10,
-    "lr": 0.01,
-    "batch_size": 32,
-    "seed": 0,
-    "shuffle_seed": 0,
-    "hidden": 4,
-    "arch": "multi-layer",
-    "gamma": 100.0,
-    "beta": 100.0,
-    "tie_weight": 1.0,
-    "pretrain_epochs": None,
-    "l2": 0.0,
-    "patience": 0,
+# Each train option, once: its config-file key (the flag is the key with "-"
+# for "_"), the config dataclass and field it sets, and the values it takes:
+# int (a JSON integer), float (any JSON number) or a tuple of choices. The
+# field's default is the option's default; where that is None, a config
+# file may also give null.
+TRAIN_OPTIONS = {
+    "cost": (CostConfig, "kind", training.COST_KINDS),
+    "epochs": (TrainConfig, "epochs", int),
+    "lr": (TrainConfig, "learning_rate", float),
+    "batch_size": (TrainConfig, "batch_size", int),
+    "seed": (ModelConfig, "seed", int),
+    "shuffle_seed": (TrainConfig, "shuffle_seed", int),
+    "hidden": (ModelConfig, "hidden_per_block", int),
+    "arch": (ModelConfig, "architecture", ARCHITECTURES),
+    "gamma": (CostConfig, "gamma", float),
+    "beta": (CostConfig, "beta", float),
+    "tie_weight": (CostConfig, "tie_weight", float),
+    "pretrain_epochs": (CostConfig, "pretrain_epochs", int),
+    "l2": (TrainConfig, "l2", float),
+    "patience": (TrainConfig, "early_stop_patience", int),
 }
+
+
+def _default(key: str):
+    cls, name, _ = TRAIN_OPTIONS[key]
+    return {f.name: f.default for f in dataclasses.fields(cls)}[name]
+
+
+def _add_option(parser: argparse.ArgumentParser, key: str, default=None) -> None:
+    kind = TRAIN_OPTIONS[key][2]
+    check = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+    parser.add_argument(f"--{key.replace('_', '-')}", dest=key, default=default, **check)
+
+
+def _read_config(path: str) -> dict:
+    """The options in a JSON config file, each refused unless its flag could give it."""
+    with open(path, encoding="utf-8") as f:
+        opts = json.load(f)
+    unknown = set(opts) - set(TRAIN_OPTIONS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in opts.items():
+        kind = TRAIN_OPTIONS[key][2]
+        if isinstance(kind, tuple):
+            ok, expected = value in kind, f"one of {list(kind)}"
+        else:
+            # JSON true and false load as bool, an int subclass, but are not numbers.
+            ok = isinstance(value, (int, float) if kind is float else int) and not isinstance(value, bool)
+            expected = "a number" if kind is float else "an integer"
+        if not (ok or value is None and _default(key) is None):
+            raise ValueError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
+    return opts
+
+
+def _train_fields(args: argparse.Namespace) -> dict[type, dict]:
+    """Field values per config class: flags, then the config file; fields not set keep their defaults."""
+    opts = _read_config(args.config) if args.config else {}
+    opts.update((key, getattr(args, key)) for key in TRAIN_OPTIONS if getattr(args, key) is not None)
+    fields: dict[type, dict] = {ModelConfig: {}, TrainConfig: {}, CostConfig: {}}
+    for key, value in opts.items():
+        cls, name, _ = TRAIN_OPTIONS[key]
+        fields[cls][name] = value
+    return fields
 
 
 def _load_table(embeddings_path: Optional[str]) -> Optional[EmbeddingTable]:
@@ -75,33 +122,6 @@ def _write_jsonl(rows: Iterable[dict], path: Optional[str]) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _merged_options(args: argparse.Namespace) -> dict:
-    """Hard defaults, overridden by the config file, overridden by flags."""
-    opts = dict(TRAIN_DEFAULTS)
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as f:
-            file_opts = json.load(f)
-        unknown = set(file_opts) - set(opts)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        opts.update(file_opts)
-    for key in opts:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            opts[key] = flag
-    return opts
-
-
-def _cost_config(opts: dict) -> CostConfig:
-    return CostConfig(
-        kind=opts["cost"],
-        gamma=float(opts["gamma"]),
-        beta=float(opts["beta"]),
-        tie_weight=float(opts["tie_weight"]),
-        pretrain_epochs=None if opts["pretrain_epochs"] is None else int(opts["pretrain_epochs"]),
-    )
-
-
 def cmd_extract(args) -> int:
     dataset, batch, _ = _load_data(args.data, _load_table(args.embeddings))
     if args.schema:
@@ -130,27 +150,14 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
-    opts = _merged_options(args)
+    fields = _train_fields(args)
+    tcfg, ccfg = TrainConfig(**fields[TrainConfig]), CostConfig(**fields[CostConfig])
     table = _load_table(args.embeddings)
     _, batch, y = _load_data(args.data, table)
     # Without --valid, training validates on the training set itself.
     valid = _load_data(args.valid, table)[1:] if args.valid else (batch, y)
-    config = ModelConfig(
-        sentence_dim=batch.P1.shape[1],
-        pairwise_dim=batch.F1.shape[1],
-        hidden_per_block=int(opts["hidden"]),
-        architecture=opts["arch"],
-        seed=int(opts["seed"]),
-    )
-    tcfg = TrainConfig(
-        learning_rate=float(opts["lr"]),
-        epochs=int(opts["epochs"]),
-        batch_size=int(opts["batch_size"]),
-        shuffle_seed=int(opts["shuffle_seed"]),
-        l2=float(opts["l2"]),
-        early_stop_patience=int(opts["patience"]),
-    )
-    model, report = train(init_model(config), batch, y, *valid, tcfg, _cost_config(opts))
+    config = ModelConfig(sentence_dim=batch.P1.shape[1], pairwise_dim=batch.F1.shape[1], **fields[ModelConfig])
+    model, report = train(init_model(config), batch, y, *valid, tcfg, ccfg)
     with open(args.out, "w", encoding="utf-8") as f:
         save_model(model, f)
     if args.report:
@@ -245,20 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.add_argument("--config", help="JSON file of option values; flags override")
-    p.add_argument("--cost", choices=training.COST_KINDS)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--shuffle-seed", dest="shuffle_seed", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--arch", choices=["multi-layer", "single-layer"])
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--tie-weight", dest="tie_weight", type=float)
-    p.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--patience", type=int)
+    for key in TRAIN_OPTIONS:
+        _add_option(p, key)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a model, print per-split tau")
@@ -278,10 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient self-check")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cost", choices=training.COST_KINDS, default="logistic")
-    p.add_argument("--arch", choices=["multi-layer", "single-layer"], default="multi-layer")
-    p.add_argument("--hidden", type=int, default=4)
+    for key in ("seed", "cost", "arch", "hidden"):
+        _add_option(p, key, default=_default(key))
     p.add_argument("--step", type=float, default=1e-6)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -299,3 +292,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -245,18 +245,12 @@ def compose_mean_matrix(
     return values, lens - found
 
 
-def compose_sentence_vector(
-    tokens: Sequence[str],
-    table: EmbeddingTable,
-    strategy: str = "mean",
-) -> SentenceVector:
-    """Compose a fixed-length sentence vector from token embeddings.
+def compose_sentence_vector(tokens: Sequence[str], table: EmbeddingTable) -> SentenceVector:
+    """Compose a fixed-length sentence vector: the mean of the token embeddings.
 
     Out-of-vocabulary tokens are skipped and counted. With no token found
     (or an empty sentence) the zero vector comes back, oov_count equal to
     the sentence length.
     """
-    if strategy != "mean":
-        raise ValueError(f"unknown composition strategy: {strategy}")
     values, oov = compose_mean_matrix([tokens], table)
     return SentenceVector(values[0], table.dimension, int(oov[0]))

@@ -64,9 +64,8 @@ def predict_delta(model: Model, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     The activation difference ``sigma - sigma_rev`` is the model's
     preference for hypothesis 1.
     """
-    sigma, _ = forward_batch(model, batch)
-    sigma_rev, _ = forward_batch(model, batch.swapped())
-    return sigma, sigma_rev
+    # Index the results so that neither layer cache outlives its call.
+    return forward_batch(model, batch)[0], forward_batch(model, batch.swapped())[0]
 
 
 def evaluate(

@@ -210,24 +210,20 @@ def bleu_score(c: BleuComponents, smoothing: str = "none") -> float:
 def assemble_pairwise(
     comps: BleuComponents,
     external_scores: Optional[Mapping[str, float]] = None,
-    embedding_sims: Optional[Mapping[str, float]] = None,
 ) -> PairwiseFeatures:
-    """Concatenate BLEU components, external scores, embedding similarities.
+    """Concatenate BLEU components and external scores.
 
     Ordering is deterministic: the 16 BLEU components in declared order,
-    then external scores sorted by name, then similarities sorted by name.
+    then external scores sorted by name.
     """
     values = list(comps.flatten())
     names = list(BLEUCOMP_FEATURE_NAMES)
     tags = ["bleucomp"] * len(names)
-    for source, tag in ((external_scores, "external"), (embedding_sims, "embedding-similarity")):
-        if not source:
-            continue
-        for name in sorted(source):
-            v = float(source[name])
-            if not math.isfinite(v):
-                raise NonFiniteFeature(f"non-finite value for feature {name!r}: {v}")
-            values.append(v)
-            names.append(name)
-            tags.append(tag)
+    for name in sorted(external_scores or {}):
+        v = float(external_scores[name])
+        if not math.isfinite(v):
+            raise NonFiniteFeature(f"non-finite value for feature {name!r}: {v}")
+        values.append(v)
+        names.append(name)
+        tags.append("external")
     return PairwiseFeatures(values=np.array(values), names=names, source_tags=tags)

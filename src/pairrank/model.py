@@ -17,6 +17,7 @@ import numpy as np
 
 MULTI_LAYER = "multi-layer"
 SINGLE_LAYER = "single-layer"
+ARCHITECTURES = (MULTI_LAYER, SINGLE_LAYER)
 
 
 class ShapeMismatchError(ValueError):
@@ -36,7 +37,7 @@ class ModelConfig:
             raise ValueError("dimensions must be non-negative")
         if self.sentence_dim + self.pairwise_dim < 1:
             raise ValueError("need at least one input source")
-        if self.architecture not in (MULTI_LAYER, SINGLE_LAYER):
+        if self.architecture not in ARCHITECTURES:
             raise ValueError(f"unknown architecture: {self.architecture}")
         if self.architecture == MULTI_LAYER and self.hidden_per_block < 1:
             raise ValueError("hidden_per_block must be positive")
@@ -166,8 +167,8 @@ def _check_batch(model: Model, batch: Batch) -> None:
         )
 
 
-def forward_batch(model: Model, batch: Batch, keep_cache: bool = False):
-    """Output activations for a whole batch; optionally the layer cache."""
+def forward_batch(model: Model, batch: Batch):
+    """Output activations for a whole batch, and the layer cache that backward_batch takes."""
     _check_batch(model, batch)
     p = model.params
     if model.config.architecture == MULTI_LAYER:
@@ -183,7 +184,7 @@ def forward_batch(model: Model, batch: Batch, keep_cache: bool = False):
         Z = np.hstack([batch.P1, batch.P2, batch.Pr, batch.F1, batch.F2])
         cache = (Z,)
     sigma = sigmoid(Z @ p["w_out"] + p["b_out"])
-    return (sigma, cache) if keep_cache else (sigma, None)
+    return sigma, cache
 
 
 def backward_batch(model: Model, batch: Batch, cache, dz: np.ndarray) -> dict[str, np.ndarray]:

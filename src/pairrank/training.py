@@ -53,6 +53,8 @@ class CostConfig:
             raise ValueError(f"unknown cost kind: {self.kind}")
         if self.gamma <= 0 or self.beta <= 0 or self.tie_weight < 0:
             raise ValueError("gamma, beta must be positive; tie_weight non-negative")
+        if self.pretrain_epochs is not None and self.pretrain_epochs < 0:
+            raise ValueError("pretrain_epochs must be non-negative")
 
     def phase_kind(self, epoch: int, total_epochs: int) -> str:
         """The effective cost kind at a given epoch of the schedule."""
@@ -132,14 +134,14 @@ def _batch_gradients(
 ) -> tuple[dict[str, np.ndarray], float]:
     """Summed parameter gradients and the batch cost, for one cost kind."""
     if kind == LOGISTIC:
-        sigma, cache = forward_batch(model, batch, keep_cache=True)
+        sigma, cache = forward_batch(model, batch)
         grads = backward_batch(model, batch, cache, sigma - ys)
         return grads, float(logistic_cost(sigma, ys))
     if kind != KENDALL:
         raise ValueError(f"cannot take gradients of unresolved cost kind {kind!r}")
     swapped = batch.swapped()
-    sigma, cache = forward_batch(model, batch, keep_cache=True)
-    sigma_rev, cache_rev = forward_batch(model, swapped, keep_cache=True)
+    sigma, cache = forward_batch(model, batch)
+    sigma_rev, cache_rev = forward_batch(model, swapped)
     delta = sigma - sigma_rev
     g, b, lam = cfg.gamma, cfg.beta, cfg.tie_weight
     sig_neg = sigmoid(-g * delta)
@@ -163,8 +165,7 @@ def _batch_gradients(
 def _cost(model: Model, batch: Batch, ys: np.ndarray, cfg: CostConfig, kind: str):
     """The batch cost of one resolved cost kind, in the dtype of the parameters and batch."""
     if kind == LOGISTIC:
-        sigma, _ = forward_batch(model, batch)
-        return logistic_cost(sigma, ys)
+        return logistic_cost(forward_batch(model, batch)[0], ys)
     sigma, sigma_rev = predict_delta(model, batch)
     return kendall_cost(sigma - sigma_rev, ys, cfg)
 

@@ -94,6 +94,50 @@ def test_config_file_with_flag_override(tmp_path, data_file):
     assert doc["config"]["architecture"] == "single-layer"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("epochs", 2.7), ("hidden", True), ("seed", 1.5), ("lr", "0.5"), ("batch_size", 1e3),
+    ("epochs", None), ("arch", "two-layer"), ("pretrain_epochs", "3"),
+])
+def test_config_value_is_checked_like_its_flag(tmp_path, capsys, data_file, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    model = tmp_path / "m.json"
+    assert run(["train", "--data", data_file, "--out", str(model), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: config key {key!r} ")
+    assert "\n" not in err.strip()
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("opts, flags", [
+    ({"cost": "logistic-then-kendall", "pretrain_epochs": None}, ["--cost", "logistic-then-kendall"]),
+    ({"lr": 1}, ["--lr", "1"]),
+])
+def test_config_file_trains_as_the_same_flags(tmp_path, data_file, opts, flags):
+    # null where the default is None, and an integer for a float option, are accepted.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(opts))
+    outs = []
+    for name, extra in (("file", ["--config", str(cfg)]), ("flags", flags)):
+        model, report = str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}.jsonl")
+        assert run(train_args(data_file, model, report) + extra) == 0
+        outs.append((open(model, "rb").read(), open(report, "rb").read()))
+    assert outs[0] == outs[1]
+
+
+def test_train_defaults_are_the_config_defaults(tmp_path, data_file, emb_file):
+    spelled_out = ["--cost", "logistic", "--epochs", "10", "--lr", "0.01", "--batch-size", "32",
+                   "--seed", "0", "--shuffle-seed", "0", "--hidden", "4", "--arch", "multi-layer",
+                   "--gamma", "100", "--beta", "100", "--tie-weight", "1", "--l2", "0", "--patience", "0"]
+    outs = []
+    for name, flags in (("bare", []), ("spelled", spelled_out)):
+        model, report = str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}.jsonl")
+        assert run(["train", "--data", data_file, "--embeddings", emb_file, "--out", model,
+                    "--report", report, *flags]) == 0
+        outs.append((open(model, "rb").read(), open(report, "rb").read()))
+    assert outs[0] == outs[1]
+
+
 def test_predict(tmp_path, data_file):
     model = str(tmp_path / "m.json")
     assert run(train_args(data_file, model)) == 0
@@ -144,6 +188,14 @@ def test_gradcheck_cli(capsys):
     for cost in ("logistic", "kendall", "logistic-then-kendall"):
         assert run(["gradcheck", "--seed", "3", "--cost", cost]) == 0
     assert "max relative error" in capsys.readouterr().out
+
+
+def test_module_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "pairrank.cli", "gradcheck"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("max relative error ")
 
 
 def test_missing_file_error(capsys, tmp_path):

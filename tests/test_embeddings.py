@@ -126,11 +126,6 @@ def test_compose_empty():
     assert sv.oov_count == 0
 
 
-def test_unknown_strategy():
-    with pytest.raises(ValueError):
-        compose_sentence_vector(["a"], table_ab(), strategy="max")
-
-
 @given(st.lists(st.sampled_from(["a", "b", "zzz"]), max_size=8), st.randoms())
 def test_compose_permutation_invariant(tokens, rnd):
     t = table_ab()

@@ -153,10 +153,9 @@ def test_assemble_with_external():
 
 
 def test_assemble_sorted_names():
-    f = assemble_pairwise(
-        bleu_components(["a"], ["a"]), {"TER": 0.3, "METEOR": 0.4}, {"cos_t_r": 0.9}
-    )
-    assert f.names[16:] == ["METEOR", "TER", "cos_t_r"]
+    f = assemble_pairwise(bleu_components(["a"], ["a"]), {"TER": 0.3, "METEOR": 0.4})
+    assert f.names[16:] == ["METEOR", "TER"]
+    assert f.values[16:].tolist() == [0.4, 0.3]
 
 
 def test_assemble_non_finite_rejected():

@@ -115,6 +115,8 @@ def test_cost_config_validation():
         CostConfig(kind="hinge")
     with pytest.raises(ValueError):
         CostConfig(gamma=0.0)
+    with pytest.raises(ValueError):
+        CostConfig(kind="logistic-then-kendall", pretrain_epochs=-3)
 
 
 def test_phase_schedule():

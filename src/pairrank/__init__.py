@@ -7,7 +7,6 @@ from .features import (
     PairwiseFeatures,
     assemble_pairwise,
     bleu_components,
-    bleu_score,
     ngram_stats,
 )
 from .model import (

@@ -193,6 +193,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    evaluation.check_tie_epsilon(args.tie_epsilon)
     dataset, batch, _ = _load_data(args.data, _load_table(args.embeddings))
     with open(args.model, encoding="utf-8") as f:
         model = load_model(f)

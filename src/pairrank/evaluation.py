@@ -49,6 +49,12 @@ def kendall_tau(counts: PairCounts) -> float:
     return (counts.concordant - counts.disconcordant - counts.ties) / counts.total
 
 
+def check_tie_epsilon(tie_epsilon: float) -> None:
+    """Refuse a tie band that is not a finite, non-negative width."""
+    if not 0 <= tie_epsilon < np.inf:
+        raise ValueError(f"tie_epsilon must be finite and non-negative, got {tie_epsilon}")
+
+
 def _count(deltas: np.ndarray, labels: np.ndarray, tie_epsilon: float) -> PairCounts:
     tie = np.abs(deltas) <= tie_epsilon
     prefer_t1 = deltas > 0
@@ -76,6 +82,7 @@ def evaluate(
     splits: Optional[Sequence[str]] = None,
 ) -> EvalReport:
     """Score every tuple and aggregate counts overall and per split."""
+    check_tie_epsilon(tie_epsilon)
     if len(batch) == 0:
         raise EmptyEvaluation("empty dataset")
     labels = np.asarray(labels)

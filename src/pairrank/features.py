@@ -3,7 +3,7 @@
 A (hypothesis, reference) pair yields 16 fixed-order lexical features:
 clipped n-gram precisions, matches and totals for n=1..4, both lengths,
 their ratio, and the brevity penalty. Externally computed metric scores
-and embedding similarities are appended in sorted-name order.
+are appended in sorted-name order.
 """
 
 from __future__ import annotations
@@ -177,34 +177,6 @@ def bleu_components(hyp: Sequence[str], ref: Sequence[str]) -> BleuComponents:
         length_ratio=hyp_len / ref_len if ref_len > 0 else 0.0,
         brevity_penalty=brevity_penalty(hyp_len, ref_len),
     )
-
-
-def bleu_score(c: BleuComponents, smoothing: str = "none") -> float:
-    """Scalar BLEU from its components.
-
-    Orders with zero hypothesis n-grams are dropped from the geometric
-    mean. ``add-one-on-zero`` smoothing replaces a zero-match precision
-    with (matches+1)/(total+1); under ``none`` any zero precision makes
-    the score 0.
-    """
-    if smoothing not in ("none", "add-one-on-zero"):
-        raise ValueError(f"unknown smoothing: {smoothing}")
-    log_sum = 0.0
-    effective = 0
-    for matches, total in zip(c.matches, c.totals):
-        if total == 0:
-            continue
-        effective += 1
-        if matches == 0:
-            if smoothing == "none":
-                return 0.0
-            p = (matches + 1) / (total + 1)
-        else:
-            p = matches / total
-        log_sum += math.log(p)
-    if effective == 0:
-        return 0.0
-    return c.brevity_penalty * math.exp(log_sum / effective)
 
 
 def assemble_pairwise(

@@ -18,7 +18,7 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .evaluation import evaluate, predict_delta
+from .evaluation import evaluate
 from .model import Batch, Model, backward_batch, forward_batch, sigmoid
 
 # Not called here: the benchmark's traced run hooks this name on this module.
@@ -27,7 +27,14 @@ from .model import pack  # noqa: F401
 LOGISTIC = "logistic"
 KENDALL = "kendall"
 LOGISTIC_THEN_KENDALL = "logistic-then-kendall"
-COST_KINDS = (LOGISTIC, KENDALL, LOGISTIC_THEN_KENDALL)
+# The resolved cost kinds each cost kind trains under: a schedule of two
+# pre-trains under the first and fine-tunes under the second.
+PHASES = {
+    LOGISTIC: (LOGISTIC,),
+    KENDALL: (KENDALL,),
+    LOGISTIC_THEN_KENDALL: (LOGISTIC, KENDALL),
+}
+COST_KINDS = tuple(PHASES)
 
 SIGMA_CLAMP = 1e-12
 
@@ -38,6 +45,13 @@ class DivergenceError(RuntimeError):
 
 class InvalidStep(ValueError):
     pass
+
+
+def _check_finite(config, *names: str) -> None:
+    # NaN fails every ordered comparison, so the range checks alone let it through.
+    for name in names:
+        if not math.isfinite(getattr(config, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(config, name)}")
 
 
 @dataclass(frozen=True)
@@ -51,17 +65,21 @@ class CostConfig:
     def __post_init__(self):
         if self.kind not in COST_KINDS:
             raise ValueError(f"unknown cost kind: {self.kind}")
+        _check_finite(self, "gamma", "beta", "tie_weight")
         if self.gamma <= 0 or self.beta <= 0 or self.tie_weight < 0:
             raise ValueError("gamma, beta must be positive; tie_weight non-negative")
-        if self.pretrain_epochs is not None and self.pretrain_epochs < 0:
-            raise ValueError("pretrain_epochs must be non-negative")
+        if self.pretrain_epochs is not None:
+            if len(PHASES[self.kind]) == 1:
+                raise ValueError(f"pretrain_epochs applies only to the {LOGISTIC_THEN_KENDALL} cost, not {self.kind}")
+            if self.pretrain_epochs < 0:
+                raise ValueError("pretrain_epochs must be non-negative")
 
     def phase_kind(self, epoch: int, total_epochs: int) -> str:
-        """The effective cost kind at a given epoch of the schedule."""
-        if self.kind != LOGISTIC_THEN_KENDALL:
-            return self.kind
+        """The resolved cost kind at a given epoch: the first phase for the
+        pretrain epochs (half of all epochs by default), then the last."""
+        phases = PHASES[self.kind]
         pre = self.pretrain_epochs if self.pretrain_epochs is not None else total_epochs // 2
-        return LOGISTIC if epoch < pre else KENDALL
+        return phases[0] if epoch < pre else phases[-1]
 
 
 @dataclass(frozen=True)
@@ -74,6 +92,7 @@ class TrainConfig:
     early_stop_patience: int = 0
 
     def __post_init__(self):
+        _check_finite(self, "learning_rate", "l2")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("invalid training configuration")
         if self.l2 < 0 or self.early_stop_patience < 0:
@@ -110,13 +129,33 @@ class TrainReport:
             sink.write("\n")
 
 
+def _logistic_terms(sigma, y):
+    """The logistic cost summed over the batch, and its slope dJ/dz at the pre-sigmoid output z."""
+    s = np.clip(sigma, SIGMA_CLAMP, 1.0 - SIGMA_CLAMP)
+    return -np.sum(y * np.log(s) + (1 - y) * np.log(1.0 - s)), sigma - y
+
+
+def _kendall_terms(delta, y, cfg: CostConfig):
+    """The ranking cost summed over the batch, and its slope dJ/d(delta), from one
+    evaluation of each sigmoid and of the Gaussian tie term."""
+    g, b, lam = cfg.gamma, cfg.beta, cfg.tie_weight
+    sig_neg = sigmoid(-g * delta)
+    sig_pos = sigmoid(g * delta)
+    tie = np.exp(-b * delta * delta / 2.0)
+    slope = (
+        -g * y * sig_neg * (1.0 - sig_neg)
+        + g * (1 - y) * sig_pos * (1.0 - sig_pos)
+        - lam * b * delta * tie
+    )
+    return np.sum(y * sig_neg + (1 - y) * sig_pos + lam * tie), slope
+
+
 def logistic_cost(sigma, y):
     """Cross-entropy of output activations against labels, summed over the batch.
 
     ``sigma`` and ``y`` are scalars or arrays; the sum keeps their dtype.
     """
-    s = np.clip(sigma, SIGMA_CLAMP, 1.0 - SIGMA_CLAMP)
-    return -np.sum(y * np.log(s) + (1 - y) * np.log(1.0 - s))
+    return _logistic_terms(sigma, y)[0]
 
 
 def kendall_cost(delta, y, cfg: CostConfig):
@@ -124,56 +163,28 @@ def kendall_cost(delta, y, cfg: CostConfig):
 
     ``delta`` and ``y`` are scalars or arrays; the sum keeps their dtype.
     """
-    g, b, lam = cfg.gamma, cfg.beta, cfg.tie_weight
-    disagreement = y * sigmoid(-g * delta) + (1 - y) * sigmoid(g * delta)
-    return np.sum(disagreement + lam * np.exp(-b * delta * delta / 2.0))
+    return _kendall_terms(delta, y, cfg)[0]
 
 
-def _batch_gradients(
-    model: Model, batch: Batch, ys: np.ndarray, cfg: CostConfig, kind: str
-) -> tuple[dict[str, np.ndarray], float]:
-    """Summed parameter gradients and the batch cost, for one cost kind."""
+def _batch_gradients(model: Model, batch: Batch, ys: np.ndarray, cfg: CostConfig, kind: str):
+    """Summed parameter gradients and the batch cost, in the dtype of the parameters
+    and the batch, for one resolved cost kind."""
+    sigma, cache = forward_batch(model, batch)
     if kind == LOGISTIC:
-        sigma, cache = forward_batch(model, batch)
-        grads = backward_batch(model, batch, cache, sigma - ys)
-        return grads, float(logistic_cost(sigma, ys))
+        cost, dz = _logistic_terms(sigma, ys)
+        return backward_batch(model, batch, cache, dz), cost
     if kind != KENDALL:
         raise ValueError(f"cannot take gradients of unresolved cost kind {kind!r}")
     swapped = batch.swapped()
-    sigma, cache = forward_batch(model, batch)
     sigma_rev, cache_rev = forward_batch(model, swapped)
-    delta = sigma - sigma_rev
-    g, b, lam = cfg.gamma, cfg.beta, cfg.tie_weight
-    sig_neg = sigmoid(-g * delta)
-    sig_pos = sigmoid(g * delta)
-    dJ_dDelta = (
-        -g * ys * sig_neg * (1.0 - sig_neg)
-        + g * (1 - ys) * sig_pos * (1.0 - sig_pos)
-        - lam * b * delta * np.exp(-b * delta * delta / 2.0)
-    )
+    cost, dJ_dDelta = _kendall_terms(sigma - sigma_rev, ys, cfg)
     # Delta sees sigma with +1 and sigma' with -1; each pass backprops
     # through its own logistic output.
     grads = backward_batch(model, batch, cache, dJ_dDelta * sigma * (1.0 - sigma))
-    grads_rev = backward_batch(
-        model, swapped, cache_rev, -dJ_dDelta * sigma_rev * (1.0 - sigma_rev)
-    )
+    grads_rev = backward_batch(model, swapped, cache_rev, -dJ_dDelta * sigma_rev * (1.0 - sigma_rev))
     for name in grads:
         grads[name] = grads[name] + grads_rev[name]
-    return grads, float(kendall_cost(delta, ys, cfg))
-
-
-def _cost(model: Model, batch: Batch, ys: np.ndarray, cfg: CostConfig, kind: str):
-    """The batch cost of one resolved cost kind, in the dtype of the parameters and batch."""
-    if kind == LOGISTIC:
-        return logistic_cost(forward_batch(model, batch)[0], ys)
-    sigma, sigma_rev = predict_delta(model, batch)
-    return kendall_cost(sigma - sigma_rev, ys, cfg)
-
-
-def _resolved_kinds(cfg: CostConfig) -> tuple[str, ...]:
-    if cfg.kind == LOGISTIC_THEN_KENDALL:
-        return (LOGISTIC, KENDALL)
-    return (cfg.kind,)
+    return grads, cost
 
 
 def grad_check(
@@ -185,10 +196,11 @@ def grad_check(
 ) -> float:
     """Max relative error of analytic vs. central-difference gradients.
 
-    The difference quotient takes the cost in extended precision (the
-    same forward pass and cost on longdouble copies of the parameters and
-    the batch), so float64 rounding of the cost does not dominate it. The
-    schedule cost kind checks both of its phases.
+    The difference quotient takes the cost in extended precision, from
+    the same function that gives training its gradients and cost, run on
+    longdouble copies of the parameters and the batch; so float64
+    rounding of the cost does not dominate it. The schedule cost kind
+    checks each of its phases.
     """
     if not 0 < step <= 1e-3:
         raise InvalidStep(f"step must be in (0, 1e-3], got {step}")
@@ -198,10 +210,10 @@ def grad_check(
 
     def cost_ld(kind):
         params = {k: v.astype(ld) for k, v in model.params.items()}
-        return _cost(Model(model.config, params), batch_ld, ys_ld, cfg, kind)
+        return _batch_gradients(Model(model.config, params), batch_ld, ys_ld, cfg, kind)[1]
 
     max_err = 0.0
-    for kind in _resolved_kinds(cfg):
+    for kind in PHASES[cfg.kind]:
         analytic, _ = _batch_gradients(model, batch, ys, cfg, kind)
         for name in model.param_names:
             p = model.params[name]
@@ -240,6 +252,9 @@ def train(
     returned model is the best-validation-tau checkpoint; otherwise the
     final one.
     """
+    pre = ccfg.pretrain_epochs
+    if pre is not None and 0 < tcfg.epochs <= pre:
+        raise ValueError(f"pretrain_epochs ({pre}) must be less than epochs ({tcfg.epochs})")
     report = TrainReport()
     n = len(batch)
     if tcfg.epochs == 0 or n == 0:
@@ -261,7 +276,7 @@ def train(
             grads, cost = _batch_gradients(model, batch.take(idx), ys_all[idx], ccfg, kind)
             if not math.isfinite(cost):
                 raise DivergenceError(f"non-finite cost at epoch {epoch}")
-            epoch_cost += cost
+            epoch_cost += float(cost)
             for name in model.param_names:
                 g = grads[name]
                 if tcfg.l2 > 0 and name.startswith(("W", "w")):

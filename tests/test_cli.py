@@ -109,6 +109,32 @@ def test_config_value_is_checked_like_its_flag(tmp_path, capsys, data_file, key,
     assert not model.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_non_finite_float_option_refused(tmp_path, capsys, data_file, source):
+    # NaN fails both "l2 < 0" and "l2 > 0", so a range check alone would train unregularized.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"l2": NaN}')
+    extra = ["--l2", "nan"] if source == "flag" else ["--config", str(cfg)]
+    model = tmp_path / "m.json"
+    assert run(train_args(data_file, str(model)) + extra) == 1
+    assert capsys.readouterr().err.startswith("error: ValueError: l2 must be finite, got nan")
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--cost", "logistic-then-kendall", "--pretrain-epochs", "50"],
+    ["--cost", "logistic-then-kendall", "--pretrain-epochs", "3"],
+    ["--cost", "kendall", "--pretrain-epochs", "2"],
+    ["--cost", "logistic", "--pretrain-epochs", "0"],
+])
+def test_pretrain_epochs_that_cannot_apply_refused(tmp_path, capsys, data_file, flags):
+    # train_args runs 3 epochs: a schedule with 3 or more pretrain epochs has no Kendall phase.
+    model = tmp_path / "m.json"
+    assert run(train_args(data_file, str(model)) + flags) == 1
+    assert capsys.readouterr().err.startswith("error: ValueError: pretrain_epochs ")
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("opts, flags", [
     ({"cost": "logistic-then-kendall", "pretrain_epochs": None}, ["--cost", "logistic-then-kendall"]),
     ({"lr": 1}, ["--lr", "1"]),
@@ -165,6 +191,18 @@ def test_predict(tmp_path, data_file):
             c["disconcordant"] += 1
     report = json.loads(report_path.read_text())
     assert counts == {name: split["counts"] for name, split in report["per_split"].items()}
+
+
+@pytest.mark.parametrize("subcommand, out_flag", [("evaluate", "--report"), ("predict", "--out")])
+@pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+def test_bad_tie_epsilon_refused(tmp_path, capsys, data_file, subcommand, out_flag, eps):
+    model = str(tmp_path / "m.json")
+    assert run(train_args(data_file, model)) == 0
+    out = tmp_path / "out.json"
+    assert run([subcommand, "--data", data_file, "--model", model, "--tie-epsilon", eps,
+                out_flag, str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ValueError: tie_epsilon must be finite and non-negative")
+    assert not out.exists()
 
 
 def test_evaluate_matches_library(tmp_path, data_file):

@@ -113,3 +113,13 @@ def test_empty_dataset():
     empty = Batch(*(np.zeros((0, 3)) for _ in range(3)), np.zeros((0, 0)), np.zeros((0, 0)))
     with pytest.raises(EmptyEvaluation):
         evaluate(m, empty, np.zeros(0, dtype=int))
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -1.0, -1e-12])
+def test_bad_tie_epsilon_refused(eps):
+    m = init_model(ModelConfig(3, 0, 2, seed=2))
+    data = interaction_rule_dataset(10, sentence_dim=3, seed=9)
+    with pytest.raises(ValueError, match="^tie_epsilon must be finite and non-negative"):
+        evaluate(m, *data, tie_epsilon=eps)
+    # A zero band is allowed: only exact ties count.
+    assert evaluate(m, *data, tie_epsilon=0.0).counts.total == 10

@@ -11,7 +11,6 @@ from pairrank.features import (
     assemble_pairwise,
     bleu_components,
     bleu_matrix,
-    bleu_score,
     ngram_stats,
 )
 from test_acceptance import brute_bleu_fields
@@ -98,43 +97,6 @@ def test_flatten_is_16():
     c = bleu_components(["a", "b"], ["a", "b"])
     assert len(c.flatten()) == 16
     assert len(BLEUCOMP_FEATURE_NAMES) == 16
-
-
-def test_score_identity():
-    c = bleu_components(["a", "b", "c", "d", "e"], ["a", "b", "c", "d", "e"])
-    assert bleu_score(c) == 1.0
-
-
-def test_score_zero_on_no_4gram_match():
-    c = bleu_components(["a", "b", "c", "d"], ["a", "x", "c", "y"])
-    assert bleu_score(c, "none") == 0.0
-
-
-def test_score_effective_n_smoothing():
-    # 2-token hypothesis: only orders 1 and 2 exist; both precisions are 1,
-    # so the score reduces to the brevity penalty exp(-0.5).
-    c = bleu_components(["the", "cat"], ["the", "cat", "sat"])
-    assert bleu_score(c, "add-one-on-zero") == pytest.approx(math.exp(-0.5), abs=1e-12)
-
-
-def test_score_bad_smoothing():
-    c = bleu_components(["a"], ["a"])
-    with pytest.raises(ValueError):
-        bleu_score(c, "laplace")
-
-
-@given(tokens.filter(lambda t: len(t) >= 1), tokens.filter(lambda t: len(t) >= 1))
-def test_score_monotone_in_brevity(hyp, ref):
-    # Holding precisions fixed, moving hyp_len toward ref_len never hurts.
-    from dataclasses import replace
-
-    c = bleu_components(hyp, ref)
-    if c.hyp_len >= c.ref_len:
-        return
-    closer = replace(c, hyp_len=c.hyp_len + 1,
-                     brevity_penalty=math.exp(1 - c.ref_len / (c.hyp_len + 1))
-                     if c.hyp_len + 1 < c.ref_len else 1.0)
-    assert bleu_score(closer, "add-one-on-zero") >= bleu_score(c, "add-one-on-zero")
 
 
 def test_assemble_bleucomp_only():

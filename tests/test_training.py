@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from pairrank import training
 from pairrank.evaluation import evaluate
-from pairrank.model import ModelConfig, init_model, pack
+from pairrank.model import ModelConfig, backward_batch, forward_batch, init_model, pack, sigmoid
 from pairrank.synthetic import interaction_rule_dataset, linear_rule_dataset
 from pairrank.training import (
+    SIGMA_CLAMP,
     CostConfig,
     DivergenceError,
     InvalidStep,
@@ -102,6 +104,87 @@ def test_gradients_match_finite_differences(arch, kind):
         assert err <= 1e-5, f"{arch}/{kind} seed {seed}: {err}"
 
 
+def separate_gradients(model, batch, ys, cfg, kind):
+    """Each cost's slope written out on its own, and its value from a second
+    evaluation of the sigmoids: an oracle for the one-definition costs."""
+    if kind == "logistic":
+        sigma, cache = forward_batch(model, batch)
+        grads = backward_batch(model, batch, cache, sigma - ys)
+        s = np.clip(sigma, SIGMA_CLAMP, 1.0 - SIGMA_CLAMP)
+        return grads, -np.sum(ys * np.log(s) + (1 - ys) * np.log(1.0 - s))
+    swapped = batch.swapped()
+    sigma, cache = forward_batch(model, batch)
+    sigma_rev, cache_rev = forward_batch(model, swapped)
+    delta = sigma - sigma_rev
+    g, b, lam = cfg.gamma, cfg.beta, cfg.tie_weight
+    sig_neg = sigmoid(-g * delta)
+    sig_pos = sigmoid(g * delta)
+    dJ_dDelta = (
+        -g * ys * sig_neg * (1.0 - sig_neg)
+        + g * (1 - ys) * sig_pos * (1.0 - sig_pos)
+        - lam * b * delta * np.exp(-b * delta * delta / 2.0)
+    )
+    grads = backward_batch(model, batch, cache, dJ_dDelta * sigma * (1.0 - sigma))
+    grads_rev = backward_batch(model, swapped, cache_rev, -dJ_dDelta * sigma_rev * (1.0 - sigma_rev))
+    for name in grads:
+        grads[name] = grads[name] + grads_rev[name]
+    disagreement = ys * sigmoid(-g * delta) + (1 - ys) * sigmoid(g * delta)
+    return grads, np.sum(disagreement + lam * np.exp(-b * delta * delta / 2.0))
+
+
+def identical(a, b):
+    """Same dtype and the same value in every place, signed zeros included.
+
+    Without NaNs that is byte equality, leaving out longdouble's padding bytes.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("arch", ["multi-layer", "single-layer"])
+@pytest.mark.parametrize("kind", ["logistic", "kendall"])
+def test_batch_gradients_equal_separate_oracle(kind, arch, dtype):
+    cfg = CostConfig(kind=kind, gamma=100.0, beta=50.0, tie_weight=0.3)
+    rng = np.random.default_rng(17)
+    saturated = 0
+    for seed in range(4):
+        m = init_model(ModelConfig(3, 2, 2, arch, seed=seed))
+        # Large output weights push many deltas far past where gamma * delta saturates.
+        m.params["w_out"] = 20.0 * m.params["w_out"]
+        batch = pack([tuple(rng.normal(size=k) for k in (3, 3, 3, 2, 2)) for _ in range(24)])
+        ys = rng.integers(0, 2, size=24).astype(float)
+        m = dataclasses.replace(m, params={k: v.astype(dtype) for k, v in m.params.items()})
+        batch, ys = batch.astype(dtype), ys.astype(dtype)
+        sigma, sigma_rev = forward_batch(m, batch)[0], forward_batch(m, batch.swapped())[0]
+        saturated += int(np.sum(np.abs(cfg.gamma * (sigma - sigma_rev)) > 40.0))
+        grads, cost = _batch_gradients(m, batch, ys, cfg, kind)
+        want_grads, want_cost = separate_gradients(m, batch, ys, cfg, kind)
+        assert np.asarray(cost).dtype == dtype
+        assert identical(cost, want_cost)
+        assert grads.keys() == want_grads.keys()
+        for name in grads:
+            assert identical(grads[name], want_grads[name]), name
+    assert saturated > 0
+
+
+@pytest.mark.parametrize("terms, kind", [
+    ("_kendall_terms", "kendall"), ("_kendall_terms", "logistic-then-kendall"), ("_logistic_terms", "logistic"),
+])
+def test_grad_check_catches_a_wrong_slope(monkeypatch, terms, kind):
+    # The gradient check reads its cost from the function that gives the slope;
+    # a slope off by 1% must still show, so the check is not circular.
+    true_terms = getattr(training, terms)
+
+    def off_slope(*args):
+        cost, slope = true_terms(*args)
+        return cost, 1.01 * slope
+
+    monkeypatch.setattr(training, terms, off_slope)
+    m = init_model(ModelConfig(3, 2, 2, seed=4))
+    assert grad_check(m, *mixed_examples(5, seed=4), CostConfig(kind=kind)) > 1e-5
+
+
 def test_grad_check_invalid_step():
     m = init_model(CFG)
     with pytest.raises(InvalidStep):
@@ -117,6 +200,39 @@ def test_cost_config_validation():
         CostConfig(gamma=0.0)
     with pytest.raises(ValueError):
         CostConfig(kind="logistic-then-kendall", pretrain_epochs=-3)
+    for kind in ("logistic", "kendall"):
+        with pytest.raises(ValueError, match="pretrain_epochs applies only to"):
+            CostConfig(kind=kind, pretrain_epochs=2)
+
+
+@pytest.mark.parametrize("cls, field", [
+    (TrainConfig, "learning_rate"), (TrainConfig, "l2"),
+    (CostConfig, "gamma"), (CostConfig, "beta"), (CostConfig, "tie_weight"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_float_field_refused(cls, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        cls(**{field: value})
+
+
+@pytest.mark.parametrize("pretrain, epochs", [(3, 3), (50, 3)])
+def test_pretrain_epochs_must_leave_a_kendall_phase(pretrain, epochs):
+    data = mixed_examples(8)
+    m = init_model(CFG)
+    with pytest.raises(ValueError, match=r"^pretrain_epochs \(\d+\) must be less than epochs"):
+        train(m, *data, *data, TrainConfig(epochs=epochs),
+              CostConfig(kind="logistic-then-kendall", pretrain_epochs=pretrain))
+
+
+def test_pretrain_epochs_within_the_schedule_still_train():
+    data = mixed_examples(8)
+    m = init_model(CFG)
+    schedule = CostConfig(kind="logistic-then-kendall", pretrain_epochs=3)
+    _, report = train(m, *data, *data, TrainConfig(epochs=4, batch_size=4), schedule)
+    assert [r.cost_kind for r in report.epochs] == ["logistic"] * 3 + ["kendall"]
+    # With no epochs to run, no phase is missing.
+    _, report = train(m, *data, *data, TrainConfig(epochs=0), schedule)
+    assert report.epochs == []
 
 
 def test_phase_schedule():

@@ -13,14 +13,13 @@ from .model import (
     Batch,
     Model,
     ModelConfig,
-    decide,
     forward_batch,
     init_model,
     load_model,
     pack,
     save_model,
 )
-from .evaluation import EvalReport, PairCounts, evaluate, kendall_tau, predict_delta
+from .evaluation import EvalReport, PairCounts, evaluate, kendall_tau, predict_delta, verdicts
 from .training import (
     CostConfig,
     TrainConfig,

@@ -19,8 +19,8 @@ import numpy as np
 from . import data_ingest, evaluation, training
 from .embeddings import EmbeddingTable, load_embedding_table
 from .features import BLEUCOMP_FEATURE_NAMES
-from .evaluation import predict_delta
-from .model import ARCHITECTURES, DEFAULT_TIE_EPSILON, ModelConfig, decide, init_model, load_model, save_model
+from .evaluation import DEFAULT_TIE_EPSILON, predict_delta, verdicts
+from .model import ARCHITECTURES, ModelConfig, init_model, load_model, save_model
 from .training import CostConfig, TrainConfig, grad_check, train
 
 # Each train option, once: its config-file key (the flag is the key with "-"
@@ -192,23 +192,23 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+# The decision predict writes for each verdict code, indexed by it: 0, 1 and -1 (the last).
+DECISIONS = np.array(["t2-better", "t1-better", "tie"])
+
+
 def cmd_predict(args) -> int:
     evaluation.check_tie_epsilon(args.tie_epsilon)
     dataset, batch, _ = _load_data(args.data, _load_table(args.embeddings))
     with open(args.model, encoding="utf-8") as f:
         model = load_model(f)
     sigma, sigma_rev = predict_delta(model, batch)
-    rows = zip(dataset.tuples, sigma.tolist(), sigma_rev.tolist(), (sigma - sigma_rev).tolist())
+    deltas = sigma - sigma_rev
+    decisions = DECISIONS[verdicts(deltas, args.tie_epsilon)]
+    rows = zip(dataset.tuples, sigma.tolist(), sigma_rev.tolist(), deltas.tolist(), decisions.tolist())
     _write_jsonl(
         (
-            {
-                "id": t.id,
-                "sigma": s,
-                "sigma_rev": s_rev,
-                "delta": delta,
-                "decision": decide(delta, args.tie_epsilon),
-            }
-            for t, s, s_rev, delta in rows
+            {"id": t.id, "sigma": s, "sigma_rev": s_rev, "delta": delta, "decision": decision}
+            for t, s, s_rev, delta, decision in rows
         ),
         args.out,
     )

@@ -205,7 +205,9 @@ def vectorize(
     Sentence vectors come from the precomputed fields when the dataset has
     them, otherwise from mean composition over ``table``, otherwise they
     have width 0. The pairwise feature vectors always include freshly
-    computed BLEU components, with any external scores appended. The work
+    computed BLEU components, then the external scores in
+    ``dataset.feature_schema`` order; a tuple scored under other names
+    raises ``InconsistentSchema``. The work
     runs in bulk, ``CHUNK_TUPLES`` tuples at a time, into preallocated
     columns, and gives the same values bit for bit as counting and
     composing one tuple at a time.
@@ -216,26 +218,33 @@ def vectorize(
         raise DatasetFormatError(
             f"tuple {missing[0]}: no precomputed vectors of dimension {dataset.sentence_dim}"
         )
+    schema = set(dataset.feature_schema)
+    unlike = [t.id for t in tuples if not schema == t.external_scores_1.keys() == t.external_scores_2.keys()]
+    if unlike:
+        raise InconsistentSchema(
+            f"tuple {unlike[0]}: external score names do not match schema {dataset.feature_schema}"
+        )
     compose = table is not None and dataset.sentence_dim == 0
     n = len(tuples)
     dim = table.dimension if compose else dataset.sentence_dim
     width = len(BLEUCOMP_FEATURE_NAMES) + len(dataset.feature_schema)
     batch = Batch(*(np.empty((n, dim)) for _ in range(3)), *(np.empty((n, width)) for _ in range(2)))
     for lo in range(0, n, CHUNK_TUPLES):
-        _fill_chunk(batch, lo, tuples[lo : lo + CHUNK_TUPLES], table if compose else None)
+        _fill_chunk(batch, lo, tuples[lo : lo + CHUNK_TUPLES], dataset.feature_schema, table if compose else None)
     return batch, np.array([t.y for t in tuples], dtype=int)
 
 
 def _fill_chunk(
-    batch: Batch, lo: int, tuples: list[EvaluationTuple], table: Optional[EmbeddingTable]
+    batch: Batch, lo: int, tuples: list[EvaluationTuple], schema: list[str], table: Optional[EmbeddingTable]
 ) -> None:
-    """Write the rows of ``tuples`` into ``batch`` from row ``lo``; compose vectors over ``table`` if given."""
+    """Write the rows of ``tuples`` into ``batch`` from row ``lo``, external scores in
+    ``schema`` order; compose vectors over ``table`` if given."""
     n = len(tuples)
     rows = slice(lo, lo + n)
     bleu = bleu_matrix([t.hyp1 for t in tuples] + [t.hyp2 for t in tuples],
                        [t.reference for t in tuples] * 2)
     scores = [t.external_scores_1 for t in tuples] + [t.external_scores_2 for t in tuples]
-    external = np.array([[s[k] for k in sorted(s)] for s in scores], dtype=float).reshape(2 * n, -1)
+    external = np.array([[s[k] for k in schema] for s in scores], dtype=float).reshape(2 * n, -1)
     bad = np.flatnonzero(~np.isfinite(external).all(axis=1))
     if len(bad):
         raise NonFiniteFeature(f"tuple {tuples[bad[0] % n].id}: non-finite external score")

@@ -22,10 +22,6 @@ class InconsistentDimensionError(EmbeddingError):
     pass
 
 
-class DimensionMismatchError(EmbeddingError):
-    pass
-
-
 class EmptyTableError(EmbeddingError):
     pass
 
@@ -163,17 +159,14 @@ def _parse_block(linenos: Sequence[int], rests: Sequence[str], dimension: Option
     return np.array(vectors)
 
 
-def load_embedding_table(
-    source: IO[str] | Iterable[str],
-    expected_dimension: Optional[int] = None,
-) -> EmbeddingTable:
+def load_embedding_table(source: IO[str] | Iterable[str]) -> EmbeddingTable:
     """Parse a text embedding file into an :class:`EmbeddingTable`.
 
     Vector fields are parsed ``BLOCK_LINES`` lines at a time with numpy's
     float parser. Duplicate tokens keep the first occurrence; the number
     skipped is recorded on the table. Raises, naming the line, on
     inconsistent dimensions, non-numeric fields and non-finite values;
-    raises on empty input or a mismatch with ``expected_dimension``.
+    raises on empty input.
     """
     rows: dict[str, int] = {}
     blocks: list[np.ndarray] = []
@@ -196,10 +189,6 @@ def load_embedding_table(
         blocks.append(values[keep])
     if not rows:
         raise EmptyTableError("no embedding entries in input")
-    if expected_dimension is not None and dimension != expected_dimension:
-        raise DimensionMismatchError(
-            f"table dimension {dimension} != expected {expected_dimension}"
-        )
     matrix = np.vstack([np.zeros((1, dimension))] + blocks)
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if len(bad):

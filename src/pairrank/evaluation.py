@@ -14,10 +14,12 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .model import DEFAULT_TIE_EPSILON, Batch, Model, forward_batch
+from .model import Batch, Model, forward_batch
 
 # Not called here: the benchmark's traced run hooks this name on this module.
 from .model import pack  # noqa: F401
+
+DEFAULT_TIE_EPSILON = 1e-6
 
 
 class EmptyEvaluation(ValueError):
@@ -55,13 +57,19 @@ def check_tie_epsilon(tie_epsilon: float) -> None:
         raise ValueError(f"tie_epsilon must be finite and non-negative, got {tie_epsilon}")
 
 
+def verdicts(deltas: np.ndarray, tie_epsilon: float) -> np.ndarray:
+    """The model's verdict on each tuple, coded as the label it agrees with.
+
+    1: hypothesis 1 is better (delta > tie_epsilon); 0: hypothesis 2 is
+    (delta < -tie_epsilon); -1: a tie (|delta| <= tie_epsilon).
+    """
+    return np.where(np.abs(deltas) <= tie_epsilon, -1, (deltas > 0).astype(int))
+
+
 def _count(deltas: np.ndarray, labels: np.ndarray, tie_epsilon: float) -> PairCounts:
-    tie = np.abs(deltas) <= tie_epsilon
-    prefer_t1 = deltas > 0
-    agree = prefer_t1 == (labels == 1)
-    c = int(np.sum(~tie & agree))
-    d = int(np.sum(~tie & ~agree))
-    return PairCounts(concordant=c, disconcordant=d, ties=int(np.sum(tie)))
+    v = verdicts(deltas, tie_epsilon)
+    c, t = int(np.sum(v == labels)), int(np.sum(v == -1))
+    return PairCounts(concordant=c, disconcordant=len(v) - c - t, ties=t)
 
 
 def predict_delta(model: Model, batch: Batch) -> tuple[np.ndarray, np.ndarray]:

@@ -42,23 +42,28 @@ class ModelConfig:
         if self.architecture == MULTI_LAYER and self.hidden_per_block < 1:
             raise ValueError("hidden_per_block must be positive")
 
-    @property
-    def output_dim(self) -> int:
-        """Length of the output-layer weight vector."""
-        if self.architecture == MULTI_LAYER:
-            return 3 * self.hidden_per_block + 2 * self.pairwise_dim
-        return 3 * self.sentence_dim + 2 * self.pairwise_dim
+
+# The interaction blocks of the multi-layer network: each block's name and
+# the two sentence-vector columns of the Batch whose concatenation it reads.
+# Its parameters are W<name> (hidden_per_block x 2 * sentence_dim) and
+# b<name>; its tanh units fill the next hidden_per_block inputs of the
+# output layer.
+BLOCKS = {"12": ("P1", "P2"), "1r": ("P1", "Pr"), "2r": ("P2", "Pr")}
 
 
-# Hypothesis 1 better / hypothesis 2 better / undecided.
-T1_BETTER = "t1-better"
-T2_BETTER = "t2-better"
-TIE = "tie"
-
-DEFAULT_TIE_EPSILON = 1e-6
-
-_BLOCK_PARAMS = ("W12", "b12", "W1r", "b1r", "W2r", "b2r")
-PARAM_NAMES = _BLOCK_PARAMS + ("w_out", "b_out")
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Each parameter's shape, in checkpoint order: block weights, block biases,
+    then the output layer, whose inputs are the three blocks' units (the three
+    sentence vectors for the single-layer model) and the two pairwise vectors."""
+    h, d = config.hidden_per_block, config.sentence_dim
+    shapes: dict[str, tuple[int, ...]] = {}
+    if config.architecture == MULTI_LAYER:
+        shapes.update({f"W{name}": (h, 2 * d) for name in BLOCKS})
+        shapes.update({f"b{name}": (h,) for name in BLOCKS})
+        inner = len(BLOCKS) * h
+    else:
+        inner = 3 * d
+    return shapes | {"w_out": (inner + 2 * config.pairwise_dim,), "b_out": ()}
 
 
 @dataclass
@@ -67,28 +72,22 @@ class Model:
     params: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        c = self.config
-        if c.architecture == MULTI_LAYER:
-            h, d = c.hidden_per_block, c.sentence_dim
-            for w in ("W12", "W1r", "W2r"):
-                if self.params[w].shape != (h, 2 * d):
-                    raise ShapeMismatchError(f"{w} must be {h}x{2 * d}")
-            for b in ("b12", "b1r", "b2r"):
-                if self.params[b].shape != (h,):
-                    raise ShapeMismatchError(f"{b} must have length {h}")
-        if self.params["w_out"].shape != (c.output_dim,):
-            raise ShapeMismatchError(f"w_out must have length {c.output_dim}")
-        if self.params["b_out"].shape != ():
-            raise ShapeMismatchError("b_out must be a scalar")
-        for name, p in self.params.items():
-            if not np.all(np.isfinite(p)):
+        shapes = param_shapes(self.config)
+        missing = [name for name in shapes if name not in self.params]
+        extra = [name for name in self.params if name not in shapes]
+        if missing or extra:
+            raise ShapeMismatchError(
+                "; ".join([f"missing parameter {n}" for n in missing] + [f"unexpected parameter {n}" for n in extra])
+            )
+        for name, shape in shapes.items():
+            if self.params[name].shape != shape:
+                raise ShapeMismatchError(f"{name} must have shape {shape}, got {self.params[name].shape}")
+            if not np.all(np.isfinite(self.params[name])):
                 raise ShapeMismatchError(f"non-finite values in {name}")
 
     @property
     def param_names(self) -> tuple[str, ...]:
-        if self.config.architecture == MULTI_LAYER:
-            return PARAM_NAMES
-        return ("w_out", "b_out")
+        return tuple(param_shapes(self.config))
 
     def copy(self) -> "Model":
         return Model(self.config, {k: v.copy() for k, v in self.params.items()})
@@ -103,21 +102,15 @@ def sigmoid(x):
 def init_model(config: ModelConfig) -> Model:
     """Seeded Glorot-uniform weights, zero biases."""
     rng = np.random.default_rng(config.seed)
-
-    def uniform(shape, fan_in, fan_out):
-        eps = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-eps, eps, size=shape)
-
     params: dict[str, np.ndarray] = {}
-    if config.architecture == MULTI_LAYER:
-        h, d = config.hidden_per_block, config.sentence_dim
-        for w in ("W12", "W1r", "W2r"):
-            params[w] = uniform((h, 2 * d), 2 * d, h)
-        for b in ("b12", "b1r", "b2r"):
-            params[b] = np.zeros(h)
-    k = config.output_dim
-    params["w_out"] = uniform((k,), k, 1)
-    params["b_out"] = np.array(0.0)
+    for name, shape in param_shapes(config).items():
+        if name.startswith("b"):
+            params[name] = np.zeros(shape)
+            continue
+        # A weight matrix maps its columns to its rows; w_out feeds one unit.
+        fan_out, fan_in = shape if len(shape) == 2 else (1, shape[0])
+        eps = np.sqrt(6.0 / (fan_in + fan_out))
+        params[name] = rng.uniform(-eps, eps, size=shape)
     return Model(config=config, params=params)
 
 
@@ -172,50 +165,27 @@ def forward_batch(model: Model, batch: Batch):
     _check_batch(model, batch)
     p = model.params
     if model.config.architecture == MULTI_LAYER:
-        X12 = np.hstack([batch.P1, batch.P2])
-        X1r = np.hstack([batch.P1, batch.Pr])
-        X2r = np.hstack([batch.P2, batch.Pr])
-        H12 = np.tanh(X12 @ p["W12"].T + p["b12"])
-        H1r = np.tanh(X1r @ p["W1r"].T + p["b1r"])
-        H2r = np.tanh(X2r @ p["W2r"].T + p["b2r"])
-        Z = np.hstack([H12, H1r, H2r, batch.F1, batch.F2])
-        cache = (X12, X1r, X2r, H12, H1r, H2r, Z)
+        X = [np.hstack([getattr(batch, a), getattr(batch, b)]) for a, b in BLOCKS.values()]
+        inner = [np.tanh(x @ p[f"W{name}"].T + p[f"b{name}"]) for name, x in zip(BLOCKS, X)]
     else:
-        Z = np.hstack([batch.P1, batch.P2, batch.Pr, batch.F1, batch.F2])
-        cache = (Z,)
+        X, inner = [], [batch.P1, batch.P2, batch.Pr]
+    Z = np.hstack(inner + [batch.F1, batch.F2])
     sigma = sigmoid(Z @ p["w_out"] + p["b_out"])
-    return sigma, cache
+    return sigma, (X, inner, Z)
 
 
 def backward_batch(model: Model, batch: Batch, cache, dz: np.ndarray) -> dict[str, np.ndarray]:
     """Parameter gradients given upstream dJ/d(pre-sigmoid output), summed over the batch."""
-    p = model.params
-    grads: dict[str, np.ndarray] = {}
-    if model.config.architecture == MULTI_LAYER:
-        X12, X1r, X2r, H12, H1r, H2r, Z = cache
-        h = model.config.hidden_per_block
-        grads["w_out"] = Z.T @ dz
-        grads["b_out"] = np.array(dz.sum())
-        dZ = np.outer(dz, p["w_out"])
-        for name, (H, X, lo) in {
-            "12": (H12, X12, 0),
-            "1r": (H1r, X1r, h),
-            "2r": (H2r, X2r, 2 * h),
-        }.items():
-            dA = dZ[:, lo : lo + h] * (1.0 - H * H)
-            grads[f"W{name}"] = dA.T @ X
-            grads[f"b{name}"] = dA.sum(axis=0)
-    else:
-        (Z,) = cache
-        grads["w_out"] = Z.T @ dz
-        grads["b_out"] = np.array(dz.sum())
+    X, H, Z = cache
+    h = model.config.hidden_per_block
+    grads = {"w_out": Z.T @ dz, "b_out": np.array(dz.sum())}
+    # Only the block units' slice of the output weights reaches a block.
+    dZ = np.outer(dz, model.params["w_out"][: len(X) * h])
+    for i, (name, x, units) in enumerate(zip(BLOCKS, X, H)):
+        dA = dZ[:, i * h : (i + 1) * h] * (1.0 - units * units)
+        grads[f"W{name}"] = dA.T @ x
+        grads[f"b{name}"] = dA.sum(axis=0)
     return grads
-
-
-def decide(delta: float, tie_epsilon: float = DEFAULT_TIE_EPSILON) -> str:
-    if abs(delta) <= tie_epsilon:
-        return TIE
-    return T1_BETTER if delta > 0 else T2_BETTER
 
 
 def save_model(model: Model, sink: IO[str]) -> None:
@@ -234,5 +204,4 @@ def load_model(source: IO[str]) -> Model:
         raise ValueError(f"unknown activation: {activation}")
     config = ModelConfig(**doc["config"])
     params = {k: np.array(v, dtype=float) for k, v in doc["params"].items()}
-    params["b_out"] = np.array(float(doc["params"]["b_out"]))
     return Model(config=config, params=params)

@@ -138,6 +138,13 @@ def test_vectorize_missing_table():
         vectorize(ds)
 
 
+def test_vectorize_refuses_scores_outside_the_schema():
+    scored_n = EvaluationTuple(id="t7", split="all", reference=["a"], hyp1=["a"], hyp2=["b"], y=1,
+                               external_scores_1={"N": 0.9}, external_scores_2={"N": 0.1})
+    with pytest.raises(InconsistentSchema, match=r"^tuple t7: external score names do not match schema \['M'\]$"):
+        vectorize(Dataset([scored_n], feature_schema=["M"], sentence_dim=0))
+
+
 def test_vectorize_features_match_independent_extraction():
     lines = token_dataset_lines(100, seed=11, with_external=True)
     ds = load_dataset(io.StringIO("\n".join(lines)))

@@ -1,5 +1,4 @@
 import io
-from typing import Optional
 from unittest import mock
 
 import numpy as np
@@ -14,7 +13,6 @@ from pairrank.embeddings import (
     EmbeddingTable,
     EmptyTableError,
     InconsistentDimensionError,
-    DimensionMismatchError,
     compose_mean_matrix,
     compose_sentence_vector,
     load_embedding_table,
@@ -62,11 +60,6 @@ def test_non_numeric_field():
 def test_empty_input():
     with pytest.raises(EmptyTableError):
         load_embedding_table(io.StringIO(""))
-
-
-def test_expected_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        load_embedding_table(io.StringIO("a 1.0 2.0\n"), expected_dimension=3)
 
 
 def test_duplicates_keep_first():
@@ -178,7 +171,7 @@ def test_bulk_compose_matches_sequential_mean(sentences, values):
         assert n_oov == want_oov
 
 
-def per_line_load(lines, expected_dimension: Optional[int] = None):
+def per_line_load(lines):
     """The line-at-a-time loader that block parsing replaced, kept as the oracle.
 
     Returns ``{token: (line number, vector)}`` in file order and the number
@@ -216,33 +209,29 @@ def per_line_load(lines, expected_dimension: Optional[int] = None):
         entries[token] = (lineno, vec)
     if dimension is None or not entries:
         raise EmptyTableError("no embedding entries in input")
-    if expected_dimension is not None and dimension != expected_dimension:
-        raise DimensionMismatchError(
-            f"table dimension {dimension} != expected {expected_dimension}"
-        )
     return entries, duplicates
 
 
-def assert_loads_like_per_line(lines, expected_dimension=None):
+def assert_loads_like_per_line(lines):
     """The block loader gives the oracle's table, or the same error for the same line.
 
     The oracle reads non-finite values; the block loader must instead name
     the line of the first kept vector that holds one.
     """
     try:
-        want = per_line_load(lines, expected_dimension)
+        want = per_line_load(lines)
     except EmbeddingError as exc:
         with pytest.raises(type(exc)) as got:
-            load_embedding_table(lines, expected_dimension)
+            load_embedding_table(lines)
         assert type(got.value) is type(exc) and str(got.value) == str(exc)
         return
     entries, duplicates = want
     bad = [lineno for lineno, vec in entries.values() if not np.isfinite(vec).all()]
     if bad:
         with pytest.raises(EmbeddingError, match=f"^line {bad[0]}: non-finite vector value$"):
-            load_embedding_table(lines, expected_dimension)
+            load_embedding_table(lines)
         return
-    table = load_embedding_table(lines, expected_dimension)
+    table = load_embedding_table(lines)
     assert list(table.rows) == list(entries)
     assert list(table.rows.values()) == list(range(1, len(entries) + 1))
     assert table.matrix[0].tobytes() == np.zeros(table.dimension).tobytes()
@@ -285,15 +274,14 @@ def table_files(draw):
     header = draw(st.sampled_from([None, f"{n} {dim}", "2 3", "x 3"]))
     if header is not None:
         lines.insert(draw(st.integers(0, 1)), header)
-    return [line + "\n" for line in lines], draw(st.sampled_from([None, dim, dim + 1]))
+    return [line + "\n" for line in lines]
 
 
 @settings(max_examples=400, deadline=None)
 @given(table_files())
-def test_block_loader_matches_per_line_loader(table):
-    lines, expected_dimension = table
+def test_block_loader_matches_per_line_loader(lines):
     with mock.patch.object(embeddings, "BLOCK_LINES", 4):
-        assert_loads_like_per_line(lines, expected_dimension)
+        assert_loads_like_per_line(lines)
 
 
 def numbered_lines(n):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pairrank.evaluation import EmptyEvaluation, PairCounts, evaluate, kendall_tau, predict_delta
-from pairrank.model import Batch, ModelConfig, decide, init_model
+from pairrank.evaluation import EmptyEvaluation, PairCounts, evaluate, kendall_tau, predict_delta, verdicts
+from pairrank.model import Batch, ModelConfig, init_model
 from pairrank.synthetic import interaction_rule_dataset
 
 CFG = ModelConfig(sentence_dim=3, pairwise_dim=0, hidden_per_block=2)
@@ -61,10 +61,10 @@ def test_counts_match_brute_force():
     c = d = t = 0
     for i, y in enumerate(labels):
         sigma, sigma_rev = predict_delta(m, batch.take([i]))
-        decision = decide(float(sigma[0] - sigma_rev[0]), 1e-6)
-        if decision == "tie":
+        delta = float(sigma[0] - sigma_rev[0])
+        if abs(delta) <= 1e-6:
             t += 1
-        elif (decision == "t1-better") == (y == 1):
+        elif (delta > 0) == (y == 1):
             c += 1
         else:
             d += 1
@@ -123,3 +123,28 @@ def test_bad_tie_epsilon_refused(eps):
         evaluate(m, *data, tie_epsilon=eps)
     # A zero band is allowed: only exact ties count.
     assert evaluate(m, *data, tie_epsilon=0.0).counts.total == 10
+
+
+@pytest.mark.parametrize(
+    "delta, eps, verdict",
+    [
+        (0.3, 1e-6, 1),
+        (0.0, 1e-6, -1),
+        (-1e-7, 1e-6, -1),
+        (-0.2, 1e-6, 0),
+        # The band's edges are ties; just outside them is not.
+        (1e-6, 1e-6, -1),
+        (-1e-6, 1e-6, -1),
+        (np.nextafter(1e-6, 1.0), 1e-6, 1),
+        (np.nextafter(-1e-6, -1.0), 1e-6, 0),
+        (0.0, 0.0, -1),
+        (-0.0, 0.0, -1),
+        (-0.0, 1e-6, -1),
+        # With a zero band only an exact zero is a tie.
+        (5e-324, 0.0, 1),
+        (-5e-324, 0.0, 0),
+    ],
+)
+def test_verdicts(delta, eps, verdict):
+    assert verdicts(np.array([delta]), eps).tolist() == [verdict]
+

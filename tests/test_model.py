@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from pairrank.evaluation import predict_delta
 from pairrank.model import (
     ModelConfig,
     ShapeMismatchError,
-    decide,
     forward_batch,
     init_model,
     load_model,
@@ -151,13 +151,6 @@ def test_delta_antisymmetric_under_swap(seed):
     assert sigma == swapped_sigma_rev
 
 
-def test_decide():
-    assert decide(0.3, 1e-6) == "t1-better"
-    assert decide(0.0, 1e-6) == "tie"
-    assert decide(-1e-7, 1e-6) == "tie"
-    assert decide(-0.2, 1e-6) == "t2-better"
-
-
 def test_checkpoint_roundtrip():
     for cfg in (CFG, CFG_FLAT):
         m = init_model(cfg)
@@ -199,3 +192,19 @@ def test_checkpoint_naming_tanh_activation_loads():
     assert buf.getvalue() == OLD_CHECKPOINT.replace('"hidden_activation": "tanh", ', "")
     with pytest.raises(ValueError, match="unknown activation: relu"):
         load_model(io.StringIO(OLD_CHECKPOINT.replace('"tanh"', '"relu"')))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda params: params.update(W13=[[0.0, 0.0]]), "^unexpected parameter W13$"),
+        (lambda params: params.pop("b1r"), "^missing parameter b1r$"),
+        (lambda params: params.update(b_out=[0.0]), r"^b_out must have shape \(\), got \(1,\)$"),
+    ],
+    ids=["stray", "missing", "list-valued-b_out"],
+)
+def test_checkpoint_params_checked_against_layout(edit, message):
+    doc = json.loads(OLD_CHECKPOINT)
+    edit(doc["params"])
+    with pytest.raises(ShapeMismatchError, match=message):
+        load_model(io.StringIO(json.dumps(doc)))

@@ -1,14 +1,6 @@
 """Pairwise neural ranking of machine-translation hypotheses."""
 
-from .embeddings import EmbeddingTable, SentenceVector, compose_sentence_vector, load_embedding_table
-from .features import (
-    BleuComponents,
-    NGramStats,
-    PairwiseFeatures,
-    assemble_pairwise,
-    bleu_components,
-    ngram_stats,
-)
+from .embeddings import EmbeddingTable, load_embedding_table
 from .model import (
     Batch,
     Model,

@@ -177,60 +177,37 @@ def load_dataset(source: IO[str] | Iterable[str]) -> Dataset:
     )
 
 
-def save_dataset(dataset: Dataset, sink: IO[str]) -> None:
-    for t in dataset.tuples:
-        doc = {
-            "id": t.id,
-            "split": t.split,
-            "reference": t.reference,
-            "hyp1": t.hyp1,
-            "hyp2": t.hyp2,
-            "y": t.y,
-        }
-        if t.external_scores_1 or t.external_scores_2:
-            doc["external_scores_1"] = t.external_scores_1
-            doc["external_scores_2"] = t.external_scores_2
-        if t.psi_t1 is not None:
-            doc.update(psi_t1=t.psi_t1, psi_t2=t.psi_t2, psi_r=t.psi_r)
-        json.dump(doc, sink)
-        sink.write("\n")
-
-
 def vectorize(
     dataset: Dataset,
     table: Optional[EmbeddingTable] = None,
 ) -> tuple[Batch, np.ndarray]:
     """Turn tuples into one batch of model inputs and an int label array, in order.
 
-    Sentence vectors come from the precomputed fields when the dataset has
-    them, otherwise from mean composition over ``table``, otherwise they
-    have width 0. The pairwise feature vectors always include freshly
-    computed BLEU components, then the external scores in
-    ``dataset.feature_schema`` order; a tuple scored under other names
-    raises ``InconsistentSchema``. The work
-    runs in bulk, ``CHUNK_TUPLES`` tuples at a time, into preallocated
-    columns, and gives the same values bit for bit as counting and
-    composing one tuple at a time.
+    Sentence vectors come from one source: the precomputed fields when the
+    dataset has them, else mean composition over ``table`` when given, else
+    they have width 0; a table given for precomputed vectors raises. The
+    pairwise feature vectors always include freshly computed BLEU
+    components, then the external scores in ``dataset.feature_schema``
+    order; a tuple scored under other names raises ``InconsistentSchema``.
+    The work runs in bulk, ``CHUNK_TUPLES`` tuples at a time, into
+    preallocated columns, and gives the same values bit for bit as counting
+    and composing one tuple at a time.
     """
     tuples = dataset.tuples
-    missing = [t.id for t in tuples if t.psi_t1 is None]
-    if dataset.sentence_dim and missing:
-        raise DatasetFormatError(
-            f"tuple {missing[0]}: no precomputed vectors of dimension {dataset.sentence_dim}"
-        )
     schema = set(dataset.feature_schema)
-    unlike = [t.id for t in tuples if not schema == t.external_scores_1.keys() == t.external_scores_2.keys()]
-    if unlike:
-        raise InconsistentSchema(
-            f"tuple {unlike[0]}: external score names do not match schema {dataset.feature_schema}"
-        )
-    compose = table is not None and dataset.sentence_dim == 0
+    for t in tuples:
+        if t.psi_t1 is not None and table is not None:
+            raise DatasetFormatError(f"tuple {t.id}: precomputed sentence vectors and an embedding table given")
+        if t.psi_t1 is None and dataset.sentence_dim:
+            raise DatasetFormatError(f"tuple {t.id}: no precomputed vectors of dimension {dataset.sentence_dim}")
+        if not schema == t.external_scores_1.keys() == t.external_scores_2.keys():
+            raise InconsistentSchema(f"tuple {t.id}: external score names do not match schema {dataset.feature_schema}")
     n = len(tuples)
-    dim = table.dimension if compose else dataset.sentence_dim
+    dim = table.dimension if table is not None else dataset.sentence_dim
     width = len(BLEUCOMP_FEATURE_NAMES) + len(dataset.feature_schema)
     batch = Batch(*(np.empty((n, dim)) for _ in range(3)), *(np.empty((n, width)) for _ in range(2)))
     for lo in range(0, n, CHUNK_TUPLES):
-        _fill_chunk(batch, lo, tuples[lo : lo + CHUNK_TUPLES], dataset.feature_schema, table if compose else None)
+        _fill_chunk(batch, lo, tuples[lo : lo + CHUNK_TUPLES], dataset.feature_schema, table)
     return batch, np.array([t.y for t in tuples], dtype=int)
 
 

@@ -27,9 +27,10 @@ class EmptyTableError(EmbeddingError):
 
 
 # Entry lines per np.loadtxt call: enough to amortise the call, few enough
-# that the parse's temporaries stay small. Importing pairrank and loading a
-# 4777 x 100 table peaks at 46 MB RSS when one call parses the whole file
-# and at 38 MB with 512-line blocks (33 MB with one float() per field).
+# that the parse's temporaries stay small. Importing pairrank (28.5 MB) and
+# loading a 4777 x 100 table peaks at 45 MB RSS when one call parses the
+# whole file and at 34.5 MB with 512-line blocks (33 MB with one float()
+# per field).
 BLOCK_LINES = 512
 
 
@@ -55,9 +56,6 @@ class EmbeddingTable:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.rows
 
 
 @dataclass
@@ -169,7 +167,9 @@ def load_embedding_table(source: IO[str] | Iterable[str]) -> EmbeddingTable:
     raises on empty input.
     """
     rows: dict[str, int] = {}
-    blocks: list[np.ndarray] = []
+    # Grown in place block by block: stacking the blocks at the end would
+    # hold the table twice. Row 0 stays the zero vector.
+    matrix = np.zeros((1, 0))
     row_lines: list[int] = []  # the line each of rows 1, 2, ... came from
     dimension: Optional[int] = None
     duplicates = 0
@@ -186,20 +186,15 @@ def load_embedding_table(source: IO[str] | Iterable[str]) -> EmbeddingTable:
                 row_lines.append(lineno)
             keep.append(new)
         duplicates += len(keep) - sum(keep)
-        blocks.append(values[keep])
+        top = len(matrix)
+        matrix.resize((len(rows) + 1, dimension), refcheck=False)
+        matrix[top:] = values[keep]
     if not rows:
         raise EmptyTableError("no embedding entries in input")
-    matrix = np.vstack([np.zeros((1, dimension))] + blocks)
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if len(bad):
         raise EmbeddingError(f"line {row_lines[bad[0] - 1]}: non-finite vector value")
     return EmbeddingTable(matrix, rows, duplicates_skipped=duplicates)
-
-
-def save_embedding_table(table: EmbeddingTable, sink: IO[str]) -> None:
-    """Write the table back out; floats use repr so reload is bit-exact."""
-    for token, row in table.rows.items():
-        sink.write(token + " " + " ".join(map(repr, table.matrix[row].tolist())) + "\n")
 
 
 def compose_mean_matrix(

@@ -10,7 +10,7 @@ straight into the output unit (plain logistic regression).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import IO, Sequence
 
 import numpy as np
@@ -196,12 +196,31 @@ def save_model(model: Model, sink: IO[str]) -> None:
     json.dump(doc, sink)
 
 
+def _param_array(name: str, value) -> np.ndarray:
+    """A checkpoint parameter as a float array; a string, null, true/false or ragged nesting raises naming it."""
+    try:
+        a = np.array(value)
+    except ValueError as exc:
+        raise ShapeMismatchError(f"{name} must be an array of numbers") from exc
+    if a.dtype.kind not in "if":
+        raise ShapeMismatchError(f"{name} must be an array of numbers")
+    return a.astype(float)
+
+
 def load_model(source: IO[str]) -> Model:
     doc = json.load(source)
+    for key in ("config", "params"):
+        if not (isinstance(doc, dict) and isinstance(doc.get(key), dict)):
+            raise ShapeMismatchError(f"checkpoint has no {key} object")
+    config = doc["config"]
     # Older checkpoints name the hidden activation, which is always tanh.
-    activation = doc["config"].pop("hidden_activation", "tanh")
+    activation = config.pop("hidden_activation", "tanh")
     if activation != "tanh":
         raise ValueError(f"unknown activation: {activation}")
-    config = ModelConfig(**doc["config"])
-    params = {k: np.array(v, dtype=float) for k, v in doc["params"].items()}
-    return Model(config=config, params=params)
+    known = {f.name: f.default is MISSING for f in fields(ModelConfig)}
+    problems = [f"unexpected config key {k}" for k in config if k not in known]
+    problems += [f"missing config key {k}" for k, required in known.items() if required and k not in config]
+    if problems:
+        raise ShapeMismatchError("; ".join(problems))
+    params = {k: _param_array(k, v) for k, v in doc["params"].items()}
+    return Model(config=ModelConfig(**config), params=params)

@@ -18,7 +18,7 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .evaluation import evaluate
+from .evaluation import EmptyEvaluation, evaluate
 from .model import Batch, Model, backward_batch, forward_batch, sigmoid
 
 # Not called here: the benchmark's traced run hooks this name on this module.
@@ -247,25 +247,23 @@ def train(
 ) -> tuple[Model, TrainReport]:
     """Mini-batch gradient descent with seeded per-epoch shuffling.
 
-    Each epoch reports Kendall's tau on the validation set, or NaN when
-    that set is empty. With early stopping enabled (patience > 0) the
-    returned model is the best-validation-tau checkpoint; otherwise the
-    final one.
+    Each epoch reports Kendall's tau on the validation set. An empty
+    training or validation set raises ``EmptyEvaluation``. With early
+    stopping enabled (patience > 0) the returned model is the
+    best-validation-tau checkpoint; otherwise the final one.
     """
+    for name, b in (("training", batch), ("validation", valid_batch)):
+        if len(b) == 0:
+            raise EmptyEvaluation(f"the {name} set is empty")
     pre = ccfg.pretrain_epochs
     if pre is not None and 0 < tcfg.epochs <= pre:
         raise ValueError(f"pretrain_epochs ({pre}) must be less than epochs ({tcfg.epochs})")
     report = TrainReport()
     n = len(batch)
-    if tcfg.epochs == 0 or n == 0:
-        return model, report
     model = model.copy()
     ys_all = np.asarray(y, dtype=float)
-    has_valid = len(valid_batch) > 0
     rng = np.random.default_rng(tcfg.shuffle_seed)
-    best: Optional[Model] = None
-    best_tau = -math.inf
-    since_best = 0
+    best, best_tau, since_best = model, -math.inf, 0
     for epoch in range(tcfg.epochs):
         t0 = time.perf_counter()
         kind = ccfg.phase_kind(epoch, tcfg.epochs)
@@ -284,7 +282,7 @@ def train(
                 model.params[name] = model.params[name] - tcfg.learning_rate * g
                 if not np.all(np.isfinite(model.params[name])):
                     raise DivergenceError(f"non-finite parameter {name} at epoch {epoch}")
-        valid_tau = evaluate(model, valid_batch, valid_y).tau if has_valid else float("nan")
+        valid_tau = evaluate(model, valid_batch, valid_y).tau
         report.epochs.append(
             EpochRecord(
                 epoch=epoch,
@@ -294,15 +292,14 @@ def train(
                 seconds=time.perf_counter() - t0,
             )
         )
-        if has_valid and valid_tau > best_tau:
+        if valid_tau > best_tau:
             best_tau = valid_tau
-            best = model.copy()
+            if tcfg.early_stop_patience > 0:
+                best = model.copy()
             report.best_epoch = epoch
             since_best = 0
         else:
             since_best += 1
         if tcfg.early_stop_patience > 0 and since_best > tcfg.early_stop_patience:
             break
-    if tcfg.early_stop_patience > 0 and best is not None:
-        return best, report
-    return model, report
+    return (best if tcfg.early_stop_patience > 0 else model), report

@@ -287,6 +287,37 @@ def test_train_names_the_set_its_tau_is_measured_on(tmp_path, capsys, data_file)
         assert open(a, "rb").read() == open(b, "rb").read()
 
 
+def edited_lines(data_file, **fields):
+    """The records of ``data_file`` with ``fields`` set in each."""
+    return "".join(json.dumps({**json.loads(line), **fields}) + "\n" for line in open(data_file))
+
+
+@pytest.mark.parametrize("role, flags", [("data", []), ("valid", ["--patience", "1", "--epochs", "10"])],
+                         ids=["all-tie-data", "tie-only-valid"])
+def test_train_refuses_an_empty_set(tmp_path, capsys, data_file, role, flags):
+    ties = tmp_path / "ties.jsonl"
+    ties.write_text(edited_lines(data_file, y="tie"))
+    model = tmp_path / "m.json"
+    args = train_args(data_file, str(model), **{role: ties}) + flags
+    assert run(args) == 1
+    name = "training" if role == "data" else "validation"
+    assert capsys.readouterr().err == f"error: EmptyEvaluation: the {name} set is empty\n"
+    assert not model.exists()
+
+
+def test_train_refuses_two_sentence_vector_sources(tmp_path, capsys, data_file, emb_file):
+    data = tmp_path / "psi.jsonl"
+    data.write_text(edited_lines(data_file, psi_t1=[0.5], psi_t2=[0.25], psi_r=[1.0]))
+    model = tmp_path / "m.json"
+    assert run(train_args(str(data), str(model), embeddings=emb_file)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DatasetFormatError: tuple ")
+    assert "precomputed sentence vectors and an embedding table" in err
+    assert not model.exists()
+    # The precomputed vectors alone train.
+    assert run(train_args(str(data), str(model))) == 0
+
+
 @pytest.mark.parametrize("subcommand", ["extract", "predict"])
 def test_closed_stdout_ends_output_quietly(tmp_path, data_file, subcommand):
     # 2000 rows are far more than a pipe buffers, so the writer meets the closed pipe.

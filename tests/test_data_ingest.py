@@ -16,7 +16,6 @@ from pairrank.data_ingest import (
     EvaluationTuple,
     InconsistentSchema,
     load_dataset,
-    save_dataset,
     splits_of,
     vectorize,
 )
@@ -103,15 +102,6 @@ def test_mixed_sentence_dim():
         load_dataset(io.StringIO("\n".join(lines)))
 
 
-def test_roundtrip():
-    lines = token_dataset_lines(20, seed=3, splits=["cz", "de"], with_external=True)
-    ds = load_dataset(io.StringIO("\n".join(lines)))
-    buf = io.StringIO()
-    save_dataset(ds, buf)
-    ds2 = load_dataset(io.StringIO(buf.getvalue()))
-    assert ds2 == ds
-
-
 def test_vectorize_precomputed():
     line = make_line(psi_t1=[1.0] * 25, psi_t2=[0.5] * 25, psi_r=[0.2] * 25)
     ds = load_dataset(io.StringIO(line))
@@ -129,6 +119,14 @@ def test_vectorize_with_table():
     assert batch.P1.shape == (1, 2)
     expected_ref = np.mean([[1, 0], [0, 1], [1, 1]], axis=0)
     assert np.array_equal(batch.Pr[0], expected_ref)
+
+
+def test_vectorize_refuses_a_table_for_precomputed_vectors():
+    ds = load_dataset(io.StringIO(make_line(psi_t1=[1.0, 0.0], psi_t2=[0.5, 0.5], psi_r=[0.2, 0.1])))
+    table = load_embedding_table(io.StringIO("the 1 0\ncat 0 1\n"))
+    with pytest.raises(DatasetFormatError,
+                       match="^tuple x1: precomputed sentence vectors and an embedding table given"):
+        vectorize(ds, table)
 
 
 def test_vectorize_missing_table():

@@ -16,7 +16,6 @@ from pairrank.embeddings import (
     compose_mean_matrix,
     compose_sentence_vector,
     load_embedding_table,
-    save_embedding_table,
     tokenize,
 )
 
@@ -76,20 +75,15 @@ def test_word2vec_header_and_comments():
 
 
 def test_glove_style_roundtrip():
-    # 25-column file of 100 words, generated programmatically; values must
-    # survive a save/reload cycle bit-exactly.
-    rng = np.random.default_rng(7)
-    lines = [
-        f"word{i} " + " ".join(repr(float(v)) for v in rng.normal(size=25))
-        for i in range(100)
-    ]
+    # 25-column file of 100 words, generated programmatically; every value
+    # must load as the float that was written, bit for bit.
+    values = np.random.default_rng(7).normal(size=(100, 25))
+    lines = [f"word{i} " + " ".join(map(repr, row.tolist())) for i, row in enumerate(values)]
     t = load_embedding_table(io.StringIO("\n".join(lines)))
     assert t.dimension == 25 and len(t) == 100
-    buf = io.StringIO()
-    save_embedding_table(t, buf)
-    t2 = load_embedding_table(io.StringIO(buf.getvalue()))
-    assert t2.rows == t.rows
-    assert t2.matrix.tobytes() == t.matrix.tobytes()
+    assert t.rows == {f"word{i}": i + 1 for i in range(100)}
+    assert t.matrix[1:].tobytes() == values.tobytes()
+    assert not t.matrix[0].any()
 
 
 def test_compose_mean():

@@ -208,3 +208,41 @@ def test_checkpoint_params_checked_against_layout(edit, message):
     edit(doc["params"])
     with pytest.raises(ShapeMismatchError, match=message):
         load_model(io.StringIO(json.dumps(doc)))
+
+
+def saved_checkpoint(*path, value=None):
+    """A saved ``ModelConfig(2, 1, 1)`` checkpoint, with the entry at ``path`` set to
+    ``value``, or deleted when ``value`` is None."""
+    buf = io.StringIO()
+    save_model(init_model(ModelConfig(2, 1, 1)), buf)
+    if not path:
+        return buf.getvalue()
+    doc = json.loads(buf.getvalue())
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is None:
+        del target[last]
+    else:
+        target[last] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (saved_checkpoint("config", "dropout", value=0.1), "^unexpected config key dropout$"),
+        (saved_checkpoint("config", "sentence_dim"), "^missing config key sentence_dim$"),
+        (saved_checkpoint("params"), "^checkpoint has no params object$"),
+        (saved_checkpoint("config"), "^checkpoint has no config object$"),
+        (saved_checkpoint("params", "W12", value="abc"), "^W12 must be an array of numbers$"),
+        (saved_checkpoint("params", "W12", value=[[0.5] * 4, [0.5]]), "^W12 must be an array of numbers$"),
+        ("[" + saved_checkpoint() + "]", "^checkpoint has no config object$"),
+    ],
+    ids=["unknown-config-key", "no-sentence-dim", "no-params", "no-config", "string-W12", "ragged-W12",
+         "array-document"],
+)
+def test_malformed_checkpoint_names_what_is_wrong(text, message):
+    with pytest.raises(ShapeMismatchError, match=message):
+        load_model(io.StringIO(text))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pairrank import training
-from pairrank.evaluation import evaluate
+from pairrank.evaluation import EmptyEvaluation, evaluate
 from pairrank.model import ModelConfig, backward_batch, forward_batch, init_model, pack, sigmoid
 from pairrank.synthetic import interaction_rule_dataset, linear_rule_dataset
 from pairrank.training import (
@@ -261,6 +261,16 @@ def test_train_zero_epochs_noop():
     assert report.epochs == []
     for name in m.param_names:
         assert np.array_equal(m.params[name], m2.params[name])
+
+
+@pytest.mark.parametrize("empty", ["training", "validation"])
+def test_train_refuses_an_empty_set(empty):
+    data = mixed_examples(8)
+    none = (data[0].take(np.arange(0)), data[1][:0])
+    sets = (none, data) if empty == "training" else (data, none)
+    tcfg = TrainConfig(epochs=10, batch_size=4, early_stop_patience=2)
+    with pytest.raises(EmptyEvaluation, match=f"^the {empty} set is empty$"):
+        train(init_model(CFG), *sets[0], *sets[1], tcfg, CostConfig())
 
 
 def test_train_deterministic():

@@ -165,7 +165,12 @@ def cmd_train(args) -> int:
             report.to_jsonl(f)
     final_tau = report.epochs[-1].valid_tau if report.epochs else float("nan")
     measured_on = "valid" if args.valid else "train"
-    print(f"trained {len(report.epochs)} epochs, final {measured_on} tau {final_tau:.4f}")
+    summary = f"final {measured_on} tau {final_tau:.4f}"
+    if tcfg.early_stop_patience > 0 and report.epochs:
+        # Early stopping writes the best epoch's model, not the last one's.
+        best = report.best_epoch
+        summary = f"best {measured_on} tau {report.epochs[best].valid_tau:.4f} at epoch {best}"
+    print(f"trained {len(report.epochs)} epochs, {summary}")
     return 0
 
 

@@ -93,6 +93,15 @@ class Model:
         return Model(self.config, {k: v.copy() for k, v in self.params.items()})
 
 
+def flat_copy(model: Model) -> tuple[np.ndarray, Model]:
+    """The parameters copied into one vector, in param_shapes order, and a model
+    whose parameters are views into it."""
+    names = model.param_names
+    flat = np.concatenate([model.params[name].ravel() for name in names])
+    parts = np.split(flat, np.cumsum([model.params[name].size for name in names])[:-1])
+    return flat, Model(model.config, {name: v.reshape(model.params[name].shape) for name, v in zip(names, parts)})
+
+
 def sigmoid(x):
     # exp overflow saturates to 0 or 1, which is the right limit.
     with np.errstate(over="ignore"):
@@ -129,13 +138,27 @@ class Batch:
     Pr: np.ndarray
     F1: np.ndarray
     F2: np.ndarray
+    # The blocks' inputs built so far, by block name (see block_inputs).
+    _inputs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.P1.shape[0]
 
+    def block_inputs(self) -> list[np.ndarray]:
+        """Each block's input, in BLOCKS order: its two sentence-vector columns
+        side by side (N x 2 * sentence_dim). Built on first use and kept, so the
+        columns must not change after that."""
+        for name, (a, b) in BLOCKS.items():
+            if name not in self._inputs:
+                self._inputs[name] = np.hstack([getattr(self, a), getattr(self, b)])
+        return [self._inputs[name] for name in BLOCKS]
+
     def swapped(self) -> "Batch":
-        """The same tuples with the two hypotheses exchanged."""
-        return Batch(self.P2, self.P1, self.Pr, self.F2, self.F1)
+        """The same tuples with the two hypotheses exchanged. It shares the
+        (t1,r) and (t2,r) block inputs built so far, which trade places."""
+        out = Batch(self.P2, self.P1, self.Pr, self.F2, self.F1)
+        out._inputs = {{"1r": "2r", "2r": "1r"}[name]: x for name, x in self._inputs.items() if name != "12"}
+        return out
 
     def take(self, idx) -> "Batch":
         """The rows at ``idx``, in that order."""
@@ -161,31 +184,52 @@ def _check_batch(model: Model, batch: Batch) -> None:
 
 
 def forward_batch(model: Model, batch: Batch):
-    """Output activations for a whole batch, and the layer cache that backward_batch takes."""
+    """Output activations for a whole batch, and the layer cache that backward_batch takes.
+
+    The output unit reads one N x len(w_out) matrix Z, filled in place and of
+    the inputs' dtype: the blocks' tanh units in BLOCKS order (for the
+    single-layer model, P1, P2 and Pr), then F1 and F2.
+    """
     _check_batch(model, batch)
-    p = model.params
+    p, h = model.params, model.config.hidden_per_block
     if model.config.architecture == MULTI_LAYER:
-        X = [np.hstack([getattr(batch, a), getattr(batch, b)]) for a, b in BLOCKS.values()]
-        inner = [np.tanh(x @ p[f"W{name}"].T + p[f"b{name}"]) for name, x in zip(BLOCKS, X)]
+        X, copied = batch.block_inputs(), [batch.F1, batch.F2]
     else:
-        X, inner = [], [batch.P1, batch.P2, batch.Pr]
-    Z = np.hstack(inner + [batch.F1, batch.F2])
+        X, copied = [], [batch.P1, batch.P2, batch.Pr, batch.F1, batch.F2]
+    Z = np.empty((len(batch), p["w_out"].size), np.result_type(batch.F1, p["w_out"]))
+    k = len(X) * h
+    np.concatenate(copied, axis=1, out=Z[:, k:])
+    for i, (name, x) in enumerate(zip(BLOCKS, X)):
+        np.matmul(x, p[f"W{name}"].T, out=Z[:, i * h : (i + 1) * h])
+    if X:
+        units = Z[:, :k]
+        units += np.concatenate([p[f"b{name}"] for name in BLOCKS])
+        np.tanh(units, out=units)
     sigma = sigmoid(Z @ p["w_out"] + p["b_out"])
-    return sigma, (X, inner, Z)
+    return sigma, (X, Z)
 
 
-def backward_batch(model: Model, batch: Batch, cache, dz: np.ndarray) -> dict[str, np.ndarray]:
-    """Parameter gradients given upstream dJ/d(pre-sigmoid output), summed over the batch."""
-    X, H, Z = cache
-    h = model.config.hidden_per_block
-    grads = {"w_out": Z.T @ dz, "b_out": np.array(dz.sum())}
-    # Only the block units' slice of the output weights reaches a block.
-    dZ = np.outer(dz, model.params["w_out"][: len(X) * h])
-    for i, (name, x, units) in enumerate(zip(BLOCKS, X, H)):
-        dA = dZ[:, i * h : (i + 1) * h] * (1.0 - units * units)
-        grads[f"W{name}"] = dA.T @ x
-        grads[f"b{name}"] = dA.sum(axis=0)
-    return grads
+def backward_batch(model: Model, batch: Batch, cache, dz: np.ndarray) -> np.ndarray:
+    """Parameter gradients given upstream dJ/d(pre-sigmoid output), summed over the
+    batch, as one vector in param_shapes order (as flat_copy lays them out)."""
+    X, Z = cache
+    h, n_in = model.config.hidden_per_block, 2 * model.config.sentence_dim
+    k = len(X) * h
+    # param_shapes order: block weights, block biases, w_out, b_out.
+    grad = np.empty(k * (n_in + 1) + Z.shape[1] + 1, np.result_type(Z, dz))
+    if X:
+        # The slope at each block unit, block by block (blocks x N x h): each
+        # block's slice then multiplies and sums as a block of its own would.
+        units = Z[:, :k].reshape(len(Z), len(X), h).transpose(1, 0, 2)
+        dA = dz[:, None] * model.params["w_out"][:k].reshape(len(X), 1, h)
+        dA *= 1.0 - units * units
+        dW = grad[: k * n_in].reshape(len(X), h, n_in)
+        for i, x in enumerate(X):
+            np.matmul(dA[i].T, x, out=dW[i])
+        np.sum(dA, axis=1, out=grad[k * n_in : k * (n_in + 1)].reshape(len(X), h))
+    np.matmul(Z.T, dz, out=grad[-1 - Z.shape[1] : -1])
+    grad[-1] = dz.sum()
+    return grad
 
 
 def save_model(model: Model, sink: IO[str]) -> None:
@@ -220,6 +264,12 @@ def load_model(source: IO[str]) -> Model:
     known = {f.name: f.default is MISSING for f in fields(ModelConfig)}
     problems = [f"unexpected config key {k}" for k in config if k not in known]
     problems += [f"missing config key {k}" for k, required in known.items() if required and k not in config]
+    # JSON true and false load as bool, an int subclass; 1.0 and null are not integers either.
+    problems += [
+        f"config key {f.name} must be an integer, got {json.dumps(config[f.name])}"
+        for f in fields(ModelConfig)
+        if f.type == "int" and f.name in config and type(config[f.name]) is not int
+    ]
     if problems:
         raise ShapeMismatchError("; ".join(problems))
     params = {k: _param_array(k, v) for k, v in doc["params"].items()}

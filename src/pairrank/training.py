@@ -19,7 +19,7 @@ from typing import IO, Optional
 import numpy as np
 
 from .evaluation import EmptyEvaluation, evaluate
-from .model import Batch, Model, backward_batch, forward_batch, sigmoid
+from .model import Batch, Model, backward_batch, flat_copy, forward_batch, sigmoid
 
 # Not called here: the benchmark's traced run hooks this name on this module.
 from .model import pack  # noqa: F401
@@ -167,8 +167,8 @@ def kendall_cost(delta, y, cfg: CostConfig):
 
 
 def _batch_gradients(model: Model, batch: Batch, ys: np.ndarray, cfg: CostConfig, kind: str):
-    """Summed parameter gradients and the batch cost, in the dtype of the parameters
-    and the batch, for one resolved cost kind."""
+    """The summed parameter gradients, as one vector in param_shapes order, and the
+    batch cost, in the dtype of the parameters and the batch, for one resolved cost kind."""
     sigma, cache = forward_batch(model, batch)
     if kind == LOGISTIC:
         cost, dz = _logistic_terms(sigma, ys)
@@ -180,11 +180,9 @@ def _batch_gradients(model: Model, batch: Batch, ys: np.ndarray, cfg: CostConfig
     cost, dJ_dDelta = _kendall_terms(sigma - sigma_rev, ys, cfg)
     # Delta sees sigma with +1 and sigma' with -1; each pass backprops
     # through its own logistic output.
-    grads = backward_batch(model, batch, cache, dJ_dDelta * sigma * (1.0 - sigma))
-    grads_rev = backward_batch(model, swapped, cache_rev, -dJ_dDelta * sigma_rev * (1.0 - sigma_rev))
-    for name in grads:
-        grads[name] = grads[name] + grads_rev[name]
-    return grads, cost
+    grad = backward_batch(model, batch, cache, dJ_dDelta * sigma * (1.0 - sigma))
+    grad += backward_batch(model, swapped, cache_rev, -dJ_dDelta * sigma_rev * (1.0 - sigma_rev))
+    return grad, cost
 
 
 def grad_check(
@@ -207,6 +205,7 @@ def grad_check(
     ld = np.longdouble
     ys = np.asarray(y, dtype=float)
     batch_ld, ys_ld = batch.astype(ld), ys.astype(ld)
+    flat, model = flat_copy(model)
 
     def cost_ld(kind):
         params = {k: v.astype(ld) for k, v in model.params.items()}
@@ -215,24 +214,20 @@ def grad_check(
     max_err = 0.0
     for kind in PHASES[cfg.kind]:
         analytic, _ = _batch_gradients(model, batch, ys, cfg, kind)
-        for name in model.param_names:
-            p = model.params[name]
-            flat = p.reshape(-1) if p.ndim else p.reshape(1)
-            a_flat = analytic[name].reshape(-1) if p.ndim else analytic[name].reshape(1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + step
-                p_plus = flat[i]
-                c_plus = cost_ld(kind)
-                flat[i] = orig - step
-                p_minus = flat[i]
-                c_minus = cost_ld(kind)
-                flat[i] = orig
-                # Effective step: the float64 perturbations round, so use
-                # the realized parameter difference.
-                numeric = float((c_plus - c_minus) / ld(p_plus - p_minus))
-                denom = max(abs(a_flat[i]), abs(numeric), 1e-12)
-                max_err = max(max_err, abs(a_flat[i] - numeric) / denom)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            p_plus = flat[i]
+            c_plus = cost_ld(kind)
+            flat[i] = orig - step
+            p_minus = flat[i]
+            c_minus = cost_ld(kind)
+            flat[i] = orig
+            # Effective step: the float64 perturbations round, so use
+            # the realized parameter difference.
+            numeric = float((c_plus - c_minus) / ld(p_plus - p_minus))
+            denom = max(abs(analytic[i]), abs(numeric), 1e-12)
+            max_err = max(max_err, abs(analytic[i] - numeric) / denom)
     return max_err
 
 
@@ -247,10 +242,13 @@ def train(
 ) -> tuple[Model, TrainReport]:
     """Mini-batch gradient descent with seeded per-epoch shuffling.
 
-    Each epoch reports Kendall's tau on the validation set. An empty
-    training or validation set raises ``EmptyEvaluation``. With early
-    stopping enabled (patience > 0) the returned model is the
-    best-validation-tau checkpoint; otherwise the final one.
+    The working parameters live in one vector in param_shapes order, which
+    each step updates in place; the returned model's parameters are views
+    into it, or a copy taken at the best epoch. Each epoch reports Kendall's
+    tau on the validation set. An empty training or validation set raises
+    ``EmptyEvaluation``. With early stopping enabled (patience > 0) the
+    returned model is the best-validation-tau checkpoint; otherwise the
+    final one.
     """
     for name, b in (("training", batch), ("validation", valid_batch)):
         if len(b) == 0:
@@ -260,7 +258,9 @@ def train(
         raise ValueError(f"pretrain_epochs ({pre}) must be less than epochs ({tcfg.epochs})")
     report = TrainReport()
     n = len(batch)
-    model = model.copy()
+    theta, model = flat_copy(model)
+    # L2 decays the weights, not the biases.
+    decayed = np.concatenate([np.full(p.size, name.startswith(("W", "w"))) for name, p in model.params.items()])
     ys_all = np.asarray(y, dtype=float)
     rng = np.random.default_rng(tcfg.shuffle_seed)
     best, best_tau, since_best = model, -math.inf, 0
@@ -271,17 +271,16 @@ def train(
         epoch_cost = 0.0
         for start in range(0, n, tcfg.batch_size):
             idx = perm[start : start + tcfg.batch_size]
-            grads, cost = _batch_gradients(model, batch.take(idx), ys_all[idx], ccfg, kind)
+            grad, cost = _batch_gradients(model, batch.take(idx), ys_all[idx], ccfg, kind)
             if not math.isfinite(cost):
                 raise DivergenceError(f"non-finite cost at epoch {epoch}")
             epoch_cost += float(cost)
-            for name in model.param_names:
-                g = grads[name]
-                if tcfg.l2 > 0 and name.startswith(("W", "w")):
-                    g = g + tcfg.l2 * model.params[name]
-                model.params[name] = model.params[name] - tcfg.learning_rate * g
-                if not np.all(np.isfinite(model.params[name])):
-                    raise DivergenceError(f"non-finite parameter {name} at epoch {epoch}")
+            if tcfg.l2 > 0:
+                np.add(grad, tcfg.l2 * theta, out=grad, where=decayed)
+            theta -= tcfg.learning_rate * grad
+            if not np.isfinite(theta).all():
+                name = next(name for name, p in model.params.items() if not np.isfinite(p).all())
+                raise DivergenceError(f"non-finite parameter {name} at epoch {epoch}")
         valid_tau = evaluate(model, valid_batch, valid_y).tau
         report.epochs.append(
             EpochRecord(

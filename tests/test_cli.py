@@ -267,6 +267,57 @@ def test_extract_golden_bytes(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == EXTRACT_SHA256
 
 
+# sha256 of the checkpoint and the report that `pairrank train` writes on the
+# data above, recorded with the training step that built each block input per
+# forward pass and updated one parameter at a time.
+TRAIN_GOLDEN = {
+    "multi-layer": (
+        ["--cost", "logistic-then-kendall", "--hidden", "3"],
+        "d7b99aebf0fa7b39614723ad0acb04ff8804a0730aa43e58015b7e8bb872afd1",
+        "73a110457f1beb6841977eb58e3e6fb0170deb6d3e6cc8eef087b25f0f8dc334",
+    ),
+    "single-layer": (
+        ["--cost", "logistic-then-kendall", "--arch", "single-layer"],
+        "9af04bb8a73d14d4b2d8f41b75e1c74cce7e73a7bcf69444a2f2d7b34383b799",
+        "812d845ad774feab2c250a9a44cbe98f5b1891584cef1986eb86eef325ebb3fa",
+    ),
+}
+
+
+@pytest.mark.parametrize("arch", TRAIN_GOLDEN)
+def test_train_golden_bytes(tmp_path, arch):
+    flags, model_sha256, report_sha256 = TRAIN_GOLDEN[arch]
+    data, emb = tmp_path / "data.jsonl", tmp_path / "emb.txt"
+    model, report = tmp_path / "m.json", tmp_path / "r.jsonl"
+    data.write_text("\n".join(token_dataset_lines(200, seed=7, splits=["cz", "de"],
+                                                   with_external=True)) + "\n")
+    emb.write_text("\n".join(toy_embedding_lines(24, dim=5, seed=3)) + "\n")
+    # 200 tuples in mini-batches of 16 leave a ragged last batch.
+    assert run(["train", "--data", str(data), "--embeddings", str(emb), "--out", str(model),
+                "--report", str(report), "--seed", "5", "--shuffle-seed", "9", "--epochs", "6",
+                "--batch-size", "16", "--lr", "0.05", "--l2", "0.001", *flags]) == 0
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == model_sha256
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha256
+
+
+# `pairrank gradcheck` output with its default seed and hidden size, recorded
+# with the same earlier training step.
+GRADCHECK_STDOUT = {
+    ("multi-layer", "logistic"): "max relative error 5.604e-09\n",
+    ("multi-layer", "kendall"): "max relative error 2.198e-07\n",
+    ("multi-layer", "logistic-then-kendall"): "max relative error 2.198e-07\n",
+    ("single-layer", "logistic"): "max relative error 7.385e-11\n",
+    ("single-layer", "kendall"): "max relative error 7.432e-12\n",
+    ("single-layer", "logistic-then-kendall"): "max relative error 7.385e-11\n",
+}
+
+
+@pytest.mark.parametrize("arch, cost", GRADCHECK_STDOUT)
+def test_gradcheck_golden_stdout(capsys, arch, cost):
+    assert run(["gradcheck", "--arch", arch, "--cost", cost]) == 0
+    assert capsys.readouterr().out == GRADCHECK_STDOUT[arch, cost]
+
+
 def test_train_loads_embeddings_once(tmp_path, data_file, emb_file, monkeypatch):
     loads = []
     real = pairrank.cli.load_embedding_table
@@ -285,6 +336,28 @@ def test_train_names_the_set_its_tau_is_measured_on(tmp_path, capsys, data_file)
     # Without --valid the training set stands in for it: same model, same report.
     for a, b in zip(paths["a"], paths["b"]):
         assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_early_stopping_prints_the_written_models_tau(tmp_path, capsys):
+    from pairrank import evaluation, load_model
+
+    # The demo data of `make_demo_data.py --n 200 --seed 3`.
+    data, emb = tmp_path / "data.jsonl", tmp_path / "emb.txt"
+    data.write_text("\n".join(token_dataset_lines(200, seed=3, splits=["cz", "de", "es", "fr"],
+                                                   with_external=True)) + "\n")
+    emb.write_text("\n".join(toy_embedding_lines(30, dim=5, seed=3)) + "\n")
+    model, report = tmp_path / "m.json", tmp_path / "r.jsonl"
+    assert run(["train", "--data", str(data), "--embeddings", str(emb), "--out", str(model),
+                "--report", str(report), "--patience", "1", "--epochs", "30", "--seed", "4"]) == 0
+    taus = [json.loads(line)["valid_tau"] for line in report.read_text().splitlines()]
+    best = taus.index(max(taus))
+    # The run stops after worse epochs, so the last tau is not the written model's.
+    assert taus[-1] < taus[best]
+    assert capsys.readouterr().out == f"trained {len(taus)} epochs, best train tau {taus[best]:.4f} at epoch {best}\n"
+    table = pairrank.cli._load_table(str(emb))
+    _, batch, y = pairrank.cli._load_data(str(data), table)
+    with open(model) as f:
+        assert evaluation.evaluate(load_model(f), batch, y).tau == taus[best]
 
 
 def edited_lines(data_file, **fields):

@@ -1,6 +1,9 @@
+import gc
 import io
 import json
 import math
+import re
+import weakref
 
 import numpy as np
 import pytest
@@ -151,6 +154,26 @@ def test_delta_antisymmetric_under_swap(seed):
     assert sigma == swapped_sigma_rev
 
 
+def test_swapped_view_shares_the_traded_block_inputs_without_a_cycle():
+    m = init_model(CFG)
+    batch = random_input(CFG, 3)
+    forward_batch(m, batch)
+    swapped = batch.swapped()
+    forward_batch(m, swapped)
+    X12, X1r, X2r = batch.block_inputs()
+    Y12, Y1r, Y2r = swapped.block_inputs()
+    assert Y1r is X2r and Y2r is X1r
+    assert np.array_equal(Y12, np.hstack([batch.P2, batch.P1]))
+    # Reference counting alone must free both, so that no collector pass is needed.
+    refs = [weakref.ref(batch), weakref.ref(swapped)]
+    gc.disable()
+    try:
+        del batch, swapped
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_checkpoint_roundtrip():
     for cfg in (CFG, CFG_FLAT):
         m = init_model(cfg)
@@ -246,3 +269,15 @@ def saved_checkpoint(*path, value=None):
 def test_malformed_checkpoint_names_what_is_wrong(text, message):
     with pytest.raises(ShapeMismatchError, match=message):
         load_model(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("sentence_dim", "2"), ("pairwise_dim", True), ("hidden_per_block", 1.0), ("seed", None), ("seed", [0])],
+    ids=["string-sentence-dim", "bool-pairwise-dim", "float-hidden", "null-seed", "list-seed"],
+)
+def test_non_integer_config_value_names_the_key(key, value):
+    doc = json.loads(saved_checkpoint())
+    doc["config"][key] = value
+    with pytest.raises(ShapeMismatchError, match=rf"^config key {key} must be an integer, got {re.escape(json.dumps(value))}$"):
+        load_model(io.StringIO(json.dumps(doc)))

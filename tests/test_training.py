@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from pairrank import training
-from pairrank.evaluation import EmptyEvaluation, evaluate
-from pairrank.model import ModelConfig, backward_batch, forward_batch, init_model, pack, sigmoid
+from pairrank.evaluation import DEFAULT_TIE_EPSILON, EmptyEvaluation, PairCounts, evaluate, kendall_tau, verdicts
+from pairrank.model import BLOCKS, Batch, ModelConfig, backward_batch, forward_batch, init_model, pack, sigmoid
 from pairrank.synthetic import interaction_rule_dataset, linear_rule_dataset
 from pairrank.training import (
     SIGMA_CLAMP,
@@ -75,8 +75,9 @@ def test_backward_zero_model_logistic():
     for name in m.param_names:
         m.params[name] = np.zeros_like(m.params[name])
     batch, _ = mixed_examples(1)
-    grads, _ = _batch_gradients(m, batch, np.array([1.0]), CostConfig(kind="logistic"), "logistic")
-    assert grads["b_out"] == pytest.approx(-0.5, abs=1e-15)
+    grad, _ = _batch_gradients(m, batch, np.array([1.0]), CostConfig(kind="logistic"), "logistic")
+    # b_out is the last parameter.
+    assert grad[-1] == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_backward_kendall_tie_stationary():
@@ -126,8 +127,7 @@ def separate_gradients(model, batch, ys, cfg, kind):
     )
     grads = backward_batch(model, batch, cache, dJ_dDelta * sigma * (1.0 - sigma))
     grads_rev = backward_batch(model, swapped, cache_rev, -dJ_dDelta * sigma_rev * (1.0 - sigma_rev))
-    for name in grads:
-        grads[name] = grads[name] + grads_rev[name]
+    grads = grads + grads_rev
     disagreement = ys * sigmoid(-g * delta) + (1 - ys) * sigmoid(g * delta)
     return grads, np.sum(disagreement + lam * np.exp(-b * delta * delta / 2.0))
 
@@ -158,13 +158,11 @@ def test_batch_gradients_equal_separate_oracle(kind, arch, dtype):
         batch, ys = batch.astype(dtype), ys.astype(dtype)
         sigma, sigma_rev = forward_batch(m, batch)[0], forward_batch(m, batch.swapped())[0]
         saturated += int(np.sum(np.abs(cfg.gamma * (sigma - sigma_rev)) > 40.0))
-        grads, cost = _batch_gradients(m, batch, ys, cfg, kind)
-        want_grads, want_cost = separate_gradients(m, batch, ys, cfg, kind)
+        grad, cost = _batch_gradients(m, batch, ys, cfg, kind)
+        want_grad, want_cost = separate_gradients(m, batch, ys, cfg, kind)
         assert np.asarray(cost).dtype == dtype
         assert identical(cost, want_cost)
-        assert grads.keys() == want_grads.keys()
-        for name in grads:
-            assert identical(grads[name], want_grads[name]), name
+        assert identical(grad, want_grad)
     assert saturated > 0
 
 
@@ -304,6 +302,19 @@ def test_train_divergence_detected():
         train(m, *data, *data, tcfg, CostConfig(kind="logistic"))
 
 
+def test_divergence_names_the_first_non_finite_parameter():
+    # All-zero sentence vectors give the block weights a zero gradient, so they
+    # stay finite while the step overflows every parameter after them; the cost
+    # of that step is finite.
+    batch, y = mixed_examples(16, seed=4)
+    zero = dataclasses.replace(batch, **{c: np.zeros_like(batch.P1) for c in ("P1", "P2", "Pr")})
+    m = init_model(ModelConfig(3, 2, 2, seed=1))
+    m.params["w_out"] = 10 * m.params["w_out"]
+    tcfg = TrainConfig(learning_rate=1e308, epochs=1, batch_size=16)
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="^non-finite parameter b12 at epoch 0$"):
+        train(m, zero, y, zero, y, tcfg, CostConfig(kind="logistic"))
+
+
 def test_train_early_stopping_returns_best():
     tr = linear_rule_dataset(400, pairwise_dim=4, seed=1, rule_seed=3, noise=0.3)
     va = linear_rule_dataset(200, pairwise_dim=4, seed=2, rule_seed=3, noise=0.3)
@@ -328,3 +339,105 @@ def test_report_jsonl_roundtrip():
     assert len(lines) == 3
     assert all("seconds" not in l for l in lines)
     assert [l["epoch"] for l in lines] == [0, 1, 2]
+
+
+# The training step as it was before the flat parameter vector, kept as an
+# oracle: one hstack per block input and per forward, a separate forward of the
+# swapped pass, and one update and finiteness check per parameter.
+
+
+def step_oracle_forward(model, batch):
+    p = model.params
+    if model.config.architecture == "multi-layer":
+        X = [np.hstack([getattr(batch, a), getattr(batch, b)]) for a, b in BLOCKS.values()]
+        inner = [np.tanh(x @ p[f"W{name}"].T + p[f"b{name}"]) for name, x in zip(BLOCKS, X)]
+    else:
+        X, inner = [], [batch.P1, batch.P2, batch.Pr]
+    Z = np.hstack(inner + [batch.F1, batch.F2])
+    return sigmoid(Z @ p["w_out"] + p["b_out"]), (X, inner, Z)
+
+
+def step_oracle_backward(model, cache, dz):
+    X, H, Z = cache
+    h = model.config.hidden_per_block
+    grads = {"w_out": Z.T @ dz, "b_out": np.array(dz.sum())}
+    dZ = np.outer(dz, model.params["w_out"][: len(X) * h])
+    for i, (name, x, units) in enumerate(zip(BLOCKS, X, H)):
+        dA = dZ[:, i * h : (i + 1) * h] * (1.0 - units * units)
+        grads[f"W{name}"] = dA.T @ x
+        grads[f"b{name}"] = dA.sum(axis=0)
+    return grads
+
+
+def step_oracle_swapped(batch):
+    return Batch(batch.P2, batch.P1, batch.Pr, batch.F2, batch.F1)
+
+
+def step_oracle_gradients(model, batch, ys, cfg, kind):
+    sigma, cache = step_oracle_forward(model, batch)
+    if kind == "logistic":
+        cost, dz = training._logistic_terms(sigma, ys)
+        return step_oracle_backward(model, cache, dz), cost
+    sigma_rev, cache_rev = step_oracle_forward(model, step_oracle_swapped(batch))
+    cost, slope = training._kendall_terms(sigma - sigma_rev, ys, cfg)
+    grads = step_oracle_backward(model, cache, slope * sigma * (1.0 - sigma))
+    grads_rev = step_oracle_backward(model, cache_rev, -slope * sigma_rev * (1.0 - sigma_rev))
+    return {name: grads[name] + grads_rev[name] for name in grads}, cost
+
+
+def step_oracle_tau(model, batch, labels):
+    deltas = step_oracle_forward(model, batch)[0] - step_oracle_forward(model, step_oracle_swapped(batch))[0]
+    v = verdicts(deltas, DEFAULT_TIE_EPSILON)
+    c, t = int(np.sum(v == labels)), int(np.sum(v == -1))
+    return kendall_tau(PairCounts(concordant=c, disconcordant=len(v) - c - t, ties=t))
+
+
+def step_oracle_train(model, batch, y, valid_batch, valid_y, tcfg, ccfg):
+    """The returned model, and each epoch's cost and validation tau."""
+    model = model.copy()
+    rng = np.random.default_rng(tcfg.shuffle_seed)
+    best, best_tau, since_best, epochs = model, -math.inf, 0, []
+    for epoch in range(tcfg.epochs):
+        kind = ccfg.phase_kind(epoch, tcfg.epochs)
+        perm = rng.permutation(len(batch))
+        epoch_cost = 0.0
+        for start in range(0, len(batch), tcfg.batch_size):
+            idx = perm[start : start + tcfg.batch_size]
+            grads, cost = step_oracle_gradients(model, batch.take(idx), y[idx], ccfg, kind)
+            epoch_cost += float(cost)
+            for name in model.param_names:
+                g = grads[name]
+                if tcfg.l2 > 0 and name.startswith(("W", "w")):
+                    g = g + tcfg.l2 * model.params[name]
+                model.params[name] = model.params[name] - tcfg.learning_rate * g
+                assert np.all(np.isfinite(model.params[name]))
+        tau = step_oracle_tau(model, valid_batch, valid_y)
+        epochs.append((epoch_cost, tau))
+        if tau > best_tau:
+            best, best_tau, since_best = model.copy(), tau, 0
+        else:
+            since_best += 1
+        if since_best > tcfg.early_stop_patience:
+            break
+    return best, epochs
+
+
+@pytest.mark.parametrize("arch, hidden", [("multi-layer", 1), ("multi-layer", 3), ("single-layer", 2)])
+@pytest.mark.parametrize("kind", ["logistic", "kendall", "logistic-then-kendall"])
+def test_train_is_bit_identical_to_the_per_parameter_step(kind, arch, hidden):
+    # 45 tuples in mini-batches of 16 leave a ragged last batch of 13. Batches
+    # of more than 8 rows let a block sum in a different order than before.
+    data, valid = mixed_examples(45, seed=2), mixed_examples(30, seed=9)
+    m = init_model(ModelConfig(3, 2, hidden, arch, seed=6))
+    tcfg = TrainConfig(learning_rate=0.3, epochs=12, batch_size=16, shuffle_seed=4, l2=0.02,
+                       early_stop_patience=3)
+    ccfg = CostConfig(kind=kind, gamma=20.0, beta=20.0)
+    got, report = train(m, *data, *valid, tcfg, ccfg)
+    want, want_epochs = step_oracle_train(m, *data, *valid, tcfg, ccfg)
+    assert [(r.train_cost, r.valid_tau) for r in report.epochs] == want_epochs
+    # Training went on past the best epoch, so a best model that shared the
+    # working parameters would differ from the oracle's copy.
+    assert report.best_epoch < len(report.epochs) - 1
+    assert got.params.keys() == want.params.keys()
+    for name in want.params:
+        assert identical(got.params[name], want.params[name]), name

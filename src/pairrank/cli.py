@@ -123,26 +123,26 @@ def _write_jsonl(rows: Iterable[dict], path: Optional[str]) -> None:
 
 
 def cmd_extract(args) -> int:
-    dataset, batch, _ = _load_data(args.data, _load_table(args.embeddings))
+    dataset, batch, y = _load_data(args.data, _load_table(args.embeddings))
     if args.schema:
         for name in list(BLEUCOMP_FEATURE_NAMES) + dataset.feature_schema:
             print(name)
         return 0
-    rows = zip(dataset.tuples, batch.F1.tolist(), batch.F2.tolist(),
+    rows = zip(dataset.tuples, y.tolist(), batch.F1.tolist(), batch.F2.tolist(),
                batch.P1.tolist(), batch.P2.tolist(), batch.Pr.tolist())
     _write_jsonl(
         (
             {
                 "id": t.id,
                 "split": t.split,
-                "y": t.y,
+                "y": label,
                 "phi_t1r": phi_t1r,
                 "phi_t2r": phi_t2r,
                 "psi_t1": psi_t1,
                 "psi_t2": psi_t2,
                 "psi_r": psi_r,
             }
-            for t, phi_t1r, phi_t2r, psi_t1, psi_t2, psi_r in rows
+            for t, label, phi_t1r, phi_t2r, psi_t1, psi_t2, psi_r in rows
         ),
         args.out,
     )

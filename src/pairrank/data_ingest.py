@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Optional
 
 import numpy as np
 
 from .embeddings import EmbeddingTable, compose_mean_matrix, tokenize
-from .features import BLEUCOMP_FEATURE_NAMES, NonFiniteFeature, bleu_matrix
+from .features import BLEUCOMP_FEATURE_NAMES, bleu_matrix
 from .model import Batch
 
 # Not called here: the benchmark's traced run hooks these names on this module.
@@ -43,20 +43,49 @@ class EvaluationTuple:
     reference: list[str]
     hyp1: list[str]
     hyp2: list[str]
-    y: int
-    external_scores_1: dict[str, float] = field(default_factory=dict)
-    external_scores_2: dict[str, float] = field(default_factory=dict)
-    psi_t1: Optional[list[float]] = None
-    psi_t2: Optional[list[float]] = None
-    psi_r: Optional[list[float]] = None
+
+
+def _column(value, name: str, shape: tuple) -> np.ndarray:
+    """``value`` as a finite float array of ``shape``, where None takes any length."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DatasetFormatError(f"{name}: {exc}") from None
+    if a.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, a.shape)):
+        raise DatasetFormatError(f"{name} has shape {a.shape}, expected {shape}".replace("None", "any"))
+    if not np.isfinite(a).all():
+        raise DatasetFormatError(f"{name} holds a non-finite value")
+    return a
 
 
 @dataclass
 class Dataset:
+    """Judgment tuples with their numbers as columns, checked on construction.
+
+    ``labels`` (n,) is 1 where hyp1 was judged better and 0 where hyp2 was;
+    ``scores`` (2, n, k) holds the external scores of hyp1 and hyp2 in
+    ``feature_schema`` order; ``vectors`` (3, n, d) the precomputed sentence
+    vectors of hyp1, hyp2 and the reference, with d = 0 when there are none.
+    """
+
     tuples: list[EvaluationTuple]
     feature_schema: list[str]
-    sentence_dim: int
+    labels: np.ndarray
+    scores: np.ndarray
+    vectors: np.ndarray
     dropped_ties: int = 0
+
+    def __post_init__(self):
+        n, k = len(self.tuples), len(self.feature_schema)
+        labels = _column(self.labels, "labels", (n,))
+        bad = labels[~np.isin(labels, (0, 1))]
+        if len(bad):
+            raise DatasetFormatError(f"labels must be 0 or 1, got {bad[0]:g}")
+        self.labels = labels.astype(int)
+        self.scores = _column(self.scores, "scores", (2, n, None))
+        if self.scores.shape[2] != k:
+            raise InconsistentSchema(f"scores have {self.scores.shape[2]} columns for schema {self.feature_schema}")
+        self.vectors = _column(self.vectors, "vectors", (3, n, None))
 
 
 def _tokens(obj: dict, lineno: int, name: str) -> list[str]:
@@ -83,12 +112,13 @@ def _number(value, lineno: int, what: str) -> float:
     return x
 
 
-def _vectors(obj: dict, lineno: int) -> tuple[Optional[list], Optional[list], Optional[list]]:
+def _vectors(obj: dict, lineno: int) -> tuple[list[float], list[float], list[float]]:
+    """The line's psi_t1, psi_t2 and psi_r, each empty when the line has none."""
     names = ("psi_t1", "psi_t2", "psi_r")
     vecs = [obj.get(k) for k in names]
     present = [v is not None for v in vecs]
     if not any(present):
-        return None, None, None
+        return [], [], []
     if not all(present):
         raise DatasetFormatError(f"line {lineno}: precomputed vectors must all be present or absent")
     for name, v in zip(names, vecs):
@@ -110,7 +140,10 @@ def _scores(obj: dict, lineno: int, name: str) -> dict[str, float]:
 
 def load_dataset(source: IO[str] | Iterable[str]) -> Dataset:
     tuples: list[EvaluationTuple] = []
-    schema: Optional[frozenset[str]] = None
+    # One flat list per numeric field, reshaped into the dataset's columns at the end.
+    labels: list[int] = []
+    scores, vectors = ([], []), ([], [], [])
+    schema: Optional[list[str]] = None
     sentence_dim: Optional[int] = None
     dropped = 0
     for lineno, line in enumerate(source, start=1):
@@ -132,28 +165,18 @@ def load_dataset(source: IO[str] | Iterable[str]) -> Dataset:
         # bool is an int subclass, so True would otherwise pass as 1.
         if isinstance(y, bool) or y not in (0, 1):
             raise DatasetFormatError(f"line {lineno}: y must be 0, 1 or \"tie\", got {y!r}")
-        ext1 = _scores(obj, lineno, "external_scores_1")
-        ext2 = _scores(obj, lineno, "external_scores_2")
-        names = frozenset(ext1) | frozenset(ext2)
-        if frozenset(ext1) != names or frozenset(ext2) != names:
-            raise InconsistentSchema(
-                f"line {lineno}: external score names differ between hypotheses"
-            )
+        ext = _scores(obj, lineno, "external_scores_1"), _scores(obj, lineno, "external_scores_2")
+        if ext[0].keys() != ext[1].keys():
+            raise InconsistentSchema(f"line {lineno}: external score names differ between hypotheses")
         if schema is None:
-            schema = names
-        elif names != schema:
-            raise InconsistentSchema(
-                f"line {lineno}: external scores {sorted(names)} do not match "
-                f"schema {sorted(schema)}"
-            )
-        psi_t1, psi_t2, psi_r = _vectors(obj, lineno)
-        dim = len(psi_t1) if psi_t1 is not None else 0
+            schema = sorted(ext[0])
+        elif sorted(ext[0]) != schema:
+            raise InconsistentSchema(f"line {lineno}: external scores {sorted(ext[0])} do not match schema {schema}")
+        psi = _vectors(obj, lineno)
         if sentence_dim is None:
-            sentence_dim = dim
-        elif dim != sentence_dim:
-            raise DatasetFormatError(
-                f"line {lineno}: sentence vector dimension {dim} != {sentence_dim}"
-            )
+            sentence_dim = len(psi[0])
+        elif len(psi[0]) != sentence_dim:
+            raise DatasetFormatError(f"line {lineno}: sentence vector dimension {len(psi[0])} != {sentence_dim}")
         tuples.append(
             EvaluationTuple(
                 id=str(obj.get("id", lineno)),
@@ -161,73 +184,52 @@ def load_dataset(source: IO[str] | Iterable[str]) -> Dataset:
                 reference=_tokens(obj, lineno, "reference"),
                 hyp1=_tokens(obj, lineno, "hyp1"),
                 hyp2=_tokens(obj, lineno, "hyp2"),
-                y=int(y),
-                external_scores_1=ext1,
-                external_scores_2=ext2,
-                psi_t1=psi_t1,
-                psi_t2=psi_t2,
-                psi_r=psi_r,
             )
         )
-    return Dataset(
-        tuples=tuples,
-        feature_schema=sorted(schema or ()),
-        sentence_dim=sentence_dim or 0,
-        dropped_ties=dropped,
-    )
+        labels.append(y)
+        for column, named in zip(scores, ext):
+            column.extend(map(named.__getitem__, schema))
+        for column, values in zip(vectors, psi):
+            column.extend(values)
+    n, schema = len(tuples), schema or []
+    return Dataset(tuples, schema, labels, np.array(scores).reshape(2, n, len(schema)),
+                   np.array(vectors).reshape(3, n, sentence_dim or 0), dropped_ties=dropped)
 
 
-def vectorize(
-    dataset: Dataset,
-    table: Optional[EmbeddingTable] = None,
-) -> tuple[Batch, np.ndarray]:
-    """Turn tuples into one batch of model inputs and an int label array, in order.
+def vectorize(dataset: Dataset, table: Optional[EmbeddingTable] = None) -> tuple[Batch, np.ndarray]:
+    """The dataset's batch of model inputs and its int labels, in order.
 
-    Sentence vectors come from one source: the precomputed fields when the
-    dataset has them, else mean composition over ``table`` when given, else
-    they have width 0; a table given for precomputed vectors raises. The
-    pairwise feature vectors always include freshly computed BLEU
-    components, then the external scores in ``dataset.feature_schema``
-    order; a tuple scored under other names raises ``InconsistentSchema``.
-    The work runs in bulk, ``CHUNK_TUPLES`` tuples at a time, into
+    Sentence vectors come from one source: the dataset's precomputed
+    vectors when it has them, else mean composition over ``table`` when
+    given, else they have width 0; a table given for precomputed vectors
+    raises. The pairwise feature vectors are freshly computed BLEU
+    components, then the dataset's external scores. The BLEU and
+    composition work runs in bulk, ``CHUNK_TUPLES`` tuples at a time, into
     preallocated columns, and gives the same values bit for bit as counting
     and composing one tuple at a time.
     """
     tuples = dataset.tuples
-    schema = set(dataset.feature_schema)
-    for t in tuples:
-        if t.psi_t1 is not None and table is not None:
-            raise DatasetFormatError(f"tuple {t.id}: precomputed sentence vectors and an embedding table given")
-        if t.psi_t1 is None and dataset.sentence_dim:
-            raise DatasetFormatError(f"tuple {t.id}: no precomputed vectors of dimension {dataset.sentence_dim}")
-        if not schema == t.external_scores_1.keys() == t.external_scores_2.keys():
-            raise InconsistentSchema(f"tuple {t.id}: external score names do not match schema {dataset.feature_schema}")
-    n = len(tuples)
-    dim = table.dimension if table is not None else dataset.sentence_dim
-    width = len(BLEUCOMP_FEATURE_NAMES) + len(dataset.feature_schema)
-    batch = Batch(*(np.empty((n, dim)) for _ in range(3)), *(np.empty((n, width)) for _ in range(2)))
+    if dataset.vectors.size and table is not None:
+        raise DatasetFormatError(f"tuple {tuples[0].id}: precomputed sentence vectors and an embedding table given")
+    n, k = len(tuples), len(BLEUCOMP_FEATURE_NAMES)
+    vectors = dataset.vectors if table is None else np.empty((3, n, table.dimension))
+    features = np.empty((2, n, k + len(dataset.feature_schema)))
+    features[:, :, k:] = dataset.scores
+    batch = Batch(*vectors, *features)
     for lo in range(0, n, CHUNK_TUPLES):
-        _fill_chunk(batch, lo, tuples[lo : lo + CHUNK_TUPLES], dataset.feature_schema, table)
-    return batch, np.array([t.y for t in tuples], dtype=int)
+        _fill_chunk(batch, lo, tuples[lo : lo + CHUNK_TUPLES], table)
+    return batch, dataset.labels
 
 
-def _fill_chunk(
-    batch: Batch, lo: int, tuples: list[EvaluationTuple], schema: list[str], table: Optional[EmbeddingTable]
-) -> None:
-    """Write the rows of ``tuples`` into ``batch`` from row ``lo``, external scores in
-    ``schema`` order; compose vectors over ``table`` if given."""
+def _fill_chunk(batch: Batch, lo: int, tuples: list[EvaluationTuple], table: Optional[EmbeddingTable]) -> None:
+    """Write the BLEU columns of ``tuples`` into ``batch`` from row ``lo``, and
+    their vectors composed over ``table`` if given."""
     n = len(tuples)
     rows = slice(lo, lo + n)
     bleu = bleu_matrix([t.hyp1 for t in tuples] + [t.hyp2 for t in tuples],
                        [t.reference for t in tuples] * 2)
-    scores = [t.external_scores_1 for t in tuples] + [t.external_scores_2 for t in tuples]
-    external = np.array([[s[k] for k in schema] for s in scores], dtype=float).reshape(2 * n, -1)
-    bad = np.flatnonzero(~np.isfinite(external).all(axis=1))
-    if len(bad):
-        raise NonFiniteFeature(f"tuple {tuples[bad[0] % n].id}: non-finite external score")
     k = bleu.shape[1]
     batch.F1[rows, :k], batch.F2[rows, :k] = bleu[:n], bleu[n:]
-    batch.F1[rows, k:], batch.F2[rows, k:] = external[:n], external[n:]
     if table is not None:
         # Each distinct sentence is composed once; its tuples share the row.
         index: dict[tuple[str, ...], int] = {}
@@ -235,10 +237,6 @@ def _fill_chunk(
                           for t in tuples])
         vectors, _ = compose_mean_matrix(list(index), table)
         batch.P1[rows], batch.P2[rows], batch.Pr[rows] = (vectors[j] for j in slots.T)
-    elif batch.P1.shape[1]:
-        batch.P1[rows] = [t.psi_t1 for t in tuples]
-        batch.P2[rows] = [t.psi_t2 for t in tuples]
-        batch.Pr[rows] = [t.psi_r for t in tuples]
 
 
 def splits_of(dataset: Dataset) -> list[str]:

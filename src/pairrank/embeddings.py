@@ -207,17 +207,16 @@ def compose_mean_matrix(
     runs in token order, exactly as one token at a time would. Sentences
     with no token found come back as zero vectors.
     """
-    d = table.dimension
-    tokens, lens, vocab = encode_tokens(sentences)
-    ids = np.fromiter(map(table.rows.get, vocab, repeat(0)), dtype=np.int64,
-                      count=len(vocab))[tokens]
+    lens = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    ids = np.fromiter(map(table.rows.get, chain.from_iterable(sentences), repeat(0)), dtype=np.int64,
+                      count=int(lens.sum()))
     starts = np.cumsum(lens) - lens
     found_before = np.concatenate(([0], np.cumsum(ids != 0)))
     found = found_before[starts + lens] - found_before[starts]
     # Longest first, so the sentences still open at any position are a prefix.
     order = np.argsort(-lens, kind="stable")
     first, length = starts[order], lens[order]
-    acc = np.zeros((len(sentences), d))
+    acc = np.zeros((len(sentences), table.dimension))
     step = np.empty_like(acc)
     for pos in range(int(length.max(initial=0))):
         m = np.count_nonzero(length > pos)

@@ -231,6 +231,8 @@ def grad_check(
     return max_err
 
 
+# Divergence overflows to inf or NaN; the finiteness checks below report it as a DivergenceError.
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     model: Model,
     batch: Batch,

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -316,6 +317,59 @@ GRADCHECK_STDOUT = {
 def test_gradcheck_golden_stdout(capsys, arch, cost):
     assert run(["gradcheck", "--arch", arch, "--cost", cost]) == 0
     assert capsys.readouterr().out == GRADCHECK_STDOUT[arch, cost]
+
+
+# sha256 of each output of the precomputed-vector path, recorded before a
+# loaded dataset held its numbers as columns: the records carry the psi_*
+# that `pairrank extract` composed over a table, and every job runs without one.
+PRECOMPUTED_GOLDEN = {
+    "model": "5e9bcba775887850328d90ec70491254937d9aeab778cee967aec412293a7ad8",
+    "train_report": "d2f8475331e028933a3be456de2b307245f891556f80ff72eef9b5543dc7c261",
+    "evaluate_stdout": "2ca860b55f5e583d83f5c7913d796f91355d00a9a1b1b3c94a30332d43087e31",
+    "predictions": "07e79d9069eae4396f37648d430e8af4768a5f1a2145392a66c8bc3047e4d72e",
+    "features": "821e7357ae8b34b49924c30fb0172090f420f84da47f4fba7fa6b6be61c8c3e3",
+}
+
+
+def test_precomputed_vectors_golden_bytes(tmp_path, capsys):
+    data, emb, composed = tmp_path / "data.jsonl", tmp_path / "emb.txt", tmp_path / "composed.jsonl"
+    lines = token_dataset_lines(150, seed=5, splits=["cz", "de"], with_external=True)
+    data.write_text("\n".join(lines) + "\n")
+    emb.write_text("\n".join(toy_embedding_lines(30, dim=4, seed=2)) + "\n")
+    assert run(["extract", "--data", str(data), "--embeddings", str(emb), "--out", str(composed)]) == 0
+    psi = tmp_path / "psi.jsonl"
+    with open(psi, "w") as f:
+        for line, row in zip(lines, map(json.loads, open(composed))):
+            f.write(json.dumps({**json.loads(line), **{k: row[k] for k in ("psi_t1", "psi_t2", "psi_r")}}) + "\n")
+    out = {role: str(tmp_path / role) for role in PRECOMPUTED_GOLDEN}
+    assert run(["train", "--data", str(psi), "--out", out["model"], "--report", out["train_report"],
+                "--cost", "logistic-then-kendall", "--epochs", "6", "--hidden", "3", "--l2", "0.001"]) == 0
+    capsys.readouterr()
+    assert run(["evaluate", "--data", str(psi), "--model", out["model"]]) == 0
+    got = {"evaluate_stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    assert run(["predict", "--data", str(psi), "--model", out["model"], "--out", out["predictions"]]) == 0
+    assert run(["extract", "--data", str(psi), "--out", out["features"]]) == 0
+    for role in ("model", "train_report", "predictions", "features"):
+        with open(out[role], "rb") as f:
+            got[role] = hashlib.sha256(f.read()).hexdigest()
+    assert got == PRECOMPUTED_GOLDEN
+
+
+@pytest.mark.parametrize("lr", ["1e307", "1e306"])
+def test_diverging_train_prints_only_the_typed_error(tmp_path, capsys, lr):
+    # Demo data as `make_demo_data.py --n 200 --seed 3` writes it. At 1e307 the
+    # update overflows; at 1e306 the next forward pass does.
+    data, emb = tmp_path / "data.jsonl", tmp_path / "emb.txt"
+    data.write_text("\n".join(token_dataset_lines(200, seed=3, splits=["cz", "de", "es", "fr"],
+                                                   with_external=True)) + "\n")
+    emb.write_text("\n".join(toy_embedding_lines(30, dim=5, seed=3)) + "\n")
+    model = tmp_path / "m.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["train", "--data", str(data), "--embeddings", str(emb), "--out", str(model), "--lr", lr]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DivergenceError: ") and err.count("\n") == 1
+    assert not model.exists()
 
 
 def test_train_loads_embeddings_once(tmp_path, data_file, emb_file, monkeypatch):

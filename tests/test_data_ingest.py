@@ -41,7 +41,7 @@ def test_load_two_lines():
     ds = load_dataset(io.StringIO(make_line() + "\n" + make_line(id="x2", y=0) + "\n"))
     assert len(ds.tuples) == 2
     assert ds.tuples[0].reference == ["the", "cat", "sat"]
-    assert ds.tuples[1].y == 0
+    assert ds.labels.tolist() == [1, 0]
 
 
 def test_gold_ties_dropped():
@@ -129,18 +129,46 @@ def test_vectorize_refuses_a_table_for_precomputed_vectors():
         vectorize(ds, table)
 
 
-def test_vectorize_missing_table():
-    ds = load_dataset(io.StringIO(make_line()))
-    ds.sentence_dim = 5  # pretend vectors are expected
-    with pytest.raises(DatasetFormatError):
-        vectorize(ds)
+def hand_built(**columns):
+    """A one-tuple dataset scored under ["M"], with ``columns`` replacing its own."""
+    tup = EvaluationTuple(id="t7", split="all", reference=["a"], hyp1=["a"], hyp2=["b"])
+    return Dataset(**{"tuples": [tup], "feature_schema": ["M"], "labels": [1],
+                      "scores": [[[0.9]], [[0.1]]], "vectors": np.zeros((3, 1, 0)), **columns})
 
 
-def test_vectorize_refuses_scores_outside_the_schema():
-    scored_n = EvaluationTuple(id="t7", split="all", reference=["a"], hyp1=["a"], hyp2=["b"], y=1,
-                               external_scores_1={"N": 0.9}, external_scores_2={"N": 0.1})
-    with pytest.raises(InconsistentSchema, match=r"^tuple t7: external score names do not match schema \['M'\]$"):
-        vectorize(Dataset([scored_n], feature_schema=["M"], sentence_dim=0))
+def test_dataset_refuses_vectors_for_other_tuples():
+    # Vectors of dimension 5 for no tuple, where the dataset has one.
+    with pytest.raises(DatasetFormatError, match=r"^vectors has shape \(3, 0, 5\), expected \(3, 1, any\)$"):
+        hand_built(vectors=np.zeros((3, 0, 5)))
+
+
+def test_dataset_refuses_scores_outside_the_schema():
+    with pytest.raises(InconsistentSchema, match=r"^scores have 2 columns for schema \['M'\]$"):
+        hand_built(scores=[[[0.9, 0.5]], [[0.1, 0.5]]])
+
+
+# The hand-built datasets that vectorize once took without a typed error.
+@pytest.mark.parametrize("columns, message", [
+    # psi_t1 shorter than psi_t2 and psi_r: it was broadcast to their width.
+    ({"vectors": [[[0.5]], [[0.5, 0.5, 0.5]], [[0.5, 0.5, 0.5]]]}, "^vectors: setting an array element"),
+    # A NaN psi_r went through unchecked.
+    ({"vectors": [[[0.5]], [[0.25]], [[float("nan")]]]}, "^vectors holds a non-finite value$"),
+    # One tuple's vectors without the tuple axis; given with dimension 0, vectors were dropped.
+    ({"vectors": [[0.5, 0.5], [0.25, 0.25], [1.0, 1.0]]}, r"^vectors has shape \(3, 2\), expected \(3, 1, any\)$"),
+    ({"labels": [7]}, "^labels must be 0 or 1, got 7$"),
+    ({"scores": [[[0.9]], [[float("inf")]]]}, "^scores holds a non-finite value$"),
+    ({"scores": [[[0.9]], [[10 ** 400]]]}, "^scores: int too large to convert to float$"),
+], ids=["short-vector", "nan-vector", "vectors-without-tuple-axis", "label-7", "infinite-score", "huge-score"])
+def test_dataset_refuses_bad_columns(columns, message):
+    with pytest.raises(DatasetFormatError, match=message):
+        hand_built(**columns)
+
+
+def test_dataset_refuses_vectors_of_different_lengths():
+    tuples = [EvaluationTuple(id=f"t{i}", split="all", reference=["a"], hyp1=["a"], hyp2=["b"]) for i in range(2)]
+    ragged = [[[1.0, 2.0], [1.0]]] * 3  # the second tuple's vectors are shorter
+    with pytest.raises(DatasetFormatError, match="^vectors: setting an array element"):
+        Dataset(tuples, [], [1, 0], np.zeros((2, 2, 0)), ragged)
 
 
 def test_vectorize_features_match_independent_extraction():
@@ -151,12 +179,12 @@ def test_vectorize_features_match_independent_extraction():
     )))
     batch, ys = vectorize(ds, table)
     assert len(batch) == len(ys) == len(ds.tuples)
-    for i, t in enumerate(ds.tuples):
-        phi1 = assemble_pairwise(bleu_components(t.hyp1, t.reference), t.external_scores_1)
-        phi2 = assemble_pairwise(bleu_components(t.hyp2, t.reference), t.external_scores_2)
+    for i, rec in enumerate(map(json.loads, lines)):
+        phi1 = assemble_pairwise(bleu_components(rec["hyp1"], rec["reference"]), rec["external_scores_1"])
+        phi2 = assemble_pairwise(bleu_components(rec["hyp2"], rec["reference"]), rec["external_scores_2"])
         assert np.array_equal(batch.F1[i], phi1.values)
         assert np.array_equal(batch.F2[i], phi2.values)
-        assert ys[i] == t.y
+        assert ys[i] == rec["y"]
 
 
 def test_vectorize_order_preserving():
@@ -164,7 +192,7 @@ def test_vectorize_order_preserving():
     ds = load_dataset(io.StringIO("\n".join(lines)))
     _, ys = vectorize(ds)
     assert ys.dtype.kind == "i"
-    assert ys.tolist() == [t.y for t in ds.tuples]
+    assert ys.tolist() == [json.loads(line)["y"] for line in lines]
 
 
 def test_splits_of():
@@ -180,12 +208,11 @@ sentence = st.lists(st.sampled_from(["w0", "w1", "w2", "oov"]), max_size=8)
        st.lists(sentence, min_size=3, max_size=3),
        st.integers(1, 4))
 def test_vectorize_same_in_one_chunk_or_several(rows, refs, chunk):
-    tuples = [
-        EvaluationTuple(id=f"t{i}", split="all", reference=refs[j], hyp1=h1, hyp2=h2, y=i % 2,
-                        external_scores_1={"M": i / 7}, external_scores_2={"M": 1.0})
-        for i, (h1, h2, j) in enumerate(rows)
-    ]
-    ds = Dataset(tuples=tuples, feature_schema=["M"], sentence_dim=0)
+    n = len(rows)
+    tuples = [EvaluationTuple(id=f"t{i}", split="all", reference=refs[j], hyp1=h1, hyp2=h2)
+              for i, (h1, h2, j) in enumerate(rows)]
+    scores = [[[i / 7] for i in range(n)], [[1.0]] * n]
+    ds = Dataset(tuples, ["M"], labels=[i % 2 for i in range(n)], scores=scores, vectors=np.zeros((3, n, 0)))
     table = load_embedding_table(io.StringIO("w0 0.1 -0.0\nw1 0.3 2.5\nw2 -7.0 1e-3\n"))
     whole, ya = vectorize(ds, table)
     with mock.patch.object(data_ingest, "CHUNK_TUPLES", chunk):

@@ -128,13 +128,13 @@ def cmd_extract(args) -> int:
         for name in list(BLEUCOMP_FEATURE_NAMES) + dataset.feature_schema:
             print(name)
         return 0
-    rows = zip(dataset.tuples, y.tolist(), batch.F1.tolist(), batch.F2.tolist(),
+    rows = zip(dataset.ids, dataset.splits, y.tolist(), batch.F1.tolist(), batch.F2.tolist(),
                batch.P1.tolist(), batch.P2.tolist(), batch.Pr.tolist())
     _write_jsonl(
         (
             {
-                "id": t.id,
-                "split": t.split,
+                "id": id_,
+                "split": split,
                 "y": label,
                 "phi_t1r": phi_t1r,
                 "phi_t2r": phi_t2r,
@@ -142,7 +142,7 @@ def cmd_extract(args) -> int:
                 "psi_t2": psi_t2,
                 "psi_r": psi_r,
             }
-            for t, label, phi_t1r, phi_t2r, psi_t1, psi_t2, psi_r in rows
+            for id_, split, label, phi_t1r, phi_t2r, psi_t1, psi_t2, psi_r in rows
         ),
         args.out,
     )
@@ -188,7 +188,7 @@ def cmd_evaluate(args) -> int:
     with open(args.model, encoding="utf-8") as f:
         model = load_model(f)
     report = evaluation.evaluate(
-        model, batch, y, tie_epsilon=args.tie_epsilon, splits=data_ingest.splits_of(dataset)
+        model, batch, y, tie_epsilon=args.tie_epsilon, splits=dataset.splits
     )
     _print_tau_table(report)
     if args.report:
@@ -209,11 +209,11 @@ def cmd_predict(args) -> int:
     sigma, sigma_rev = predict_delta(model, batch)
     deltas = sigma - sigma_rev
     decisions = DECISIONS[verdicts(deltas, args.tie_epsilon)]
-    rows = zip(dataset.tuples, sigma.tolist(), sigma_rev.tolist(), deltas.tolist(), decisions.tolist())
+    rows = zip(dataset.ids, sigma.tolist(), sigma_rev.tolist(), deltas.tolist(), decisions.tolist())
     _write_jsonl(
         (
-            {"id": t.id, "sigma": s, "sigma_rev": s_rev, "delta": delta, "decision": decision}
-            for t, s, s_rev, delta, decision in rows
+            {"id": id_, "sigma": s, "sigma_rev": s_rev, "delta": delta, "decision": decision}
+            for id_, s, s_rev, delta, decision in rows
         ),
         args.out,
     )

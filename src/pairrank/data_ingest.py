@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, compose_mean_matrix, tokenize
+from .embeddings import EmbeddingTable, compose_mean_matrix, gather_tokens, tokenize
 from .features import BLEUCOMP_FEATURE_NAMES, bleu_matrix
 from .model import Batch
 
@@ -45,38 +48,72 @@ class EvaluationTuple:
     hyp2: list[str]
 
 
-def _column(value, name: str, shape: tuple) -> np.ndarray:
-    """``value`` as a finite float array of ``shape``, where None takes any length."""
+def _column(value, name: str, shape: tuple, bound: Optional[int] = None) -> np.ndarray:
+    """``value`` as an array of ``shape``, where None takes any length: of finite
+    floats, or with ``bound``, of integers in [0, bound)."""
     try:
-        a = np.asarray(value, dtype=float)
+        a = np.asarray(value, dtype=float if bound is None else None)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DatasetFormatError(f"{name}: {exc}") from None
     if a.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, a.shape)):
         raise DatasetFormatError(f"{name} has shape {a.shape}, expected {shape}".replace("None", "any"))
-    if not np.isfinite(a).all():
+    if bound is None and not np.isfinite(a).all():
         raise DatasetFormatError(f"{name} holds a non-finite value")
+    if bound is not None and a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= bound):
+        raise DatasetFormatError(f"{name} must hold integers in [0, {bound})")
     return a
+
+
+class _Tuples(Sequence):
+    """A dataset's judgments as text, each decoded from its columns when it is read."""
+
+    def __init__(self, dataset: Dataset):
+        self._dataset = dataset
+
+    def __len__(self) -> int:
+        return len(self._dataset.ids)
+
+    def __getitem__(self, i: int) -> EvaluationTuple:
+        d = self._dataset
+        hyp1, hyp2, reference = ([d.vocab[t] for t in d.token_ids[d.offsets[s] : d.offsets[s + 1]].tolist()]
+                                 for s in d.sentences[:, i].tolist())
+        return EvaluationTuple(d.ids[i], d.splits[i], reference, hyp1, hyp2)
 
 
 @dataclass
 class Dataset:
-    """Judgment tuples with their numbers as columns, checked on construction.
+    """Judgments as read-only columns, checked on construction.
 
-    ``labels`` (n,) is 1 where hyp1 was judged better and 0 where hyp2 was;
-    ``scores`` (2, n, k) holds the external scores of hyp1 and hyp2 in
-    ``feature_schema`` order; ``vectors`` (3, n, d) the precomputed sentence
-    vectors of hyp1, hyp2 and the reference, with d = 0 when there are none.
+    ``ids`` and ``splits`` name each of the n tuples. The text is a
+    sentence store that holds each distinct sentence once: sentence ``s`` is
+    ``token_ids[offsets[s]:offsets[s + 1]]``, ids into ``vocab``, and
+    ``sentences`` (3, n) gives the store sentence of each tuple's hyp1, hyp2
+    and reference. ``labels`` (n,) is 1 where hyp1 was judged better and 0
+    where hyp2 was; ``scores`` (2, n, k) holds the external scores of hyp1
+    and hyp2 in ``feature_schema`` order; ``vectors`` (3, n, d) the
+    precomputed sentence vectors of hyp1, hyp2 and the reference, with
+    d = 0 when there are none.
     """
 
-    tuples: list[EvaluationTuple]
+    ids: Sequence[str]
+    splits: Sequence[str]
+    vocab: Sequence[str]
+    token_ids: np.ndarray
+    offsets: np.ndarray
+    sentences: np.ndarray
     feature_schema: list[str]
     labels: np.ndarray
     scores: np.ndarray
     vectors: np.ndarray
     dropped_ties: int = 0
+    # The judgments as text, for reading only: nothing in the library needs them.
+    tuples = property(_Tuples)
 
     def __post_init__(self):
-        n, k = len(self.tuples), len(self.feature_schema)
+        self.ids, self.splits, self.vocab = tuple(self.ids), tuple(self.splits), tuple(self.vocab)
+        n, k = len(self.ids), len(self.feature_schema)
+        if len(self.splits) != n:
+            raise DatasetFormatError(f"{len(self.splits)} splits for {n} tuples")
         labels = _column(self.labels, "labels", (n,))
         bad = labels[~np.isin(labels, (0, 1))]
         if len(bad):
@@ -86,6 +123,14 @@ class Dataset:
         if self.scores.shape[2] != k:
             raise InconsistentSchema(f"scores have {self.scores.shape[2]} columns for schema {self.feature_schema}")
         self.vectors = _column(self.vectors, "vectors", (3, n, None))
+        self.token_ids = _column(self.token_ids, "token_ids", (None,), len(self.vocab)).astype(np.int32, copy=False)
+        offsets = _column(self.offsets, "offsets", (None,), len(self.token_ids) + 1).astype(np.int64, copy=False)
+        if offsets[:1].tolist() != [0] or offsets[-1] != len(self.token_ids) or (np.diff(offsets) < 0).any():
+            raise DatasetFormatError("offsets must rise from 0 to the number of tokens")
+        self.offsets = offsets
+        self.sentences = _column(self.sentences, "sentences", (3, n), len(offsets) - 1).astype(np.int32, copy=False)
+        for column in (self.labels, self.scores, self.vectors, self.token_ids, self.offsets, self.sentences):
+            column.flags.writeable = False
 
 
 def _tokens(obj: dict, lineno: int, name: str) -> list[str]:
@@ -95,7 +140,7 @@ def _tokens(obj: dict, lineno: int, name: str) -> list[str]:
     if isinstance(value, str):
         return tokenize(value)
     if isinstance(value, list) and all(isinstance(t, str) for t in value):
-        return list(value)
+        return value
     raise DatasetFormatError(f"line {lineno}: {name} must be a string or token array")
 
 
@@ -139,13 +184,17 @@ def _scores(obj: dict, lineno: int, name: str) -> dict[str, float]:
 
 
 def load_dataset(source: IO[str] | Iterable[str]) -> Dataset:
-    tuples: list[EvaluationTuple] = []
-    # One flat list per numeric field, reshaped into the dataset's columns at the end.
-    labels: list[int] = []
+    # One flat list per field, made into the dataset's columns at the end.
+    ids, splits, labels = [], [], []
     scores, vectors = ([], []), ([], [], [])
     schema: Optional[list[str]] = None
     sentence_dim: Optional[int] = None
     dropped = 0
+    # Every sentence's token ids, in reading order; a token new to ``vocab``
+    # gets the next id (the default value is its length before the insert).
+    vocab: defaultdict[str, int] = defaultdict()
+    vocab.default_factory = vocab.__len__
+    token_ids, ends = array("i"), array("q")
     for lineno, line in enumerate(source, start=1):
         line = line.strip()
         if not line:
@@ -177,23 +226,37 @@ def load_dataset(source: IO[str] | Iterable[str]) -> Dataset:
             sentence_dim = len(psi[0])
         elif len(psi[0]) != sentence_dim:
             raise DatasetFormatError(f"line {lineno}: sentence vector dimension {len(psi[0])} != {sentence_dim}")
-        tuples.append(
-            EvaluationTuple(
-                id=str(obj.get("id", lineno)),
-                split=str(obj.get("split", "all")),
-                reference=_tokens(obj, lineno, "reference"),
-                hyp1=_tokens(obj, lineno, "hyp1"),
-                hyp2=_tokens(obj, lineno, "hyp2"),
-            )
-        )
+        for name in ("reference", "hyp1", "hyp2"):
+            token_ids.extend(map(vocab.__getitem__, _tokens(obj, lineno, name)))
+            ends.append(len(token_ids))
+        ids.append(str(obj.get("id", lineno)))
+        splits.append(str(obj.get("split", "all")))
         labels.append(y)
         for column, named in zip(scores, ext):
             column.extend(map(named.__getitem__, schema))
         for column, values in zip(vectors, psi):
             column.extend(values)
-    n, schema = len(tuples), schema or []
-    return Dataset(tuples, schema, labels, np.array(scores).reshape(2, n, len(schema)),
-                   np.array(vectors).reshape(3, n, sentence_dim or 0), dropped_ties=dropped)
+    n, schema = len(ids), schema or []
+    return Dataset(ids, splits, list(vocab), *_distinct(token_ids, ends), schema, labels,
+                   np.array(scores).reshape(2, n, len(schema)), np.array(vectors).reshape(3, n, sentence_dim or 0),
+                   dropped_ties=dropped)
+
+
+def _distinct(token_ids: array, ends: array) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The store of the distinct sentences read (token ids and offsets), and the (3, n)
+    index of each tuple's hyp1, hyp2 and reference into it.
+
+    Sentence i of ``token_ids``, the reference, hyp1 or hyp2 of a tuple in
+    turn, ends at ``ends[i]``. The keys that find repeats are made after
+    reading, so they are freed together, not strewn among what the dataset
+    keeps, where they would hold on to the process's memory.
+    """
+    raw, width = token_ids.tobytes(), token_ids.itemsize
+    seen: dict[bytes, int] = {}  # a sentence's ids -> its place in the store
+    place = [seen.setdefault(raw[width * a : width * b], len(seen)) for a, b in zip([0, *ends], ends)]
+    offsets = np.cumsum([0, *map(len, seen)]) // width
+    sentences = np.array(place, np.int32).reshape(-1, 3).T[[1, 2, 0]]
+    return np.frombuffer(b"".join(seen), np.intc), offsets, sentences
 
 
 def vectorize(dataset: Dataset, table: Optional[EmbeddingTable] = None) -> tuple[Batch, np.ndarray]:
@@ -204,40 +267,31 @@ def vectorize(dataset: Dataset, table: Optional[EmbeddingTable] = None) -> tuple
     given, else they have width 0; a table given for precomputed vectors
     raises. The pairwise feature vectors are freshly computed BLEU
     components, then the dataset's external scores. The BLEU and
-    composition work runs in bulk, ``CHUNK_TUPLES`` tuples at a time, into
-    preallocated columns, and gives the same values bit for bit as counting
-    and composing one tuple at a time.
+    composition work runs on the dataset's sentence store in bulk,
+    ``CHUNK_TUPLES`` tuples at a time, into preallocated columns, and gives
+    the same values bit for bit as counting and composing one tuple at a
+    time.
     """
-    tuples = dataset.tuples
     if dataset.vectors.size and table is not None:
-        raise DatasetFormatError(f"tuple {tuples[0].id}: precomputed sentence vectors and an embedding table given")
-    n, k = len(tuples), len(BLEUCOMP_FEATURE_NAMES)
-    vectors = dataset.vectors if table is None else np.empty((3, n, table.dimension))
+        raise DatasetFormatError(f"tuple {dataset.ids[0]}: precomputed sentence vectors and an embedding table given")
+    n, k = len(dataset.ids), len(BLEUCOMP_FEATURE_NAMES)
+    store, sentences = (dataset.token_ids, dataset.offsets), dataset.sentences
     features = np.empty((2, n, k + len(dataset.feature_schema)))
     features[:, :, k:] = dataset.scores
-    batch = Batch(*vectors, *features)
+    if table is None:
+        vectors = dataset.vectors
+    else:
+        vectors = np.empty((3, n, table.dimension))
+        rows = table.rows_of(dataset.vocab)
     for lo in range(0, n, CHUNK_TUPLES):
-        _fill_chunk(batch, lo, tuples[lo : lo + CHUNK_TUPLES], table)
-    return batch, dataset.labels
-
-
-def _fill_chunk(batch: Batch, lo: int, tuples: list[EvaluationTuple], table: Optional[EmbeddingTable]) -> None:
-    """Write the BLEU columns of ``tuples`` into ``batch`` from row ``lo``, and
-    their vectors composed over ``table`` if given."""
-    n = len(tuples)
-    rows = slice(lo, lo + n)
-    bleu = bleu_matrix([t.hyp1 for t in tuples] + [t.hyp2 for t in tuples],
-                       [t.reference for t in tuples] * 2)
-    k = bleu.shape[1]
-    batch.F1[rows, :k], batch.F2[rows, :k] = bleu[:n], bleu[n:]
-    if table is not None:
-        # Each distinct sentence is composed once; its tuples share the row.
-        index: dict[tuple[str, ...], int] = {}
-        slots = np.array([[index.setdefault(tuple(s), len(index)) for s in (t.hyp1, t.hyp2, t.reference)]
-                          for t in tuples])
-        vectors, _ = compose_mean_matrix(list(index), table)
-        batch.P1[rows], batch.P2[rows], batch.Pr[rows] = (vectors[j] for j in slots.T)
-
-
-def splits_of(dataset: Dataset) -> list[str]:
-    return [t.split for t in dataset.tuples]
+        chunk = slice(lo, lo + CHUNK_TUPLES)
+        refs = sentences[2, chunk]
+        bleu = bleu_matrix(*store, sentences[:2, chunk].ravel(), np.tile(refs, 2))
+        features[:, chunk, :k] = bleu.reshape(2, len(refs), k)
+        if table is not None:
+            # Each distinct sentence of the chunk is composed once; its tuples share the row.
+            used, slots = np.unique(sentences[:, chunk], return_inverse=True)
+            tokens, lens = gather_tokens(*store, used)
+            composed, _ = compose_mean_matrix(rows[tokens], lens, table)
+            vectors[:, chunk] = composed[slots.reshape(3, -1)]
+    return Batch(*vectors, *features), dataset.labels

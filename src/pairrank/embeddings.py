@@ -57,6 +57,10 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.rows)
 
+    def rows_of(self, tokens: Sequence[str]) -> np.ndarray:
+        """Each token's row of ``matrix``, 0 for a token out of the vocabulary."""
+        return np.fromiter(map(self.rows.get, tokens, repeat(0)), dtype=np.int64, count=len(tokens))
+
 
 @dataclass
 class SentenceVector:
@@ -75,16 +79,29 @@ def tokenize(text: str) -> list[str]:
     return text.lower().split()
 
 
-def encode_tokens(sentences: Sequence[Sequence[str]]) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
-    """Flat integer ids of all tokens, per-sentence lengths, and the token -> id vocabulary.
+def encode_tokens(sentences: Sequence[Sequence[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """``sentences`` as a sentence store: the flat integer ids of all tokens, and
+    the offset at which each sentence starts, then the end.
 
     Ids are dense and follow first appearance.
     """
     vocab = {t: i for i, t in enumerate(dict.fromkeys(chain.from_iterable(sentences)))}
-    lens = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
-    ids = np.fromiter(map(vocab.__getitem__, chain.from_iterable(sentences)), dtype=np.int64,
-                      count=int(lens.sum()))
-    return ids, lens, vocab
+    ids = np.fromiter(map(vocab.__getitem__, chain.from_iterable(sentences)), dtype=np.int64)
+    return ids, np.cumsum([0, *map(len, sentences)])
+
+
+def gather_tokens(
+    token_ids: np.ndarray, offsets: np.ndarray, sentences: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The token ids of a sentence store's ``sentences``, flat and in order, and their lengths.
+
+    Sentence ``s`` of the store is ``token_ids[offsets[s]:offsets[s + 1]]``.
+    """
+    starts = offsets[sentences]
+    lens = offsets[sentences + 1] - starts
+    # Each token's place in the store: its sentence's start, plus its place within the sentence.
+    shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return token_ids[shift + np.arange(len(shift))], lens
 
 
 def _is_header(fields: Sequence[str]) -> bool:
@@ -198,29 +215,28 @@ def load_embedding_table(source: IO[str] | Iterable[str]) -> EmbeddingTable:
 
 
 def compose_mean_matrix(
-    sentences: Sequence[Sequence[str]], table: EmbeddingTable
+    rows: np.ndarray, lens: np.ndarray, table: EmbeddingTable
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean-composed vectors of ``sentences`` as an (S, d) array, and their OOV counts.
+    """Mean-composed vectors of sentences as an (S, d) array, and their OOV counts.
 
-    Token vectors are summed position by position into a zeroed buffer,
-    and an out-of-vocabulary token adds a zero row, so each sentence's sum
-    runs in token order, exactly as one token at a time would. Sentences
-    with no token found come back as zero vectors.
+    ``rows`` holds each token's row of ``table.matrix`` (0 out of the
+    vocabulary), sentence after sentence, and ``lens`` each sentence's
+    length. Token vectors are summed position by position into a zeroed
+    buffer, and an out-of-vocabulary token adds the zero row, so each
+    sentence's sum runs in token order, exactly as one token at a time
+    would. Sentences with no token found come back as zero vectors.
     """
-    lens = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
-    ids = np.fromiter(map(table.rows.get, chain.from_iterable(sentences), repeat(0)), dtype=np.int64,
-                      count=int(lens.sum()))
     starts = np.cumsum(lens) - lens
-    found_before = np.concatenate(([0], np.cumsum(ids != 0)))
+    found_before = np.concatenate(([0], np.cumsum(rows != 0)))
     found = found_before[starts + lens] - found_before[starts]
     # Longest first, so the sentences still open at any position are a prefix.
     order = np.argsort(-lens, kind="stable")
     first, length = starts[order], lens[order]
-    acc = np.zeros((len(sentences), table.dimension))
+    acc = np.zeros((len(lens), table.dimension))
     step = np.empty_like(acc)
     for pos in range(int(length.max(initial=0))):
         m = np.count_nonzero(length > pos)
-        np.take(table.matrix, ids[first[:m] + pos], axis=0, out=step[:m], mode="clip")
+        np.take(table.matrix, rows[first[:m] + pos], axis=0, out=step[:m], mode="clip")
         acc[:m] += step[:m]
     values = np.empty_like(acc)
     values[order] = acc
@@ -235,5 +251,5 @@ def compose_sentence_vector(tokens: Sequence[str], table: EmbeddingTable) -> Sen
     (or an empty sentence) the zero vector comes back, oov_count equal to
     the sentence length.
     """
-    values, oov = compose_mean_matrix([tokens], table)
+    values, oov = compose_mean_matrix(table.rows_of(tokens), np.array([len(tokens)]), table)
     return SentenceVector(values[0], table.dimension, int(oov[0]))

@@ -14,7 +14,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .embeddings import encode_tokens
+from .embeddings import encode_tokens, gather_tokens
 
 MAX_ORDER = 4
 
@@ -77,25 +77,26 @@ class PairwiseFeatures:
 
 
 def _clipped_counts(
-    hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]], max_order: int
+    token_ids: np.ndarray, offsets: np.ndarray, hyps, refs, max_order: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Clipped n-gram matches and hypothesis n-gram totals of each (hyps[i], refs[i]) pair.
+    """Clipped n-gram matches and hypothesis n-gram totals of each (hyps[i], refs[i])
+    pair of sentences of a store (see ``gather_tokens``).
 
     Returns (N, max_order) arrays of matches and totals for n = 1..max_order,
-    then both lengths. Tokens become integer ids, and each k-gram gets an
-    exact dense id from the (k-1)-gram id before it and its last token, so
-    no two distinct grams share an id. Grams are counted per hypothesis,
-    and once per distinct reference; clipped matches come from a sorted
-    lookup of each hypothesis gram in its reference's counts.
+    then both lengths. Each k-gram gets an exact dense id from the (k-1)-gram
+    id before it and its last token id, so no two distinct grams share an
+    id. Grams are counted per hypothesis, and once per distinct reference;
+    clipped matches come from a sorted lookup of each hypothesis gram in its
+    reference's counts.
     """
+    hyps, refs = np.asarray(hyps, dtype=np.int64), np.asarray(refs, dtype=np.int64)
     n = len(hyps)
     if len(refs) != n:
         raise ValueError(f"{n} hypotheses but {len(refs)} references")
-    distinct: dict[tuple[str, ...], int] = {}
-    ref_of = np.fromiter((distinct.setdefault(tuple(r), len(distinct)) for r in refs),
-                         dtype=np.int64, count=n)
-    ids, lens, vocab = encode_tokens(list(hyps) + list(distinct))
-    n_ids = len(vocab)
+    distinct, ref_of = np.unique(refs, return_inverse=True)
+    ids, lens = gather_tokens(token_ids, offsets, np.concatenate((hyps, distinct)))
+    ids = ids.astype(np.int64)
+    n_ids = int(ids.max(initial=-1)) + 1
     starts = np.cumsum(lens) - lens
     sentence = np.repeat(np.arange(len(lens)), lens)
     # Tokens from each position to the end of its sentence, itself included.
@@ -127,13 +128,13 @@ def _clipped_counts(
     return matches, totals, hyp_len, ref_len
 
 
-def bleu_matrix(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]]) -> np.ndarray:
-    """The 16 decomposed-BLEU features of each (hyps[i], refs[i]) pair, as an (N, 16) array.
-
-    Row i equals ``bleu_components(hyps[i], refs[i]).flatten()`` bit for bit.
+def bleu_matrix(token_ids: np.ndarray, offsets: np.ndarray, hyps, refs) -> np.ndarray:
+    """The 16 decomposed-BLEU features of each (hyps[i], refs[i]) pair of sentences
+    of a store (see ``gather_tokens``), as an (N, 16) array; bit for bit, each row is
+    ``bleu_components`` of the two sentences' tokens, flattened.
     """
-    matches, totals, hyp_len, ref_len = _clipped_counts(hyps, refs, MAX_ORDER)
-    out = np.zeros((len(hyps), 16))
+    matches, totals, hyp_len, ref_len = _clipped_counts(token_ids, offsets, hyps, refs, MAX_ORDER)
+    out = np.zeros((len(matches), 16))
     np.divide(matches, totals, out=out[:, 0:4], where=totals > 0)
     out[:, 4:8] = matches
     out[:, 8:12] = totals
@@ -152,7 +153,7 @@ def ngram_stats(hyp: Sequence[str], ref: Sequence[str], order: int) -> NGramStat
     """Clipped n-gram match count and hypothesis n-gram total."""
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
-    matches, totals, _, _ = _clipped_counts([hyp], [ref], order)
+    matches, totals, _, _ = _clipped_counts(*encode_tokens([hyp, ref]), [0], [1], order)
     return NGramStats(order=order, matches=int(matches[0, -1]), total=int(totals[0, -1]))
 
 

@@ -141,13 +141,17 @@ class Batch:
     # The blocks' inputs built so far, by block name (see block_inputs).
     _inputs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        # Read-only from here on: block_inputs caches what it builds from them.
+        for column in (self.P1, self.P2, self.Pr, self.F1, self.F2):
+            column.flags.writeable = False
+
     def __len__(self) -> int:
         return self.P1.shape[0]
 
     def block_inputs(self) -> list[np.ndarray]:
         """Each block's input, in BLOCKS order: its two sentence-vector columns
-        side by side (N x 2 * sentence_dim). Built on first use and kept, so the
-        columns must not change after that."""
+        side by side (N x 2 * sentence_dim). Built on first use and kept."""
         for name, (a, b) in BLOCKS.items():
             if name not in self._inputs:
                 self._inputs[name] = np.hstack([getattr(self, a), getattr(self, b)])

@@ -218,7 +218,7 @@ def test_evaluate_matches_library(tmp_path, data_file):
         model = load_model(f)
     with open(data_file) as f:
         ds = data_ingest.load_dataset(f)
-    lib = evaluation.evaluate(model, *data_ingest.vectorize(ds), splits=data_ingest.splits_of(ds))
+    lib = evaluation.evaluate(model, *data_ingest.vectorize(ds), splits=ds.splits)
     doc = json.loads(open(report_path).read())
     assert doc["tau"] == lib.tau
 

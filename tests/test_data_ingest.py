@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import io
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,17 +13,16 @@ from hypothesis import strategies as st
 from pairrank import data_ingest
 
 from pairrank.data_ingest import (
-    Dataset,
     DatasetFormatError,
-    EvaluationTuple,
     InconsistentSchema,
     load_dataset,
-    splits_of,
     vectorize,
 )
 from pairrank.embeddings import load_embedding_table
 from pairrank.features import assemble_pairwise, bleu_components
 from pairrank.synthetic import token_dataset_lines
+from test_acceptance import brute_bleu_fields
+from test_embeddings import sequential_mean
 
 
 def make_line(**overrides):
@@ -131,9 +132,9 @@ def test_vectorize_refuses_a_table_for_precomputed_vectors():
 
 def hand_built(**columns):
     """A one-tuple dataset scored under ["M"], with ``columns`` replacing its own."""
-    tup = EvaluationTuple(id="t7", split="all", reference=["a"], hyp1=["a"], hyp2=["b"])
-    return Dataset(**{"tuples": [tup], "feature_schema": ["M"], "labels": [1],
-                      "scores": [[[0.9]], [[0.1]]], "vectors": np.zeros((3, 1, 0)), **columns})
+    line = make_line(id="t7", reference="a", hyp1="a", hyp2="b",
+                     external_scores_1={"M": 0.9}, external_scores_2={"M": 0.1})
+    return dataclasses.replace(load_dataset([line]), **columns)
 
 
 def test_dataset_refuses_vectors_for_other_tuples():
@@ -158,17 +159,63 @@ def test_dataset_refuses_scores_outside_the_schema():
     ({"labels": [7]}, "^labels must be 0 or 1, got 7$"),
     ({"scores": [[[0.9]], [[float("inf")]]]}, "^scores holds a non-finite value$"),
     ({"scores": [[[0.9]], [[10 ** 400]]]}, "^scores: int too large to convert to float$"),
-], ids=["short-vector", "nan-vector", "vectors-without-tuple-axis", "label-7", "infinite-score", "huge-score"])
+    # The sentence store: ids outside the vocabulary, offsets that do not
+    # cover the tokens in order, and sentences outside the store.
+    ({"token_ids": [0, 2]}, r"^token_ids must hold integers in \[0, 2\)$"),
+    ({"token_ids": [0.0, 1.0]}, r"^token_ids must hold integers in \[0, 2\)$"),
+    ({"offsets": [0, 2, 1]}, "^offsets must rise from 0 to the number of tokens$"),
+    ({"offsets": [0, 1]}, "^offsets must rise from 0 to the number of tokens$"),
+    ({"sentences": [[0], [1], [2]]}, r"^sentences must hold integers in \[0, 2\)$"),
+    ({"sentences": [0, 1, 0]}, r"^sentences has shape \(3,\), expected \(3, 1\)$"),
+    ({"splits": []}, "^0 splits for 1 tuples$"),
+], ids=["short-vector", "nan-vector", "vectors-without-tuple-axis", "label-7", "infinite-score", "huge-score",
+        "token-outside-vocab", "float-token-ids", "falling-offsets", "offsets-short-of-tokens",
+        "sentence-outside-store", "sentences-without-tuple-axis", "splits-for-other-tuples"])
 def test_dataset_refuses_bad_columns(columns, message):
     with pytest.raises(DatasetFormatError, match=message):
         hand_built(**columns)
 
 
 def test_dataset_refuses_vectors_of_different_lengths():
-    tuples = [EvaluationTuple(id=f"t{i}", split="all", reference=["a"], hyp1=["a"], hyp2=["b"]) for i in range(2)]
+    ds = load_dataset([make_line(id="t0"), make_line(id="t1", y=0)])
     ragged = [[[1.0, 2.0], [1.0]]] * 3  # the second tuple's vectors are shorter
     with pytest.raises(DatasetFormatError, match="^vectors: setting an array element"):
-        Dataset(tuples, [], [1, 0], np.zeros((2, 2, 0)), ragged)
+        dataclasses.replace(ds, vectors=ragged)
+
+
+@pytest.mark.parametrize("write", [
+    lambda ds: ds.labels.__setitem__(0, 7),
+    lambda ds: ds.scores.__setitem__((0, 0, 0), np.nan),
+    lambda ds: ds.vectors.__setitem__((2, 0, 0), np.nan),
+    lambda ds: ds.sentences.__setitem__((0, 0), 1),
+    lambda ds: ds.token_ids.__setitem__(0, 1),
+], ids=["label", "score", "vector", "sentence", "token"])
+def test_checked_columns_are_read_only(write):
+    # Once checked, a column cannot take a value the check would refuse.
+    line = make_line(external_scores_1={"M": 0.9}, external_scores_2={"M": 0.1},
+                     psi_t1=[0.5], psi_t2=[0.25], psi_r=[1.0])
+    ds = load_dataset([line])
+    with pytest.raises(ValueError, match="read-only"):
+        write(ds)
+    batch, y = vectorize(ds)
+    assert y.tolist() == [1] and np.isfinite(batch.F1).all() and np.isfinite(batch.Pr).all()
+
+
+def test_loaded_dataset_holds_few_bytes_per_token():
+    # The sentence store keeps each distinct sentence once, as 4-byte ids.
+    # Held as lists of token strings, the same lines take 78 bytes per token.
+    lines = token_dataset_lines(2000)
+    n_tokens = sum(len(doc[k]) for doc in map(json.loads, lines) for k in ("reference", "hyp1", "hyp2"))
+    load_dataset(lines[:1])  # first-call set-up is not the dataset's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ds = load_dataset(lines)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ds.tuples) == 2000
+    assert retained <= 20 * n_tokens, f"{retained / n_tokens:.1f} bytes per token"
 
 
 def test_vectorize_features_match_independent_extraction():
@@ -198,7 +245,7 @@ def test_vectorize_order_preserving():
 def test_splits_of():
     lines = token_dataset_lines(4, seed=0, splits=["cz", "de"])
     ds = load_dataset(io.StringIO("\n".join(lines)))
-    assert splits_of(ds) == ["cz", "de", "cz", "de"]
+    assert list(ds.splits) == ["cz", "de", "cz", "de"]
 
 
 sentence = st.lists(st.sampled_from(["w0", "w1", "w2", "oov"]), max_size=8)
@@ -209,18 +256,52 @@ sentence = st.lists(st.sampled_from(["w0", "w1", "w2", "oov"]), max_size=8)
        st.integers(1, 4))
 def test_vectorize_same_in_one_chunk_or_several(rows, refs, chunk):
     n = len(rows)
-    tuples = [EvaluationTuple(id=f"t{i}", split="all", reference=refs[j], hyp1=h1, hyp2=h2)
-              for i, (h1, h2, j) in enumerate(rows)]
-    scores = [[[i / 7] for i in range(n)], [[1.0]] * n]
-    ds = Dataset(tuples, ["M"], labels=[i % 2 for i in range(n)], scores=scores, vectors=np.zeros((3, n, 0)))
+    lines = [make_line(id=f"t{i}", split="all", reference=refs[j], hyp1=h1, hyp2=h2, y=i % 2,
+                       external_scores_1={"M": i / 7}, external_scores_2={"M": 1.0})
+             for i, (h1, h2, j) in enumerate(rows)]
+    ds = load_dataset(lines)
     table = load_embedding_table(io.StringIO("w0 0.1 -0.0\nw1 0.3 2.5\nw2 -7.0 1e-3\n"))
     whole, ya = vectorize(ds, table)
     with mock.patch.object(data_ingest, "CHUNK_TUPLES", chunk):
         chunked, yb = vectorize(ds, table)
-    assert len(whole) == len(chunked) == len(tuples)
+    assert len(whole) == len(chunked) == n
     assert ya.tolist() == yb.tolist()
     for field in ("P1", "P2", "Pr", "F1", "F2"):
         assert getattr(whole, field).tobytes() == getattr(chunked, field).tobytes()
+
+
+# Sentences drawn from a small pool, so that references and hypotheses
+# repeat across tuples and within one; each is written either as a string
+# or as a token array.
+pool_sentence = st.lists(st.sampled_from(["w0", "w1", "w2", "oov"]), max_size=6)
+written = st.tuples(st.integers(0, 3), st.booleans())
+
+
+@given(st.lists(pool_sentence, min_size=4, max_size=4),
+       st.lists(st.tuples(written, written, written), min_size=1, max_size=12),
+       st.integers(1, 5))
+def test_store_shares_sentences_and_features_match_oracles(pool, rows, chunk):
+    def text(j, as_string):
+        return " ".join(pool[j]) if as_string else pool[j]
+
+    lines = [make_line(id=f"t{i}", reference=text(*r), hyp1=text(*h1), hyp2=text(*h2), y=i % 2)
+             for i, (h1, h2, r) in enumerate(rows)]
+    ds = load_dataset(lines)
+    table = load_embedding_table(io.StringIO("w0 0.1 -0.0\nw1 0.3 2.5\nw2 -7.0 1e-3\n"))
+    with mock.patch.object(data_ingest, "CHUNK_TUPLES", chunk):
+        batch, _ = vectorize(ds, table)
+    # The store holds as many sentences as there are distinct token
+    # sequences, however they were written, and every tuple reads back its
+    # own: so each is held once.
+    assert len(ds.offsets) - 1 == len({tuple(pool[j]) for row in rows for j, _ in row})
+    for i, ((h1, _), (h2, _), (r, _)) in enumerate(rows):
+        tup = ds.tuples[i]
+        assert (tup.hyp1, tup.hyp2, tup.reference) == (pool[h1], pool[h2], pool[r])
+        for phi, h in ((batch.F1[i], h1), (batch.F2[i], h2)):
+            p, m, t, hl, rl, ratio, bp = brute_bleu_fields(pool[h], pool[r])
+            assert phi.tobytes() == np.array(p + m + t + [hl, rl, ratio, bp], dtype=float).tobytes()
+        for psi, j in ((batch.P1[i], h1), (batch.P2[i], h2), (batch.Pr[i], r)):
+            assert psi.tobytes() == sequential_mean(pool[j], table)[0].tobytes()
 
 
 def without(key):

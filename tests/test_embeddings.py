@@ -156,7 +156,8 @@ finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 def test_bulk_compose_matches_sequential_mean(sentences, values):
     # Empty and all-OOV sentences come up often with two OOV tokens in five.
     table = EmbeddingTable(np.array([0.0] * 3 + values).reshape(4, 3), {"a": 1, "b": 2, "c": 3})
-    got, oov = compose_mean_matrix(sentences, table)
+    rows = table.rows_of([t for s in sentences for t in s])
+    got, oov = compose_mean_matrix(rows, np.array([len(s) for s in sentences], dtype=np.int64), table)
     assert got.shape == (len(sentences), 3)
     for row, n_oov, tokens in zip(got, oov, sentences):
         want, want_oov = sequential_mean(tokens, table)

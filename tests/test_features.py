@@ -133,6 +133,13 @@ def test_assemble_deterministic(hyp, ref):
     assert np.array_equal(a.values, b.values)
 
 
+def store(sentences):
+    """A sentence store of ``sentences``: their flat token ids and offsets."""
+    vocab = {}
+    ids = [vocab.setdefault(t, len(vocab)) for s in sentences for t in s]
+    return np.array(ids, dtype=np.int32), np.cumsum([0] + [len(s) for s in sentences])
+
+
 # A three-token vocabulary gives heavy repetition; sizes 0-3 give empty
 # sentences and sentences with no 4-grams.
 short_sentence = st.lists(st.sampled_from(["a", "b", "c"]), max_size=10)
@@ -144,7 +151,8 @@ def test_bleu_matrix_matches_brute_force(refs, rows):
     # Rows draw references from a small pool, so many share one.
     hyps = [h for h, _ in rows]
     row_refs = [refs[j % len(refs)] for _, j in rows]
-    got = bleu_matrix(hyps, row_refs)
+    # The store holds each reference once, after the hypotheses.
+    got = bleu_matrix(*store(hyps + refs), np.arange(len(rows)), [len(rows) + j % len(refs) for _, j in rows])
     assert got.shape == (len(rows), 16)
     for row, hyp, ref in zip(got, hyps, row_refs):
         p, m, t, hl, rl, ratio, bp = brute_bleu_fields(hyp, ref)
@@ -155,4 +163,4 @@ def test_bleu_matrix_matches_brute_force(refs, rows):
 
 def test_bleu_matrix_length_mismatch():
     with pytest.raises(ValueError):
-        bleu_matrix([["a"]], [])
+        bleu_matrix(*store([["a"]]), [0], [])

@@ -174,6 +174,18 @@ def test_swapped_view_shares_the_traded_block_inputs_without_a_cycle():
         gc.enable()
 
 
+@pytest.mark.parametrize("column", ["P1", "P2", "Pr", "F1", "F2"])
+def test_batch_columns_are_read_only(column):
+    # forward_batch keeps the block inputs it builds from the sentence vectors,
+    # so a column written after it would leave the next forward stale.
+    m = init_model(CFG)
+    batch = random_input(CFG, 3)
+    before, _ = forward_batch(m, batch)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(batch, column)[0] += 10
+    assert np.array_equal(forward_batch(m, batch)[0], before)
+
+
 def test_checkpoint_roundtrip():
     for cfg in (CFG, CFG_FLAT):
         m = init_model(cfg)

@@ -294,8 +294,10 @@ def test_train_schedule_records_phases():
 
 
 def test_train_divergence_detected():
-    data = mixed_examples(32, seed=4)
-    data[0].F1[0] = [np.nan, 0.0]
+    batch, y = mixed_examples(32, seed=4)
+    F1 = batch.F1.copy()
+    F1[0] = [np.nan, 0.0]
+    data = dataclasses.replace(batch, F1=F1), y
     m = init_model(ModelConfig(3, 2, 2, seed=1))
     tcfg = TrainConfig(learning_rate=0.01, epochs=2, batch_size=32, shuffle_seed=1)
     with pytest.raises(DivergenceError):

@@ -89,10 +89,7 @@ def _train_fields(args: argparse.Namespace) -> dict[type, dict]:
 
 
 def _load_table(embeddings_path: Optional[str]) -> Optional[EmbeddingTable]:
-    if not embeddings_path:
-        return None
-    with open(embeddings_path, encoding="utf-8") as f:
-        return load_embedding_table(f)
+    return load_embedding_table(embeddings_path) if embeddings_path else None
 
 
 def _load_data(path: str, table: Optional[EmbeddingTable]):
@@ -149,13 +146,29 @@ def cmd_extract(args) -> int:
     return 0
 
 
+def _check_valid_matches(data, data_batch, valid, valid_batch) -> None:
+    """Refuse a --valid set whose features are not the ones --data trains on."""
+    if valid.feature_schema != data.feature_schema:
+        raise data_ingest.InconsistentSchema(
+            f"--valid has feature schema {valid.feature_schema}, --data has {data.feature_schema}"
+        )
+    widths = valid_batch.P1.shape[1], data_batch.P1.shape[1]
+    if widths[0] != widths[1]:
+        raise data_ingest.InconsistentSchema(
+            f"--valid has sentence vectors of width {widths[0]}, --data has width {widths[1]}"
+        )
+
+
 def cmd_train(args) -> int:
     fields = _train_fields(args)
     tcfg, ccfg = TrainConfig(**fields[TrainConfig]), CostConfig(**fields[CostConfig])
     table = _load_table(args.embeddings)
-    _, batch, y = _load_data(args.data, table)
+    dataset, batch, y = _load_data(args.data, table)
     # Without --valid, training validates on the training set itself.
-    valid = _load_data(args.valid, table)[1:] if args.valid else (batch, y)
+    valid = (batch, y)
+    if args.valid:
+        valid_set, *valid = _load_data(args.valid, table)
+        _check_valid_matches(dataset, batch, valid_set, valid[0])
     config = ModelConfig(sentence_dim=batch.P1.shape[1], pairwise_dim=batch.F1.shape[1], **fields[ModelConfig])
     model, report = train(init_model(config), batch, y, *valid, tcfg, ccfg)
     with open(args.out, "w", encoding="utf-8") as f:

@@ -3,10 +3,19 @@
 Embedding files are plain UTF-8 text, one ``token v1 ... vd`` entry per
 line. An optional word2vec-style ``<count> <dim>`` header line is
 auto-detected, and lines starting with ``#`` are skipped.
+
+A table file loaded by path is parsed once: the parse is saved beside it
+as a binary sidecar, keyed by the sha256 of the bytes parsed, and later
+loads of the same bytes read the sidecar instead.
 """
 
 from __future__ import annotations
 
+import io
+import os
+import stat
+import tempfile
+import zipfile
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import IO, Iterable, Iterator, Optional, Sequence
@@ -32,6 +41,9 @@ class EmptyTableError(EmbeddingError):
 # whole file and at 34.5 MB with 512-line blocks (33 MB with one float()
 # per field).
 BLOCK_LINES = 512
+
+# The layout of a sidecar's members; a sidecar of another format is ignored.
+SIDECAR_FORMAT = 1
 
 
 @dataclass
@@ -174,15 +186,8 @@ def _parse_block(linenos: Sequence[int], rests: Sequence[str], dimension: Option
     return np.array(vectors)
 
 
-def load_embedding_table(source: IO[str] | Iterable[str]) -> EmbeddingTable:
-    """Parse a text embedding file into an :class:`EmbeddingTable`.
-
-    Vector fields are parsed ``BLOCK_LINES`` lines at a time with numpy's
-    float parser. Duplicate tokens keep the first occurrence; the number
-    skipped is recorded on the table. Raises, naming the line, on
-    inconsistent dimensions, non-numeric fields and non-finite values;
-    raises on empty input.
-    """
+def _parse(source: IO[str] | Iterable[str]) -> EmbeddingTable:
+    """The table in the lines of a text embedding file, as :func:`load_embedding_table` describes."""
     rows: dict[str, int] = {}
     # Grown in place block by block: stacking the blocks at the end would
     # hold the table twice. Row 0 stays the zero vector.
@@ -212,6 +217,142 @@ def load_embedding_table(source: IO[str] | Iterable[str]) -> EmbeddingTable:
     if len(bad):
         raise EmbeddingError(f"line {row_lines[bad[0] - 1]}: non-finite vector value")
     return EmbeddingTable(matrix, rows, duplicates_skipped=duplicates)
+
+
+class _Hashed(io.RawIOBase):
+    """A binary file, each chunk fed to ``digest`` as it is read."""
+
+    def __init__(self, raw: IO[bytes], digest):
+        self._raw, self._digest = raw, digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._raw.readinto(buffer)
+        self._digest.update(memoryview(buffer)[:n])
+        return n
+
+
+def sidecar_path(path: str | os.PathLike) -> str:
+    """Where the parse of the table file at ``path`` is saved: ``.<file name>.pairrank.npz`` beside it."""
+    head, name = os.path.split(os.fspath(path))
+    return os.path.join(head, f".{name}.pairrank.npz")
+
+
+def _member(npz, name: str, dtype, ndim: int) -> np.ndarray:
+    a = npz[name]
+    if a.dtype != dtype or a.ndim != ndim:
+        raise ValueError(f"sidecar member {name} is {a.dtype} of {a.ndim} dimensions")
+    return a
+
+
+def _read_sidecar(path: str, source: IO[bytes]) -> Optional[EmbeddingTable]:
+    """The table saved at ``path`` for the bytes of ``source``, checked as outside input.
+
+    None when there is no such sidecar, or it is truncated, corrupt, of
+    another format, saved for other bytes, or fails a check.
+    """
+    import hashlib
+
+    try:
+        # Opened here, not by np.load, which leaves the file open when the zip cannot be read.
+        with open(path, "rb") as fid:
+            npz = np.load(fid, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):
+                return None
+            if _member(npz, "format", np.int64, 0) != SIDECAR_FORMAT:
+                return None
+            if _member(npz, "sha256", np.uint8, 1).tobytes() != hashlib.file_digest(source, "sha256").digest():
+                return None
+            matrix = _member(npz, "matrix", np.float64, 2)
+            text = _member(npz, "tokens", np.uint8, 1).tobytes().decode("utf-8")
+            duplicates = int(_member(npz, "duplicates_skipped", np.int64, 0))
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    tokens = text.split()
+    rows = dict(zip(tokens, range(1, len(tokens) + 1)))
+    # The tokens join back into the stored text only when each is non-empty and free of whitespace.
+    if not tokens or "\n".join(tokens) != text or len(rows) != len(tokens) or duplicates < 0:
+        return None
+    if len(matrix) != len(tokens) + 1 or matrix.shape[1] < 1:
+        return None
+    if matrix[0].any() or np.signbit(matrix[0]).any() or not np.isfinite(matrix).all():
+        return None
+    return EmbeddingTable(matrix, rows, duplicates_skipped=duplicates)
+
+
+def _write_sidecar(path: str, digest: bytes, table: EmbeddingTable, mode: int) -> None:
+    """Save ``table`` at ``path``, with permission bits ``mode``, as the parse
+    of the bytes whose sha256 is ``digest``.
+
+    The sidecar is written to a temporary file beside ``path`` and moved
+    into place, so a reader finds all of it or none. A failed write (a
+    read-only directory, a full disk) leaves nothing and is not an error.
+    """
+    members = {
+        "format": np.int64(SIDECAR_FORMAT),
+        "sha256": np.frombuffer(digest, np.uint8),
+        "matrix": table.matrix,
+        "tokens": np.frombuffer("\n".join(table.rows).encode("utf-8"), np.uint8),
+        "duplicates_skipped": np.int64(table.duplicates_skipped),
+    }
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path), suffix=".tmp", dir=os.path.dirname(path) or None)
+        # The members as np.savez lays them out, each array's own bytes
+        # written where np.savez would first copy them.
+        with os.fdopen(fd, "wb") as f, zipfile.ZipFile(f, "w") as zf:
+            os.fchmod(f.fileno(), mode)
+            for name, a in members.items():
+                a = np.asarray(a)
+                with zf.open(f"{name}.npy", "w", force_zip64=True) as member:
+                    np.lib.format.write_array_header_1_0(member, np.lib.format.header_data_from_array_1_0(a))
+                    member.write(a.reshape(-1).view(np.uint8))
+        os.replace(tmp, path)
+    except OSError:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+
+
+def load_embedding_table(source: str | os.PathLike | IO[str] | Iterable[str]) -> EmbeddingTable:
+    """An :class:`EmbeddingTable` from a text embedding file, given by path or as lines.
+
+    Vector fields are parsed ``BLOCK_LINES`` lines at a time with numpy's
+    float parser. Duplicate tokens keep the first occurrence; the number
+    skipped is recorded on the table. Raises, naming the line, on
+    inconsistent dimensions, non-numeric fields and non-finite values;
+    raises on empty input.
+
+    A path to a regular file is read as UTF-8 and parsed once: a good
+    parse is saved beside the file (see :func:`sidecar_path`) with the
+    sha256 of the bytes parsed, and a later load of a file with the same
+    bytes builds the same table from that sidecar. A sidecar that does not
+    match the file or fails a check is ignored and rewritten. Any other
+    path, such as a pipe, is only parsed.
+    """
+    if not isinstance(source, (str, os.PathLike)):
+        return _parse(source)
+    with open(source, "rb") as f:
+        mode = os.fstat(f.fileno()).st_mode
+        if not stat.S_ISREG(mode):
+            with io.TextIOWrapper(f, encoding="utf-8") as text:
+                return _parse(text)
+        import hashlib
+
+        sidecar = sidecar_path(source)
+        table = _read_sidecar(sidecar, f)
+        if table is None:
+            f.seek(0)
+            digest = hashlib.sha256()
+            with io.TextIOWrapper(io.BufferedReader(_Hashed(f, digest)), encoding="utf-8") as text:
+                table = _parse(text)
+            # Whoever may read the table may read its sidecar.
+            _write_sidecar(sidecar, digest.digest(), table, stat.S_IMODE(mode) & 0o666)
+    return table
 
 
 def compose_mean_matrix(

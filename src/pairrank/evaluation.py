@@ -121,4 +121,4 @@ def save_report(report: EvalReport, sink: IO[str]) -> None:
             name: {"counts": vars(c), "tau": t} for name, (c, t) in report.per_split.items()
         },
     }
-    json.dump(doc, sink)
+    sink.write(json.dumps(doc))

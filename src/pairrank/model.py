@@ -241,7 +241,7 @@ def save_model(model: Model, sink: IO[str]) -> None:
         "config": asdict(model.config),
         "params": {k: v.tolist() for k, v in model.params.items()},
     }
-    json.dump(doc, sink)
+    sink.write(json.dumps(doc))
 
 
 def _param_array(name: str, value) -> np.ndarray:

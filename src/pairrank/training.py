@@ -117,16 +117,8 @@ class TrainReport:
         # Wall-clock is kept in memory only so identical runs serialize
         # to identical bytes.
         for r in self.epochs:
-            json.dump(
-                {
-                    "epoch": r.epoch,
-                    "cost_kind": r.cost_kind,
-                    "train_cost": r.train_cost,
-                    "valid_tau": r.valid_tau,
-                },
-                sink,
-            )
-            sink.write("\n")
+            row = {"epoch": r.epoch, "cost_kind": r.cost_kind, "train_cost": r.train_cost, "valid_tau": r.valid_tau}
+            sink.write(json.dumps(row) + "\n")
 
 
 def _logistic_terms(sigma, y):

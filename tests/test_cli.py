@@ -4,10 +4,12 @@ import os
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import pytest
 
 import pairrank.cli
+import pairrank.embeddings
 
 from pairrank.cli import run
 from pairrank.synthetic import token_dataset_lines, toy_embedding_lines
@@ -464,3 +466,48 @@ def test_closed_stdout_ends_output_quietly(tmp_path, data_file, subcommand):
     assert first["id"] == "s0"
     assert err == b""
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("data_edit, valid_edit, message", [
+    ({}, {"external_scores_1": {"TER": 0.5}, "external_scores_2": {"TER": 0.25}},
+     "--valid has feature schema ['TER'], --data has ['METEOR']"),
+    ({"psi_t1": [0.5], "psi_t2": [0.25], "psi_r": [1.0]}, {"psi_t1": [0.5, 1], "psi_t2": [0.25, 1], "psi_r": [1.0, 1]},
+     "--valid has sentence vectors of width 2, --data has width 1"),
+], ids=["renamed-score", "vector-width"])
+def test_train_refuses_a_valid_set_unlike_its_data(tmp_path, capsys, data_edit, valid_edit, message):
+    base = tmp_path / "base.jsonl"
+    base.write_text("\n".join(token_dataset_lines(60, seed=1, with_external=True)) + "\n")
+    data, valid, model = tmp_path / "data.jsonl", tmp_path / "valid.jsonl", tmp_path / "m.json"
+    data.write_text(edited_lines(base, **data_edit))
+    valid.write_text(edited_lines(base, **valid_edit))
+    assert run(train_args(str(data), str(model), valid=valid)) == 1
+    assert capsys.readouterr().err == f"error: InconsistentSchema: {message}\n"
+    assert not model.exists()
+
+
+def test_cold_and_warm_table_loads_give_the_same_outputs(tmp_path, capsys, data_file, emb_file):
+    from pairrank.embeddings import sidecar_path
+
+    def pipeline(out_dir, cold):
+        out_dir.mkdir()
+        model, outputs = str(out_dir / "m.json"), {}
+        jobs = {
+            "train": train_args(data_file, model, str(out_dir / "r.jsonl"), embeddings=emb_file, valid=data_file),
+            "evaluate": ["evaluate", "--data", data_file, "--embeddings", emb_file, "--model", model,
+                         "--report", str(out_dir / "eval.json")],
+            "predict": ["predict", "--data", data_file, "--embeddings", emb_file, "--model", model,
+                        "--out", str(out_dir / "pred.jsonl")],
+            "extract": ["extract", "--data", data_file, "--embeddings", emb_file, "--out", str(out_dir / "f.jsonl")],
+        }
+        for job, args in jobs.items():
+            if cold and os.path.exists(sidecar_path(emb_file)):
+                os.unlink(sidecar_path(emb_file))
+            assert run(args) == 0
+            assert os.path.exists(sidecar_path(emb_file))
+            outputs[job] = capsys.readouterr().out
+        return outputs | {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    cold = pipeline(tmp_path / "cold", cold=True)
+    with mock.patch.object(pairrank.embeddings, "_parse", side_effect=AssertionError("parsed")):
+        warm = pipeline(tmp_path / "warm", cold=False)
+    assert len(cold) == 9 and cold == warm

@@ -1,4 +1,6 @@
 import io
+import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -310,3 +312,197 @@ def test_short_row_past_first_block_names_its_line(first, last):
     with pytest.raises(InconsistentDimensionError, match=f"^line {first + 1}: expected 3 values, got 2$"):
         load_embedding_table(lines)
     assert_loads_like_per_line(lines)
+
+
+# Table files that the path loader must read exactly as an open text file is
+# read: a header, comments, a duplicate token, non-ASCII tokens, CRLF and
+# lone CR line ends, and a last line without its line end.
+SIDECAR_TABLES = {
+    "plain": "a 1.0 2.0\nb 3.0 4.0\n",
+    "header-comments-duplicate": "3 2\n# comment\na 1 2\n\nb -0.0 4.9e-324\na 9 9\n# end\nc 5 6",
+    "non-ascii": "wörd 1 2\n日本 3 4\nçà\t5 6\nwörd 7 8\n",
+    "line-ends": "a 1 2\r\nb 3 4\rc 5 6\n",
+}
+
+
+def table_file(tmp_path, text, name="emb.txt"):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def assert_same_table(got, want):
+    assert got.matrix.dtype == want.matrix.dtype and got.matrix.shape == want.matrix.shape
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert list(got.rows.items()) == list(want.rows.items())
+    assert got.duplicates_skipped == want.duplicates_skipped
+
+
+def parse_only():
+    """Loads inside this context may parse no text: they must come from a sidecar."""
+    return mock.patch.object(embeddings, "_parse", side_effect=AssertionError("parsed"))
+
+
+@pytest.mark.parametrize("text", SIDECAR_TABLES.values(), ids=SIDECAR_TABLES)
+def test_cold_and_warm_loads_give_the_parsed_table(tmp_path, text):
+    path = table_file(tmp_path, text)
+    with open(path, encoding="utf-8") as f:
+        want = load_embedding_table(f)
+    cold = load_embedding_table(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".emb.txt.pairrank.npz", "emb.txt"]
+    with parse_only():
+        warm = load_embedding_table(str(path))
+    assert_same_table(cold, want)
+    assert_same_table(warm, want)
+
+
+def test_sidecar_is_keyed_by_content(tmp_path):
+    path = table_file(tmp_path, "a 1 2\nb 3 4\n")
+    load_embedding_table(path)
+    stat = path.stat()
+    # The same size and modification time, other bytes.
+    path.write_bytes(b"a 1 2\nb 3 5\n")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert np.array_equal(load_embedding_table(path).matrix[2], [3, 5])
+    with parse_only():
+        assert np.array_equal(load_embedding_table(path).matrix[2], [3, 5])
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o600, 0o755])
+def test_sidecar_takes_the_tables_read_and_write_bits(tmp_path, mode):
+    path = table_file(tmp_path, "a 1 2\n")
+    path.chmod(mode)
+    load_embedding_table(path)
+    assert os.stat(embeddings.sidecar_path(path)).st_mode & 0o777 == mode & 0o666
+
+
+def sidecar_members(path):
+    with np.load(embeddings.sidecar_path(path)) as npz:
+        return dict(npz)
+
+
+def rewrite_sidecar(path, **changes):
+    np.savez(embeddings.sidecar_path(path), **{**sidecar_members(path), **changes})
+
+
+def sidecar_bytes(path):
+    with open(embeddings.sidecar_path(path), "rb") as f:
+        return f.read()
+
+
+def replace_bytes(path, data):
+    with open(embeddings.sidecar_path(path), "wb") as f:
+        f.write(data)
+
+
+def flip_last_matrix_byte(path):
+    data = bytearray(sidecar_bytes(path))
+    at = data.index(np.float64(4.0).tobytes())  # the last value of the matrix
+    data[at] ^= 1
+    replace_bytes(path, bytes(data))
+
+
+def write_npy(path):
+    with open(embeddings.sidecar_path(path), "wb") as f:
+        np.save(f, np.zeros(3))
+
+
+def matrix_with(row, col, value):
+    def change(path):
+        matrix = sidecar_members(path)["matrix"]
+        matrix[row, col] = value
+        rewrite_sidecar(path, matrix=matrix)
+    return change
+
+
+BAD_SIDECARS = {
+    "truncated": lambda p: replace_bytes(p, sidecar_bytes(p)[:-200]),
+    "not-a-zip-file": lambda p: replace_bytes(p, b"not a zip file\n"),
+    "a-npy-file": write_npy,
+    "corrupt-matrix-byte": flip_last_matrix_byte,
+    "other-format": lambda p: rewrite_sidecar(p, format=np.int64(embeddings.SIDECAR_FORMAT + 1)),
+    "other-digest": lambda p: rewrite_sidecar(p, sha256=np.zeros(32, np.uint8)),
+    "missing-member": lambda p: np.savez(embeddings.sidecar_path(p), **{
+        k: v for k, v in sidecar_members(p).items() if k != "duplicates_skipped"}),
+    "pickled-member": lambda p: rewrite_sidecar(p, tokens=np.array(["a", "b"], dtype=object)),
+    "float32-matrix": lambda p: rewrite_sidecar(p, matrix=sidecar_members(p)["matrix"].astype(np.float32)),
+    "non-finite-value": matrix_with(1, 0, np.nan),
+    "non-zero-row-0": matrix_with(0, 1, 1.0),
+    "negative-zero-row-0": matrix_with(0, 0, -0.0),
+    "duplicate-tokens": lambda p: rewrite_sidecar(p, tokens=np.frombuffer(b"a\na", np.uint8)),
+    "token-with-space": lambda p: rewrite_sidecar(p, tokens=np.frombuffer(b"a\nb c", np.uint8)),
+    "empty-token": lambda p: rewrite_sidecar(p, tokens=np.frombuffer(b"a\n\nb", np.uint8)),
+    "wrong-row-count": lambda p: rewrite_sidecar(p, matrix=np.zeros((4, 2))),
+    "negative-duplicates": lambda p: rewrite_sidecar(p, duplicates_skipped=np.int64(-1)),
+}
+
+
+@pytest.mark.parametrize("spoil", BAD_SIDECARS.values(), ids=BAD_SIDECARS)
+def test_bad_sidecar_is_ignored_and_rewritten(tmp_path, spoil):
+    path = table_file(tmp_path, "a 1 2\nb 3 4\n")
+    want = load_embedding_table(path)
+    spoil(path)
+    with mock.patch.object(embeddings, "_parse", wraps=embeddings._parse) as parse:
+        assert_same_table(load_embedding_table(path), want)
+    assert parse.call_count == 1
+    with parse_only():
+        assert_same_table(load_embedding_table(path), want)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".emb.txt.pairrank.npz", "emb.txt"]
+
+
+def fail_mkstemp(*args, **kwargs):
+    raise PermissionError(13, "Permission denied")
+
+
+class FullDisk(io.FileIO):
+    """A file on a disk that fills up after the first few bytes written to it."""
+
+    def write(self, data):
+        super().write(bytes(memoryview(data).cast("B")[:4]))
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("target, name, fake", [(embeddings.tempfile, "mkstemp", fail_mkstemp),
+                                                (embeddings.os, "fdopen", FullDisk)],
+                         ids=["read-only-directory", "full-disk"])
+def test_failed_sidecar_write_still_loads_and_leaves_nothing(tmp_path, target, name, fake):
+    path = table_file(tmp_path, "a 1 2\nb 3 4\n")
+    with mock.patch.object(target, name, fake):
+        table = load_embedding_table(path)
+    assert table.rows == {"a": 1, "b": 2}
+    assert [p.name for p in tmp_path.iterdir()] == ["emb.txt"]
+
+
+def test_malformed_table_raises_every_time_and_leaves_no_sidecar(tmp_path):
+    path = table_file(tmp_path, "a 1 2\n# comment\nb 3\n")
+    for _ in range(2):
+        with pytest.raises(InconsistentDimensionError, match="^line 3: expected 2 values, got 1$"):
+            load_embedding_table(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["emb.txt"]
+
+
+def test_fifo_is_parsed_and_leaves_no_sidecar(tmp_path):
+    fifo = tmp_path / "emb.fifo"
+    os.mkfifo(fifo)
+    text = SIDECAR_TABLES["header-comments-duplicate"]
+
+    def feed():
+        with open(fifo, "w", encoding="utf-8") as f:
+            f.write(text)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    table = load_embedding_table(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert_same_table(table, load_embedding_table(io.StringIO(text)))
+    assert [p.name for p in tmp_path.iterdir()] == ["emb.fifo"]
+
+
+def test_file_object_and_lines_write_nothing(tmp_path):
+    path = table_file(tmp_path, "a 1 2\nb 3 4\n")
+    with open(path, encoding="utf-8") as f:
+        from_file = load_embedding_table(f)
+    from_lines = load_embedding_table(path.read_text().splitlines(keepends=True))
+    assert_same_table(from_file, from_lines)
+    assert [p.name for p in tmp_path.iterdir()] == ["emb.txt"]

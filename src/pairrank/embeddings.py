@@ -42,8 +42,12 @@ class EmptyTableError(EmbeddingError):
 # per field).
 BLOCK_LINES = 512
 
-# The layout of a sidecar's members; a sidecar of another format is ignored.
-SIDECAR_FORMAT = 1
+# The version of what a sidecar saves: the layout of its members and the
+# parse rules that made them. Bump it on any change to what _parse accepts
+# or returns (header detection, which fields are numeric, the non-finite
+# check, keep-first on duplicates, the token -> row order), or to the
+# layout; a sidecar of another version is ignored and rewritten.
+SIDECAR_VERSION = 1
 
 
 @dataclass
@@ -240,6 +244,18 @@ def sidecar_path(path: str | os.PathLike) -> str:
     return os.path.join(head, f".{name}.pairrank.npz")
 
 
+def _sha256(source: IO[bytes]) -> bytes:
+    """The sha256 of the rest of ``source``, read 256 KiB at a time."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    buffer = bytearray(1 << 18)
+    view = memoryview(buffer)
+    while n := source.readinto(buffer):
+        digest.update(view[:n])
+    return digest.digest()
+
+
 def _member(npz, name: str, dtype, ndim: int) -> np.ndarray:
     a = npz[name]
     if a.dtype != dtype or a.ndim != ndim:
@@ -247,23 +263,29 @@ def _member(npz, name: str, dtype, ndim: int) -> np.ndarray:
     return a
 
 
-def _read_sidecar(path: str, source: IO[bytes]) -> Optional[EmbeddingTable]:
+def _read_sidecar(path: str, source: IO[bytes], owner: int) -> Optional[EmbeddingTable]:
     """The table saved at ``path`` for the bytes of ``source``, checked as outside input.
 
-    None when there is no such sidecar, or it is truncated, corrupt, of
-    another format, saved for other bytes, or fails a check.
+    None when there is no such sidecar, or it is owned by someone other
+    than ``owner`` (the table's owner), this user or root, or it is
+    truncated, corrupt, of another version, saved for other bytes, or fails
+    a check.
     """
-    import hashlib
-
     try:
         # Opened here, not by np.load, which leaves the file open when the zip cannot be read.
         with open(path, "rb") as fid:
+            # Anyone who can read the table can compute its digest and, in a
+            # shared directory, plant a sidecar of other vectors. Only the
+            # table's owner, this user and root (who could as well change
+            # the table) are trusted.
+            if os.fstat(fid.fileno()).st_uid not in (owner, os.geteuid(), 0):
+                return None
             npz = np.load(fid, allow_pickle=False)
             if not isinstance(npz, np.lib.npyio.NpzFile):
                 return None
-            if _member(npz, "format", np.int64, 0) != SIDECAR_FORMAT:
+            if _member(npz, "version", np.int64, 0) != SIDECAR_VERSION:
                 return None
-            if _member(npz, "sha256", np.uint8, 1).tobytes() != hashlib.file_digest(source, "sha256").digest():
+            if _member(npz, "sha256", np.uint8, 1).tobytes() != _sha256(source):
                 return None
             matrix = _member(npz, "matrix", np.float64, 2)
             text = _member(npz, "tokens", np.uint8, 1).tobytes().decode("utf-8")
@@ -291,7 +313,7 @@ def _write_sidecar(path: str, digest: bytes, table: EmbeddingTable, mode: int) -
     read-only directory, a full disk) leaves nothing and is not an error.
     """
     members = {
-        "format": np.int64(SIDECAR_FORMAT),
+        "version": np.int64(SIDECAR_VERSION),
         "sha256": np.frombuffer(digest, np.uint8),
         "matrix": table.matrix,
         "tokens": np.frombuffer("\n".join(table.rows).encode("utf-8"), np.uint8),
@@ -331,27 +353,28 @@ def load_embedding_table(source: str | os.PathLike | IO[str] | Iterable[str]) ->
     parse is saved beside the file (see :func:`sidecar_path`) with the
     sha256 of the bytes parsed, and a later load of a file with the same
     bytes builds the same table from that sidecar. A sidecar that does not
-    match the file or fails a check is ignored and rewritten. Any other
-    path, such as a pipe, is only parsed.
+    match the file or fails a check is ignored and rewritten, and one owned
+    by anyone but the table's owner, this user or root is ignored. Any
+    other path, such as a pipe, is only parsed.
     """
     if not isinstance(source, (str, os.PathLike)):
         return _parse(source)
     with open(source, "rb") as f:
-        mode = os.fstat(f.fileno()).st_mode
-        if not stat.S_ISREG(mode):
+        st = os.fstat(f.fileno())
+        if not stat.S_ISREG(st.st_mode):
             with io.TextIOWrapper(f, encoding="utf-8") as text:
                 return _parse(text)
         import hashlib
 
         sidecar = sidecar_path(source)
-        table = _read_sidecar(sidecar, f)
+        table = _read_sidecar(sidecar, f, st.st_uid)
         if table is None:
             f.seek(0)
             digest = hashlib.sha256()
             with io.TextIOWrapper(io.BufferedReader(_Hashed(f, digest)), encoding="utf-8") as text:
                 table = _parse(text)
             # Whoever may read the table may read its sidecar.
-            _write_sidecar(sidecar, digest.digest(), table, stat.S_IMODE(mode) & 0o666)
+            _write_sidecar(sidecar, digest.digest(), table, stat.S_IMODE(st.st_mode) & 0o666)
     return table
 
 

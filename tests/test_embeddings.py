@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import threading
@@ -420,7 +421,7 @@ BAD_SIDECARS = {
     "not-a-zip-file": lambda p: replace_bytes(p, b"not a zip file\n"),
     "a-npy-file": write_npy,
     "corrupt-matrix-byte": flip_last_matrix_byte,
-    "other-format": lambda p: rewrite_sidecar(p, format=np.int64(embeddings.SIDECAR_FORMAT + 1)),
+    "other-version": lambda p: rewrite_sidecar(p, version=np.int64(embeddings.SIDECAR_VERSION + 1)),
     "other-digest": lambda p: rewrite_sidecar(p, sha256=np.zeros(32, np.uint8)),
     "missing-member": lambda p: np.savez(embeddings.sidecar_path(p), **{
         k: v for k, v in sidecar_members(p).items() if k != "duplicates_skipped"}),
@@ -448,6 +449,49 @@ def test_bad_sidecar_is_ignored_and_rewritten(tmp_path, spoil):
     with parse_only():
         assert_same_table(load_embedding_table(path), want)
     assert sorted(p.name for p in tmp_path.iterdir()) == [".emb.txt.pairrank.npz", "emb.txt"]
+
+
+def test_hashing_needs_no_file_digest_and_reads_every_chunk(tmp_path, monkeypatch):
+    # hashlib.file_digest is new in Python 3.11.
+    monkeypatch.delattr(hashlib, "file_digest", raising=False)
+    # Several of the hash's 256 KiB reads.
+    text = "".join(f"w{i} {i} 1\n" for i in range(60_000))
+    path = table_file(tmp_path, text)
+    want = load_embedding_table(path)
+    with parse_only():
+        assert_same_table(load_embedding_table(path), want)
+    # An edit in the last chunk is seen.
+    path.write_bytes(text[:-2].encode() + b"2\n")
+    assert load_embedding_table(path).matrix[-1, 1] == 2
+
+
+def owned_by(uids):
+    """os.fstat, reporting each file whose inode is a key of ``uids`` as owned by its value."""
+    real = os.fstat
+
+    def fstat(fd):
+        st = real(fd)
+        if st.st_ino not in uids:
+            return st
+        fields = list(st)
+        fields[4] = uids[st.st_ino]  # st_uid
+        return os.stat_result(fields)
+
+    return mock.patch.object(embeddings.os, "fstat", fstat)
+
+
+@pytest.mark.parametrize("sidecar_uid, served", [(1002, False), (1001, True), (1000, True), (0, True)],
+                         ids=["another-user", "the-tables-owner", "this-user", "root"])
+def test_sidecar_is_served_only_from_a_trusted_owner(tmp_path, sidecar_uid, served):
+    # The table is owned by 1001 and read by 1000. A sidecar with the table's
+    # digest and other vectors, as anyone who can read the table could plant.
+    path = table_file(tmp_path, "a 1 2\nb 3 4\n")
+    want = load_embedding_table(path)
+    rewrite_sidecar(path, matrix=want.matrix * 2)
+    uids = {path.stat().st_ino: 1001, os.stat(embeddings.sidecar_path(path)).st_ino: sidecar_uid}
+    with owned_by(uids), mock.patch.object(embeddings.os, "geteuid", return_value=1000):
+        got = load_embedding_table(path)
+    assert np.array_equal(got.matrix, want.matrix * 2 if served else want.matrix)
 
 
 def fail_mkstemp(*args, **kwargs):

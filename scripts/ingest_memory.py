@@ -3,8 +3,10 @@
 The data set is ``--copies`` unique-ref train splits from
 ``perfbench/workload.py`` (seeds 1, 2, ...), concatenated: 25 copies give
 50,000 tuples. The first copy's embedding table is the table. A fresh
-interpreter, importing pairrank from ``CHECKOUT/src``, loads the table as
-the CLI does, then the data set, then vectorizes it. The script prints one
+interpreter, importing pairrank from ``CHECKOUT/src``, loads the table by
+path as the CLI does, then the data set, then vectorizes it. The data sit
+in a new temporary directory, so the table load is a first (cold) one: it
+parses the text and writes the sidecar. The script prints one
 JSON object with the wall seconds of each step and ``ru_maxrss`` (the
 process's peak resident set, in MB) after each:
 
@@ -68,11 +70,10 @@ def measure(root: str, data_dir: str) -> dict:
         out[f"{name}_peak_mb"] = _peak_mb()
         return result
 
-    with open(os.path.join(data_dir, "embeddings.txt"), encoding="utf-8") as f:
-        table = step("table", load_embedding_table, f)
+    table = step("table", load_embedding_table, os.path.join(data_dir, "embeddings.txt"))
     with open(os.path.join(data_dir, "train.jsonl"), encoding="utf-8") as f:
         dataset = step("load", load_dataset, f)
-    out["tuples"] = len(step("vectorize", vectorize, dataset, table)[1])
+    out["tuples"] = len(step("vectorize", vectorize, dataset, table))
     return out
 
 

@@ -93,10 +93,10 @@ def _load_table(embeddings_path: Optional[str]) -> Optional[EmbeddingTable]:
 
 
 def _load_data(path: str, table: Optional[EmbeddingTable]):
-    """The dataset at ``path``, its batch of model inputs and its labels."""
+    """The dataset at ``path`` and its batch of model inputs."""
     with open(path, encoding="utf-8") as f:
         dataset = data_ingest.load_dataset(f)
-    return (dataset, *data_ingest.vectorize(dataset, table))
+    return dataset, data_ingest.vectorize(dataset, table)
 
 
 def _write_jsonl(rows: Iterable[dict], path: Optional[str]) -> None:
@@ -120,12 +120,12 @@ def _write_jsonl(rows: Iterable[dict], path: Optional[str]) -> None:
 
 
 def cmd_extract(args) -> int:
-    dataset, batch, y = _load_data(args.data, _load_table(args.embeddings))
+    dataset, batch = _load_data(args.data, _load_table(args.embeddings))
     if args.schema:
         for name in list(BLEUCOMP_FEATURE_NAMES) + dataset.feature_schema:
             print(name)
         return 0
-    rows = zip(dataset.ids, dataset.splits, y.tolist(), batch.F1.tolist(), batch.F2.tolist(),
+    rows = zip(dataset.ids, dataset.splits, batch.y.tolist(), batch.F1.tolist(), batch.F2.tolist(),
                batch.P1.tolist(), batch.P2.tolist(), batch.Pr.tolist())
     _write_jsonl(
         (
@@ -163,14 +163,14 @@ def cmd_train(args) -> int:
     fields = _train_fields(args)
     tcfg, ccfg = TrainConfig(**fields[TrainConfig]), CostConfig(**fields[CostConfig])
     table = _load_table(args.embeddings)
-    dataset, batch, y = _load_data(args.data, table)
+    dataset, batch = _load_data(args.data, table)
     # Without --valid, training validates on the training set itself.
-    valid = (batch, y)
+    valid_batch = batch
     if args.valid:
-        valid_set, *valid = _load_data(args.valid, table)
-        _check_valid_matches(dataset, batch, valid_set, valid[0])
+        valid_set, valid_batch = _load_data(args.valid, table)
+        _check_valid_matches(dataset, batch, valid_set, valid_batch)
     config = ModelConfig(sentence_dim=batch.P1.shape[1], pairwise_dim=batch.F1.shape[1], **fields[ModelConfig])
-    model, report = train(init_model(config), batch, y, *valid, tcfg, ccfg)
+    model, report = train(init_model(config), batch, valid_batch, tcfg, ccfg)
     with open(args.out, "w", encoding="utf-8") as f:
         save_model(model, f)
     if args.report:
@@ -197,12 +197,11 @@ def _print_tau_table(report: evaluation.EvalReport) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    dataset, batch, y = _load_data(args.data, _load_table(args.embeddings))
+    evaluation.check_tie_epsilon(args.tie_epsilon)
+    dataset, batch = _load_data(args.data, _load_table(args.embeddings))
     with open(args.model, encoding="utf-8") as f:
         model = load_model(f)
-    report = evaluation.evaluate(
-        model, batch, y, tie_epsilon=args.tie_epsilon, splits=dataset.splits
-    )
+    report = evaluation.evaluate(model, batch, tie_epsilon=args.tie_epsilon, splits=dataset.splits)
     _print_tau_table(report)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as f:
@@ -216,7 +215,7 @@ DECISIONS = np.array(["t2-better", "t1-better", "tie"])
 
 def cmd_predict(args) -> int:
     evaluation.check_tie_epsilon(args.tie_epsilon)
-    dataset, batch, _ = _load_data(args.data, _load_table(args.embeddings))
+    dataset, batch = _load_data(args.data, _load_table(args.embeddings))
     with open(args.model, encoding="utf-8") as f:
         model = load_model(f)
     sigma, sigma_rev = predict_delta(model, batch)
@@ -245,10 +244,10 @@ def cmd_gradcheck(args) -> int:
     )
     model = init_model(config)
     # Sentence vectors from one planted rule, pairwise features and labels from the other.
-    sent, _ = interaction_rule_dataset(8, sentence_dim=3, seed=args.seed)
-    pair, y = linear_rule_dataset(8, pairwise_dim=2, seed=args.seed + 1)
-    batch = dataclasses.replace(sent, F1=pair.F1, F2=pair.F2)
-    err = grad_check(model, batch, y, CostConfig(kind=args.cost), step=args.step)
+    sent = interaction_rule_dataset(8, sentence_dim=3, seed=args.seed)
+    pair = linear_rule_dataset(8, pairwise_dim=2, seed=args.seed + 1)
+    batch = dataclasses.replace(sent, F1=pair.F1, F2=pair.F2, y=pair.y)
+    err = grad_check(model, batch, CostConfig(kind=args.cost), step=args.step)
     print(f"max relative error {err:.3e}")
     return 0 if err <= 1e-5 else 1
 

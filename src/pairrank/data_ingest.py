@@ -259,8 +259,8 @@ def _distinct(token_ids: array, ends: array) -> tuple[np.ndarray, np.ndarray, np
     return np.frombuffer(b"".join(seen), np.intc), offsets, sentences
 
 
-def vectorize(dataset: Dataset, table: Optional[EmbeddingTable] = None) -> tuple[Batch, np.ndarray]:
-    """The dataset's batch of model inputs and its int labels, in order.
+def vectorize(dataset: Dataset, table: Optional[EmbeddingTable] = None) -> Batch:
+    """The dataset's batch of model inputs, in order; its labels are ``dataset.labels``.
 
     Sentence vectors come from one source: the dataset's precomputed
     vectors when it has them, else mean composition over ``table`` when
@@ -294,4 +294,4 @@ def vectorize(dataset: Dataset, table: Optional[EmbeddingTable] = None) -> tuple
             tokens, lens = gather_tokens(*store, used)
             composed, _ = compose_mean_matrix(rows[tokens], lens, table)
             vectors[:, chunk] = composed[slots.reshape(3, -1)]
-    return Batch(*vectors, *features), dataset.labels
+    return Batch(*vectors, *features, dataset.labels)

@@ -85,24 +85,22 @@ def predict_delta(model: Model, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
 def evaluate(
     model: Model,
     batch: Batch,
-    labels: np.ndarray,
     tie_epsilon: float = DEFAULT_TIE_EPSILON,
     splits: Optional[Sequence[str]] = None,
 ) -> EvalReport:
-    """Score every tuple and aggregate counts overall and per split."""
+    """Score every tuple against its label, ``batch.y``; aggregate counts overall and per split."""
     check_tie_epsilon(tie_epsilon)
     if len(batch) == 0:
         raise EmptyEvaluation("empty dataset")
-    labels = np.asarray(labels)
     sigma, sigma_rev = predict_delta(model, batch)
     deltas = sigma - sigma_rev
-    counts = _count(deltas, labels, tie_epsilon)
+    counts = _count(deltas, batch.y, tie_epsilon)
     per_split: dict[str, tuple[PairCounts, float]] = {}
     if splits is not None:
         names = np.array(list(splits))
         for name in sorted(set(splits)):
             mask = names == name
-            sc = _count(deltas[mask], labels[mask], tie_epsilon)
+            sc = _count(deltas[mask], batch.y[mask], tie_epsilon)
             per_split[name] = (sc, kendall_tau(sc))
     return EvalReport(
         counts=counts,

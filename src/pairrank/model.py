@@ -130,7 +130,8 @@ class Batch:
     P1, P2 and Pr hold the sentence vectors of hypothesis 1, hypothesis 2
     and the reference (N x sentence_dim); F1 and F2 hold each
     hypothesis's pairwise features against the reference
-    (N x pairwise_dim).
+    (N x pairwise_dim); y holds each tuple's label (N,), 1 where
+    hypothesis 1 was judged better and 0 where hypothesis 2 was.
     """
 
     P1: np.ndarray
@@ -138,12 +139,18 @@ class Batch:
     Pr: np.ndarray
     F1: np.ndarray
     F2: np.ndarray
+    y: np.ndarray
     # The blocks' inputs built so far, by block name (see block_inputs).
     _inputs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        columns = (self.P1, self.P2, self.Pr, self.F1, self.F2, self.y)
+        rows = [len(column) for column in columns]
+        if len(set(rows)) > 1:
+            counts = ", ".join(f"{name} {n}" for name, n in zip(("P1", "P2", "Pr", "F1", "F2", "y"), rows))
+            raise ShapeMismatchError(f"batch columns differ in rows: {counts}")
         # Read-only from here on: block_inputs caches what it builds from them.
-        for column in (self.P1, self.P2, self.Pr, self.F1, self.F2):
+        for column in columns:
             column.flags.writeable = False
 
     def __len__(self) -> int:
@@ -158,24 +165,24 @@ class Batch:
         return [self._inputs[name] for name in BLOCKS]
 
     def swapped(self) -> "Batch":
-        """The same tuples with the two hypotheses exchanged. It shares the
-        (t1,r) and (t2,r) block inputs built so far, which trade places."""
-        out = Batch(self.P2, self.P1, self.Pr, self.F2, self.F1)
+        """The same tuples with the two hypotheses, so the labels, exchanged. It
+        shares the (t1,r) and (t2,r) block inputs built so far, which trade places."""
+        out = Batch(self.P2, self.P1, self.Pr, self.F2, self.F1, 1 - self.y)
         out._inputs = {{"1r": "2r", "2r": "1r"}[name]: x for name, x in self._inputs.items() if name != "12"}
         return out
 
     def take(self, idx) -> "Batch":
         """The rows at ``idx``, in that order."""
-        return Batch(self.P1[idx], self.P2[idx], self.Pr[idx], self.F1[idx], self.F2[idx])
+        return Batch(self.P1[idx], self.P2[idx], self.Pr[idx], self.F1[idx], self.F2[idx], self.y[idx])
 
     def astype(self, dtype) -> "Batch":
-        """A copy with every column cast to ``dtype``."""
-        return Batch(*(a.astype(dtype) for a in (self.P1, self.P2, self.Pr, self.F1, self.F2)))
+        """A copy with every column, the labels too, cast to ``dtype``."""
+        return Batch(*(a.astype(dtype) for a in (self.P1, self.P2, self.Pr, self.F1, self.F2, self.y)))
 
 
-def pack(rows: Sequence[tuple]) -> Batch:
-    """A batch from one or more (psi_t1, psi_t2, psi_r, phi_t1r, phi_t2r) rows of number sequences."""
-    return Batch(*(np.array(column, dtype=float) for column in zip(*rows)))
+def pack(rows: Sequence[tuple], y: Sequence[int]) -> Batch:
+    """A batch from (psi_t1, psi_t2, psi_r, phi_t1r, phi_t2r) rows of number sequences and their 0/1 labels."""
+    return Batch(*(np.array(column, dtype=float) for column in zip(*rows)), np.array(y))
 
 
 def _check_batch(model: Model, batch: Batch) -> None:

@@ -22,7 +22,7 @@ def linear_rule_dataset(
     seed: int = 0,
     noise: float = 0.0,
     rule_seed: int = 0,
-) -> tuple[Batch, np.ndarray]:
+) -> Batch:
     """Label = sign of a fixed weight vector applied to phi(t1,r) - phi(t2,r).
 
     ``rule_seed`` fixes the planted weight vector, so train and
@@ -41,7 +41,7 @@ def linear_rule_dataset(
             y = 1 - y
         rows.append((empty, empty, empty, f1, f2))
         ys.append(y)
-    return pack(rows), np.array(ys)
+    return pack(rows, ys)
 
 
 def interaction_rule_dataset(
@@ -49,7 +49,7 @@ def interaction_rule_dataset(
     sentence_dim: int = 3,
     seed: int = 0,
     noise: float = 0.0,
-) -> tuple[Batch, np.ndarray]:
+) -> Batch:
     """Label = which hypothesis vector has the larger inner product with the reference.
 
     The rule is a product of inputs, so it is invisible to a linear model
@@ -67,7 +67,7 @@ def interaction_rule_dataset(
             y = 1 - y
         rows.append((p1, p2, pr, empty, empty))
         ys.append(y)
-    return pack(rows), np.array(ys)
+    return pack(rows, ys)
 
 
 def token_dataset_lines(

@@ -158,18 +158,18 @@ def kendall_cost(delta, y, cfg: CostConfig):
     return _kendall_terms(delta, y, cfg)[0]
 
 
-def _batch_gradients(model: Model, batch: Batch, ys: np.ndarray, cfg: CostConfig, kind: str):
+def _batch_gradients(model: Model, batch: Batch, cfg: CostConfig, kind: str):
     """The summed parameter gradients, as one vector in param_shapes order, and the
     batch cost, in the dtype of the parameters and the batch, for one resolved cost kind."""
     sigma, cache = forward_batch(model, batch)
     if kind == LOGISTIC:
-        cost, dz = _logistic_terms(sigma, ys)
+        cost, dz = _logistic_terms(sigma, batch.y)
         return backward_batch(model, batch, cache, dz), cost
     if kind != KENDALL:
         raise ValueError(f"cannot take gradients of unresolved cost kind {kind!r}")
     swapped = batch.swapped()
     sigma_rev, cache_rev = forward_batch(model, swapped)
-    cost, dJ_dDelta = _kendall_terms(sigma - sigma_rev, ys, cfg)
+    cost, dJ_dDelta = _kendall_terms(sigma - sigma_rev, batch.y, cfg)
     # Delta sees sigma with +1 and sigma' with -1; each pass backprops
     # through its own logistic output.
     grad = backward_batch(model, batch, cache, dJ_dDelta * sigma * (1.0 - sigma))
@@ -180,7 +180,6 @@ def _batch_gradients(model: Model, batch: Batch, ys: np.ndarray, cfg: CostConfig
 def grad_check(
     model: Model,
     batch: Batch,
-    y: np.ndarray,
     cfg: CostConfig,
     step: float = 1e-6,
 ) -> float:
@@ -195,17 +194,16 @@ def grad_check(
     if not 0 < step <= 1e-3:
         raise InvalidStep(f"step must be in (0, 1e-3], got {step}")
     ld = np.longdouble
-    ys = np.asarray(y, dtype=float)
-    batch_ld, ys_ld = batch.astype(ld), ys.astype(ld)
+    batch_ld = batch.astype(ld)
     flat, model = flat_copy(model)
 
     def cost_ld(kind):
         params = {k: v.astype(ld) for k, v in model.params.items()}
-        return _batch_gradients(Model(model.config, params), batch_ld, ys_ld, cfg, kind)[1]
+        return _batch_gradients(Model(model.config, params), batch_ld, cfg, kind)[1]
 
     max_err = 0.0
     for kind in PHASES[cfg.kind]:
-        analytic, _ = _batch_gradients(model, batch, ys, cfg, kind)
+        analytic, _ = _batch_gradients(model, batch, cfg, kind)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
@@ -228,9 +226,7 @@ def grad_check(
 def train(
     model: Model,
     batch: Batch,
-    y: np.ndarray,
     valid_batch: Batch,
-    valid_y: np.ndarray,
     tcfg: TrainConfig,
     ccfg: CostConfig,
 ) -> tuple[Model, TrainReport]:
@@ -255,7 +251,6 @@ def train(
     theta, model = flat_copy(model)
     # L2 decays the weights, not the biases.
     decayed = np.concatenate([np.full(p.size, name.startswith(("W", "w"))) for name, p in model.params.items()])
-    ys_all = np.asarray(y, dtype=float)
     rng = np.random.default_rng(tcfg.shuffle_seed)
     best, best_tau, since_best = model, -math.inf, 0
     for epoch in range(tcfg.epochs):
@@ -265,7 +260,7 @@ def train(
         epoch_cost = 0.0
         for start in range(0, n, tcfg.batch_size):
             idx = perm[start : start + tcfg.batch_size]
-            grad, cost = _batch_gradients(model, batch.take(idx), ys_all[idx], ccfg, kind)
+            grad, cost = _batch_gradients(model, batch.take(idx), ccfg, kind)
             if not math.isfinite(cost):
                 raise DivergenceError(f"non-finite cost at epoch {epoch}")
             epoch_cost += float(cost)
@@ -275,7 +270,7 @@ def train(
             if not np.isfinite(theta).all():
                 name = next(name for name, p in model.params.items() if not np.isfinite(p).all())
                 raise DivergenceError(f"non-finite parameter {name} at epoch {epoch}")
-        valid_tau = evaluate(model, valid_batch, valid_y).tau
+        valid_tau = evaluate(model, valid_batch).tau
         report.epochs.append(
             EpochRecord(
                 epoch=epoch,

@@ -208,6 +208,15 @@ def test_bad_tie_epsilon_refused(tmp_path, capsys, data_file, subcommand, out_fl
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["evaluate", "predict"])
+def test_bad_tie_epsilon_refused_before_loading(tmp_path, capsys, subcommand):
+    # The band is checked first, so no input file is opened, not even a missing one.
+    missing = [str(tmp_path / name) for name in ("missing.jsonl", "missing.json", "missing.txt")]
+    assert run([subcommand, "--data", missing[0], "--model", missing[1], "--embeddings", missing[2],
+                "--tie-epsilon", "nan"]) == 1
+    assert capsys.readouterr().err.startswith("error: ValueError: tie_epsilon must be finite and non-negative")
+
+
 def test_evaluate_matches_library(tmp_path, data_file):
     from pairrank import data_ingest, evaluation, load_model
 
@@ -220,7 +229,7 @@ def test_evaluate_matches_library(tmp_path, data_file):
         model = load_model(f)
     with open(data_file) as f:
         ds = data_ingest.load_dataset(f)
-    lib = evaluation.evaluate(model, *data_ingest.vectorize(ds), splits=ds.splits)
+    lib = evaluation.evaluate(model, data_ingest.vectorize(ds), splits=ds.splits)
     doc = json.loads(open(report_path).read())
     assert doc["tau"] == lib.tau
 
@@ -411,9 +420,9 @@ def test_early_stopping_prints_the_written_models_tau(tmp_path, capsys):
     assert taus[-1] < taus[best]
     assert capsys.readouterr().out == f"trained {len(taus)} epochs, best train tau {taus[best]:.4f} at epoch {best}\n"
     table = pairrank.cli._load_table(str(emb))
-    _, batch, y = pairrank.cli._load_data(str(data), table)
+    _, batch = pairrank.cli._load_data(str(data), table)
     with open(model) as f:
-        assert evaluation.evaluate(load_model(f), batch, y).tau == taus[best]
+        assert evaluation.evaluate(load_model(f), batch).tau == taus[best]
 
 
 def edited_lines(data_file, **fields):

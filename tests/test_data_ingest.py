@@ -106,7 +106,8 @@ def test_mixed_sentence_dim():
 def test_vectorize_precomputed():
     line = make_line(psi_t1=[1.0] * 25, psi_t2=[0.5] * 25, psi_r=[0.2] * 25)
     ds = load_dataset(io.StringIO(line))
-    batch, y = vectorize(ds)
+    batch = vectorize(ds)
+    y = batch.y
     assert batch.P1.shape == (1, 25)
     assert batch.F1.shape == (1, 16)
     assert np.array_equal(batch.P2, np.full((1, 25), 0.5))
@@ -116,7 +117,7 @@ def test_vectorize_precomputed():
 def test_vectorize_with_table():
     table = load_embedding_table(io.StringIO("the 1 0\ncat 0 1\nsat 1 1\na 2 2\nstood 3 3\n"))
     ds = load_dataset(io.StringIO(make_line()))
-    batch, _ = vectorize(ds, table)
+    batch = vectorize(ds, table)
     assert batch.P1.shape == (1, 2)
     expected_ref = np.mean([[1, 0], [0, 1], [1, 1]], axis=0)
     assert np.array_equal(batch.Pr[0], expected_ref)
@@ -128,6 +129,17 @@ def test_vectorize_refuses_a_table_for_precomputed_vectors():
     with pytest.raises(DatasetFormatError,
                        match="^tuple x1: precomputed sentence vectors and an embedding table given"):
         vectorize(ds, table)
+
+
+@pytest.mark.parametrize("source", ["precomputed", "table"])
+def test_vectorize_batch_carries_the_dataset_labels(source):
+    psi = {"psi_t1": [1.0, 0.0], "psi_t2": [0.5, 0.5], "psi_r": [0.2, 0.1]} if source == "precomputed" else {}
+    ds = load_dataset([make_line(id=f"x{i}", y=y, **psi) for i, y in enumerate([1, 0, 0, 1, 0])])
+    table = load_embedding_table(io.StringIO("the 1 0\ncat 0 1\n")) if source == "table" else None
+    batch = vectorize(ds, table)
+    assert batch.y.tolist() == ds.labels.tolist() == [1, 0, 0, 1, 0]
+    # The dataset's own column, not a copy of it.
+    assert batch.y is ds.labels
 
 
 def hand_built(**columns):
@@ -197,7 +209,8 @@ def test_checked_columns_are_read_only(write):
     ds = load_dataset([line])
     with pytest.raises(ValueError, match="read-only"):
         write(ds)
-    batch, y = vectorize(ds)
+    batch = vectorize(ds)
+    y = batch.y
     assert y.tolist() == [1] and np.isfinite(batch.F1).all() and np.isfinite(batch.Pr).all()
 
 
@@ -224,7 +237,8 @@ def test_vectorize_features_match_independent_extraction():
     table = load_embedding_table(io.StringIO("\n".join(
         f"w{i} {float(i)} {float(i * 2)}" for i in range(30)
     )))
-    batch, ys = vectorize(ds, table)
+    batch = vectorize(ds, table)
+    ys = batch.y
     assert len(batch) == len(ys) == len(ds.tuples)
     for i, rec in enumerate(map(json.loads, lines)):
         phi1 = assemble_pairwise(bleu_components(rec["hyp1"], rec["reference"]), rec["external_scores_1"])
@@ -237,7 +251,7 @@ def test_vectorize_features_match_independent_extraction():
 def test_vectorize_order_preserving():
     lines = token_dataset_lines(10, seed=0)
     ds = load_dataset(io.StringIO("\n".join(lines)))
-    _, ys = vectorize(ds)
+    ys = vectorize(ds).y
     assert ys.dtype.kind == "i"
     assert ys.tolist() == [json.loads(line)["y"] for line in lines]
 
@@ -261,9 +275,10 @@ def test_vectorize_same_in_one_chunk_or_several(rows, refs, chunk):
              for i, (h1, h2, j) in enumerate(rows)]
     ds = load_dataset(lines)
     table = load_embedding_table(io.StringIO("w0 0.1 -0.0\nw1 0.3 2.5\nw2 -7.0 1e-3\n"))
-    whole, ya = vectorize(ds, table)
+    whole = vectorize(ds, table)
     with mock.patch.object(data_ingest, "CHUNK_TUPLES", chunk):
-        chunked, yb = vectorize(ds, table)
+        chunked = vectorize(ds, table)
+    ya, yb = whole.y, chunked.y
     assert len(whole) == len(chunked) == n
     assert ya.tolist() == yb.tolist()
     for field in ("P1", "P2", "Pr", "F1", "F2"):
@@ -289,7 +304,7 @@ def test_store_shares_sentences_and_features_match_oracles(pool, rows, chunk):
     ds = load_dataset(lines)
     table = load_embedding_table(io.StringIO("w0 0.1 -0.0\nw1 0.3 2.5\nw2 -7.0 1e-3\n"))
     with mock.patch.object(data_ingest, "CHUNK_TUPLES", chunk):
-        batch, _ = vectorize(ds, table)
+        batch = vectorize(ds, table)
     # The store holds as many sentences as there are distinct token
     # sequences, however they were written, and every tuple reads back its
     # own: so each is held once.
@@ -387,7 +402,8 @@ def test_mutated_record_loads_and_vectorizes_or_raises_typed_error(base, mutatio
     try:
         ds = load_dataset([json.dumps(doc)])
         for t in (None, table):
-            batch, y = vectorize(ds, t)
+            batch = vectorize(ds, t)
+            y = batch.y
             assert len(batch) == len(y) == len(ds.tuples)
     except DatasetFormatError:
         pass

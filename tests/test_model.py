@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from pairrank.evaluation import predict_delta
 from pairrank.model import (
+    Batch,
     ModelConfig,
     ShapeMismatchError,
     forward_batch,
@@ -36,7 +37,7 @@ def random_input(config, seed=0):
     return pack([(
         rng.normal(size=d), rng.normal(size=d), rng.normal(size=d),
         rng.normal(size=p), rng.normal(size=p),
-    )])
+    )], [1])
 
 
 def forward_one(model, batch):
@@ -96,7 +97,7 @@ def test_forward_hand_computed():
     m.params["b1r"] = np.zeros(1)
     m.params["b2r"] = np.zeros(1)
     m.params["b_out"] = np.array(0.0)
-    inp = pack([([1.0, 2.0], [3.0, 4.0], [0.5, -0.5], [2.0], [-1.0])])
+    inp = pack([([1.0, 2.0], [3.0, 4.0], [0.5, -0.5], [2.0], [-1.0])], [1])
     h12 = math.tanh(0.1 * (1 + 2 + 3 + 4))
     h1r = math.tanh(0.1 * (1 + 2 + 0.5 - 0.5))
     h2r = math.tanh(0.1 * (3 + 4 + 0.5 - 0.5))
@@ -133,7 +134,7 @@ def test_delta_symmetry_equal_hypotheses():
     rng = np.random.default_rng(0)
     psi = rng.normal(size=3)
     phi = rng.normal(size=2)
-    inp = pack([(psi, psi.copy(), rng.normal(size=3), phi, phi.copy())])
+    inp = pack([(psi, psi.copy(), rng.normal(size=3), phi, phi.copy())], [1])
     sigma, sigma_rev = predict_delta(m, inp)
     assert sigma - sigma_rev == 0.0
 
@@ -174,7 +175,7 @@ def test_swapped_view_shares_the_traded_block_inputs_without_a_cycle():
         gc.enable()
 
 
-@pytest.mark.parametrize("column", ["P1", "P2", "Pr", "F1", "F2"])
+@pytest.mark.parametrize("column", ["P1", "P2", "Pr", "F1", "F2", "y"])
 def test_batch_columns_are_read_only(column):
     # forward_batch keeps the block inputs it builds from the sentence vectors,
     # so a column written after it would leave the next forward stale.
@@ -184,6 +185,49 @@ def test_batch_columns_are_read_only(column):
     with pytest.raises(ValueError, match="read-only"):
         getattr(batch, column)[0] += 10
     assert np.array_equal(forward_batch(m, batch)[0], before)
+
+
+def labelled_input(n, seed=0):
+    """An n-row batch whose first F1 feature repeats each row's label."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, size=n)
+    rows = [(rng.normal(size=3), rng.normal(size=3), rng.normal(size=3), [float(label), 0.5], rng.normal(size=2))
+            for label in y]
+    return pack(rows, y)
+
+
+COLUMNS = ("P1", "P2", "Pr", "F1", "F2", "y")
+
+
+@pytest.mark.parametrize("short", COLUMNS)
+def test_batch_refuses_a_column_one_row_short(short):
+    batch = labelled_input(4)
+    columns = {c: getattr(batch, c) for c in COLUMNS}
+    columns[short] = columns[short][:-1]
+    counts = ", ".join(f"{c} {3 if c == short else 4}" for c in COLUMNS)
+    with pytest.raises(ShapeMismatchError, match=re.escape(counts)):
+        Batch(**columns)
+
+
+def test_take_keeps_the_labels_with_their_rows():
+    batch = labelled_input(8, seed=1)
+    idx = [5, 0, 7, 0, 2]
+    part = batch.take(idx)
+    assert part.y.tolist() == batch.y[idx].tolist()
+    assert np.array_equal(part.F1[:, 0], part.y)
+
+
+def test_swapped_carries_the_opposite_labels():
+    batch = labelled_input(8, seed=2)
+    assert batch.swapped().y.tolist() == (1 - batch.y).tolist()
+    assert batch.swapped().swapped().y.tolist() == batch.y.tolist()
+
+
+def test_astype_casts_the_labels():
+    batch = labelled_input(4, seed=3)
+    cast = batch.astype(np.longdouble)
+    assert cast.y.dtype == np.longdouble
+    assert np.array_equal(cast.y, batch.y)
 
 
 def test_checkpoint_roundtrip():

@@ -25,10 +25,10 @@ CFG = ModelConfig(sentence_dim=3, pairwise_dim=2, hidden_per_block=2)
 
 
 def mixed_examples(n=6, seed=0):
-    """Inputs exercising both sentence and pairwise channels, and their labels."""
-    sent, _ = interaction_rule_dataset(n, sentence_dim=3, seed=seed)
-    pair, y = linear_rule_dataset(n, pairwise_dim=2, seed=seed + 1)
-    return dataclasses.replace(sent, F1=pair.F1, F2=pair.F2), y
+    """Inputs exercising both sentence and pairwise channels, with the pairwise rule's labels."""
+    sent = interaction_rule_dataset(n, sentence_dim=3, seed=seed)
+    pair = linear_rule_dataset(n, pairwise_dim=2, seed=seed + 1)
+    return dataclasses.replace(sent, F1=pair.F1, F2=pair.F2, y=pair.y)
 
 
 def test_logistic_cost_values():
@@ -74,8 +74,8 @@ def test_backward_zero_model_logistic():
     m = init_model(CFG)
     for name in m.param_names:
         m.params[name] = np.zeros_like(m.params[name])
-    batch, _ = mixed_examples(1)
-    grad, _ = _batch_gradients(m, batch, np.array([1.0]), CostConfig(kind="logistic"), "logistic")
+    batch = dataclasses.replace(mixed_examples(1), y=np.array([1.0]))
+    grad, _ = _batch_gradients(m, batch, CostConfig(kind="logistic"), "logistic")
     # b_out is the last parameter.
     assert grad[-1] == pytest.approx(-0.5, abs=1e-15)
 
@@ -87,11 +87,11 @@ def test_backward_kendall_tie_stationary():
     rng = np.random.default_rng(0)
     psi = rng.normal(size=3)
     phi = rng.normal(size=2)
-    inp = pack([(psi, psi.copy(), rng.normal(size=3), phi, phi.copy())])
-    grads, _ = _batch_gradients(m, inp, np.array([1.0]), CostConfig(kind="kendall"), "kendall")
+    inp = pack([(psi, psi.copy(), rng.normal(size=3), phi, phi.copy())], [1])
+    grads, _ = _batch_gradients(m, inp, CostConfig(kind="kendall"), "kendall")
     # dJ/dDelta at Delta=0 is -gamma/4; sigma grads of the two passes differ,
     # but the Gaussian term itself is stationary. Check that numerically.
-    err = grad_check(m, inp, np.array([1]), CostConfig(kind="kendall"))
+    err = grad_check(m, inp, CostConfig(kind="kendall"))
     assert err <= 1e-5
 
 
@@ -101,7 +101,7 @@ def test_gradients_match_finite_differences(arch, kind):
     cfg = ModelConfig(3, 2, hidden_per_block=2, architecture=arch, seed=11)
     for seed in range(3):
         m = init_model(ModelConfig(3, 2, 2, arch, seed=seed))
-        err = grad_check(m, *mixed_examples(5, seed=seed), CostConfig(kind=kind), step=1e-6)
+        err = grad_check(m, mixed_examples(5, seed=seed), CostConfig(kind=kind), step=1e-6)
         assert err <= 1e-5, f"{arch}/{kind} seed {seed}: {err}"
 
 
@@ -152,13 +152,14 @@ def test_batch_gradients_equal_separate_oracle(kind, arch, dtype):
         m = init_model(ModelConfig(3, 2, 2, arch, seed=seed))
         # Large output weights push many deltas far past where gamma * delta saturates.
         m.params["w_out"] = 20.0 * m.params["w_out"]
-        batch = pack([tuple(rng.normal(size=k) for k in (3, 3, 3, 2, 2)) for _ in range(24)])
+        rows = [tuple(rng.normal(size=k) for k in (3, 3, 3, 2, 2)) for _ in range(24)]
         ys = rng.integers(0, 2, size=24).astype(float)
+        batch = pack(rows, ys)
         m = dataclasses.replace(m, params={k: v.astype(dtype) for k, v in m.params.items()})
         batch, ys = batch.astype(dtype), ys.astype(dtype)
         sigma, sigma_rev = forward_batch(m, batch)[0], forward_batch(m, batch.swapped())[0]
         saturated += int(np.sum(np.abs(cfg.gamma * (sigma - sigma_rev)) > 40.0))
-        grad, cost = _batch_gradients(m, batch, ys, cfg, kind)
+        grad, cost = _batch_gradients(m, batch, cfg, kind)
         want_grad, want_cost = separate_gradients(m, batch, ys, cfg, kind)
         assert np.asarray(cost).dtype == dtype
         assert identical(cost, want_cost)
@@ -180,15 +181,15 @@ def test_grad_check_catches_a_wrong_slope(monkeypatch, terms, kind):
 
     monkeypatch.setattr(training, terms, off_slope)
     m = init_model(ModelConfig(3, 2, 2, seed=4))
-    assert grad_check(m, *mixed_examples(5, seed=4), CostConfig(kind=kind)) > 1e-5
+    assert grad_check(m, mixed_examples(5, seed=4), CostConfig(kind=kind)) > 1e-5
 
 
 def test_grad_check_invalid_step():
     m = init_model(CFG)
     with pytest.raises(InvalidStep):
-        grad_check(m, *mixed_examples(2), CostConfig(), step=0.0)
+        grad_check(m, mixed_examples(2), CostConfig(), step=0.0)
     with pytest.raises(InvalidStep):
-        grad_check(m, *mixed_examples(2), CostConfig(), step=1e-2)
+        grad_check(m, mixed_examples(2), CostConfig(), step=1e-2)
 
 
 def test_cost_config_validation():
@@ -218,7 +219,7 @@ def test_pretrain_epochs_must_leave_a_kendall_phase(pretrain, epochs):
     data = mixed_examples(8)
     m = init_model(CFG)
     with pytest.raises(ValueError, match=r"^pretrain_epochs \(\d+\) must be less than epochs"):
-        train(m, *data, *data, TrainConfig(epochs=epochs),
+        train(m, data, data, TrainConfig(epochs=epochs),
               CostConfig(kind="logistic-then-kendall", pretrain_epochs=pretrain))
 
 
@@ -226,10 +227,10 @@ def test_pretrain_epochs_within_the_schedule_still_train():
     data = mixed_examples(8)
     m = init_model(CFG)
     schedule = CostConfig(kind="logistic-then-kendall", pretrain_epochs=3)
-    _, report = train(m, *data, *data, TrainConfig(epochs=4, batch_size=4), schedule)
+    _, report = train(m, data, data, TrainConfig(epochs=4, batch_size=4), schedule)
     assert [r.cost_kind for r in report.epochs] == ["logistic"] * 3 + ["kendall"]
     # With no epochs to run, no phase is missing.
-    _, report = train(m, *data, *data, TrainConfig(epochs=0), schedule)
+    _, report = train(m, data, data, TrainConfig(epochs=0), schedule)
     assert report.epochs == []
 
 
@@ -247,15 +248,15 @@ def test_train_separable():
     va = linear_rule_dataset(300, pairwise_dim=8, seed=2, rule_seed=9)
     m = init_model(ModelConfig(0, 8, architecture="single-layer", seed=0))
     tcfg = TrainConfig(learning_rate=0.01, epochs=50, batch_size=32, shuffle_seed=0)
-    m2, report = train(m, *tr, *va, tcfg, CostConfig(kind="logistic"))
-    assert evaluate(m2, *va).tau >= 0.9
+    m2, report = train(m, tr, va, tcfg, CostConfig(kind="logistic"))
+    assert evaluate(m2, va).tau >= 0.9
     assert len(report.epochs) == 50
 
 
 def test_train_zero_epochs_noop():
     m = init_model(CFG)
     data = mixed_examples(4)
-    m2, report = train(m, *data, *data, TrainConfig(epochs=0), CostConfig())
+    m2, report = train(m, data, data, TrainConfig(epochs=0), CostConfig())
     assert report.epochs == []
     for name in m.param_names:
         assert np.array_equal(m.params[name], m2.params[name])
@@ -264,11 +265,11 @@ def test_train_zero_epochs_noop():
 @pytest.mark.parametrize("empty", ["training", "validation"])
 def test_train_refuses_an_empty_set(empty):
     data = mixed_examples(8)
-    none = (data[0].take(np.arange(0)), data[1][:0])
+    none = data.take(np.arange(0))
     sets = (none, data) if empty == "training" else (data, none)
     tcfg = TrainConfig(epochs=10, batch_size=4, early_stop_patience=2)
     with pytest.raises(EmptyEvaluation, match=f"^the {empty} set is empty$"):
-        train(init_model(CFG), *sets[0], *sets[1], tcfg, CostConfig())
+        train(init_model(CFG), sets[0], sets[1], tcfg, CostConfig())
 
 
 def test_train_deterministic():
@@ -277,7 +278,7 @@ def test_train_deterministic():
     for _ in range(2):
         m = init_model(ModelConfig(3, 2, 2, seed=5))
         tcfg = TrainConfig(learning_rate=0.05, epochs=5, batch_size=8, shuffle_seed=7)
-        m2, report = train(m, *data, *data, tcfg, CostConfig(kind="logistic-then-kendall"))
+        m2, report = train(m, data, data, tcfg, CostConfig(kind="logistic-then-kendall"))
         results.append((m2, [r.train_cost for r in report.epochs]))
     (a, costs_a), (b, costs_b) = results
     assert costs_a == costs_b
@@ -289,32 +290,32 @@ def test_train_schedule_records_phases():
     data = mixed_examples(32, seed=2)
     m = init_model(ModelConfig(3, 2, 2, seed=1))
     tcfg = TrainConfig(learning_rate=0.01, epochs=6, batch_size=8, shuffle_seed=1)
-    _, report = train(m, *data, *data, tcfg, CostConfig(kind="logistic-then-kendall"))
+    _, report = train(m, data, data, tcfg, CostConfig(kind="logistic-then-kendall"))
     assert [r.cost_kind for r in report.epochs] == ["logistic"] * 3 + ["kendall"] * 3
 
 
 def test_train_divergence_detected():
-    batch, y = mixed_examples(32, seed=4)
+    batch = mixed_examples(32, seed=4)
     F1 = batch.F1.copy()
     F1[0] = [np.nan, 0.0]
-    data = dataclasses.replace(batch, F1=F1), y
+    data = dataclasses.replace(batch, F1=F1)
     m = init_model(ModelConfig(3, 2, 2, seed=1))
     tcfg = TrainConfig(learning_rate=0.01, epochs=2, batch_size=32, shuffle_seed=1)
     with pytest.raises(DivergenceError):
-        train(m, *data, *data, tcfg, CostConfig(kind="logistic"))
+        train(m, data, data, tcfg, CostConfig(kind="logistic"))
 
 
 def test_divergence_names_the_first_non_finite_parameter():
     # All-zero sentence vectors give the block weights a zero gradient, so they
     # stay finite while the step overflows every parameter after them; the cost
     # of that step is finite.
-    batch, y = mixed_examples(16, seed=4)
+    batch = mixed_examples(16, seed=4)
     zero = dataclasses.replace(batch, **{c: np.zeros_like(batch.P1) for c in ("P1", "P2", "Pr")})
     m = init_model(ModelConfig(3, 2, 2, seed=1))
     m.params["w_out"] = 10 * m.params["w_out"]
     tcfg = TrainConfig(learning_rate=1e308, epochs=1, batch_size=16)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="^non-finite parameter b12 at epoch 0$"):
-        train(m, zero, y, zero, y, tcfg, CostConfig(kind="logistic"))
+        train(m, zero, zero, tcfg, CostConfig(kind="logistic"))
 
 
 def test_train_early_stopping_returns_best():
@@ -323,9 +324,9 @@ def test_train_early_stopping_returns_best():
     m = init_model(ModelConfig(0, 4, architecture="single-layer", seed=0))
     tcfg = TrainConfig(learning_rate=0.05, epochs=40, batch_size=16, shuffle_seed=0,
                        early_stop_patience=5)
-    m2, report = train(m, *tr, *va, tcfg, CostConfig(kind="logistic"))
+    m2, report = train(m, tr, va, tcfg, CostConfig(kind="logistic"))
     best = max(r.valid_tau for r in report.epochs)
-    assert evaluate(m2, *va).tau == best
+    assert evaluate(m2, va).tau == best
     assert report.best_epoch is not None
 
 
@@ -334,7 +335,7 @@ def test_report_jsonl_roundtrip():
 
     data = mixed_examples(16, seed=0)
     m = init_model(ModelConfig(3, 2, 2, seed=0))
-    _, report = train(m, *data, *data, TrainConfig(epochs=3, batch_size=8), CostConfig())
+    _, report = train(m, data, data, TrainConfig(epochs=3, batch_size=8), CostConfig())
     buf = io.StringIO()
     report.to_jsonl(buf)
     lines = [json.loads(l) for l in buf.getvalue().splitlines()]
@@ -372,7 +373,7 @@ def step_oracle_backward(model, cache, dz):
 
 
 def step_oracle_swapped(batch):
-    return Batch(batch.P2, batch.P1, batch.Pr, batch.F2, batch.F1)
+    return Batch(batch.P2, batch.P1, batch.Pr, batch.F2, batch.F1, 1 - batch.y)
 
 
 def step_oracle_gradients(model, batch, ys, cfg, kind):
@@ -387,14 +388,14 @@ def step_oracle_gradients(model, batch, ys, cfg, kind):
     return {name: grads[name] + grads_rev[name] for name in grads}, cost
 
 
-def step_oracle_tau(model, batch, labels):
+def step_oracle_tau(model, batch):
     deltas = step_oracle_forward(model, batch)[0] - step_oracle_forward(model, step_oracle_swapped(batch))[0]
     v = verdicts(deltas, DEFAULT_TIE_EPSILON)
-    c, t = int(np.sum(v == labels)), int(np.sum(v == -1))
+    c, t = int(np.sum(v == batch.y)), int(np.sum(v == -1))
     return kendall_tau(PairCounts(concordant=c, disconcordant=len(v) - c - t, ties=t))
 
 
-def step_oracle_train(model, batch, y, valid_batch, valid_y, tcfg, ccfg):
+def step_oracle_train(model, batch, valid_batch, tcfg, ccfg):
     """The returned model, and each epoch's cost and validation tau."""
     model = model.copy()
     rng = np.random.default_rng(tcfg.shuffle_seed)
@@ -405,7 +406,7 @@ def step_oracle_train(model, batch, y, valid_batch, valid_y, tcfg, ccfg):
         epoch_cost = 0.0
         for start in range(0, len(batch), tcfg.batch_size):
             idx = perm[start : start + tcfg.batch_size]
-            grads, cost = step_oracle_gradients(model, batch.take(idx), y[idx], ccfg, kind)
+            grads, cost = step_oracle_gradients(model, batch.take(idx), batch.y[idx], ccfg, kind)
             epoch_cost += float(cost)
             for name in model.param_names:
                 g = grads[name]
@@ -413,7 +414,7 @@ def step_oracle_train(model, batch, y, valid_batch, valid_y, tcfg, ccfg):
                     g = g + tcfg.l2 * model.params[name]
                 model.params[name] = model.params[name] - tcfg.learning_rate * g
                 assert np.all(np.isfinite(model.params[name]))
-        tau = step_oracle_tau(model, valid_batch, valid_y)
+        tau = step_oracle_tau(model, valid_batch)
         epochs.append((epoch_cost, tau))
         if tau > best_tau:
             best, best_tau, since_best = model.copy(), tau, 0
@@ -434,8 +435,8 @@ def test_train_is_bit_identical_to_the_per_parameter_step(kind, arch, hidden):
     tcfg = TrainConfig(learning_rate=0.3, epochs=12, batch_size=16, shuffle_seed=4, l2=0.02,
                        early_stop_patience=3)
     ccfg = CostConfig(kind=kind, gamma=20.0, beta=20.0)
-    got, report = train(m, *data, *valid, tcfg, ccfg)
-    want, want_epochs = step_oracle_train(m, *data, *valid, tcfg, ccfg)
+    got, report = train(m, data, valid, tcfg, ccfg)
+    want, want_epochs = step_oracle_train(m, data, valid, tcfg, ccfg)
     assert [(r.train_cost, r.valid_tau) for r in report.epochs] == want_epochs
     # Training went on past the best epoch, so a best model that shared the
     # working parameters would differ from the oracle's copy.

@@ -16,6 +16,9 @@ shows whether a change kept every output byte-identical:
     python scripts/output_hashes.py --root . > change.json
     python scripts/output_hashes.py --root ../parent > parent.json
     diff parent.json change.json
+
+It exits 1, naming the workload and the job, when a ``rerun`` job's
+hashes differ from the first pass's.
 """
 
 from __future__ import annotations
@@ -88,8 +91,9 @@ def workload_hashes(cli, generate, spec, seed: int, tmp: str) -> dict[str, dict]
     out = {role: os.path.join(tmp, role) for role in ROLES}
     jobs = _jobs(paths, ["--embeddings", paths["embeddings"]], out, spec.train_flags)
     result = _run(cli, jobs, out)
-    # The same jobs again in the same directory: where a table's parse is
-    # kept beside it, the first pass parsed it and this one does not.
+    # The same jobs again in the same directory: the first pass parsed the
+    # table and each data file and saved each parse in a sidecar beside it,
+    # and this pass reads them from those sidecars.
     result["rerun"] = _run(cli, jobs, out)
     precomputed = os.path.join(tmp, "precomputed.jsonl")
     _with_vectors(paths["test"], out["features"], precomputed)
@@ -120,6 +124,11 @@ def main() -> None:
         with tempfile.TemporaryDirectory() as tmp:
             doc[name] = workload_hashes(pairrank.cli, generate, spec, args.seed, tmp)
     print(json.dumps(doc, indent=2, sort_keys=True))
+    differ = [(name, job) for name, result in doc.items() for job, hashes in result["rerun"].items()
+              if hashes != result[job]]
+    for name, job in differ:
+        print(f"{name} {job}: the rerun's hashes differ from the first pass's", file=sys.stderr)
+    sys.exit(1 if differ else 0)
 
 
 if __name__ == "__main__":

@@ -94,8 +94,7 @@ def _load_table(embeddings_path: Optional[str]) -> Optional[EmbeddingTable]:
 
 def _load_data(path: str, table: Optional[EmbeddingTable]):
     """The dataset at ``path`` and its batch of model inputs."""
-    with open(path, encoding="utf-8") as f:
-        dataset = data_ingest.load_dataset(f)
+    dataset = data_ingest.load_dataset(path)
     return dataset, data_ingest.vectorize(dataset, table)
 
 

@@ -15,10 +15,11 @@ from array import array
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
+from . import sidecar
 from .embeddings import EmbeddingTable, compose_mean_matrix, gather_tokens, tokenize
 from .features import BLEUCOMP_FEATURE_NAMES, bleu_matrix
 from .model import Batch
@@ -29,6 +30,14 @@ from .features import assemble_pairwise, bleu_components  # noqa: F401
 
 # Tuples per bulk feature pass; bounds the size of its temporary arrays.
 CHUNK_TUPLES = 512
+
+# The version of what a dataset's sidecar saves: the layout of its members
+# and the parse rules that made them. Bump it on any change to what _parse
+# accepts or returns (lowercasing and whitespace tokenization, dropping
+# "tie" rows, the id and split defaults, the sorted schema, the vocabulary
+# in order of first appearance, the sentence dedup), or to the layout; a
+# sidecar of another version is ignored and rewritten.
+SIDECAR_VERSION = 1
 
 
 class DatasetFormatError(ValueError):
@@ -112,6 +121,10 @@ class Dataset:
     def __post_init__(self):
         self.ids, self.splits, self.vocab = tuple(self.ids), tuple(self.splits), tuple(self.vocab)
         n, k = len(self.ids), len(self.feature_schema)
+        if len(set(self.vocab)) != len(self.vocab):
+            raise DatasetFormatError("vocab must hold each token once")
+        if list(self.feature_schema) != sorted(set(self.feature_schema)):
+            raise InconsistentSchema(f"schema {self.feature_schema} must be sorted and hold each name once")
         if len(self.splits) != n:
             raise DatasetFormatError(f"{len(self.splits)} splits for {n} tuples")
         labels = _column(self.labels, "labels", (n,))
@@ -183,7 +196,8 @@ def _scores(obj: dict, lineno: int, name: str) -> dict[str, float]:
     return {k: _number(v, lineno, f"{name}[{k!r}]") for k, v in scores.items()}
 
 
-def load_dataset(source: IO[str] | Iterable[str]) -> Dataset:
+def _parse(source: Iterable[str]) -> Dataset:
+    """The dataset in JSON lines, as :func:`load_dataset` describes."""
     # One flat list per field, made into the dataset's columns at the end.
     ids, splits, labels = [], [], []
     scores, vectors = ([], []), ([], [], [])
@@ -257,6 +271,63 @@ def _distinct(token_ids: array, ends: array) -> tuple[np.ndarray, np.ndarray, np
     offsets = np.cumsum([0, *map(len, seen)]) // width
     sentences = np.array(place, np.int32).reshape(-1, 3).T[[1, 2, 0]]
     return np.frombuffer(b"".join(seen), np.intc), offsets, sentences
+
+
+# The dataset's text columns, each saved in its sidecar as one blob and offsets.
+_TEXT = ("ids", "splits", "vocab", "feature_schema")
+
+
+def _members(dataset: Dataset) -> dict[str, np.ndarray]:
+    """The arrays a dataset's sidecar holds.
+
+    Each text column is one UTF-8 blob, lone surrogates (from ``\\ud800``
+    escapes) kept, and the offsets of its strings' characters in it, so a
+    string may hold any character, a newline included, or none.
+    """
+    arrays = {name: getattr(dataset, name) for name in (
+        "token_ids", "offsets", "sentences", "labels", "scores", "vectors")}
+    for name in _TEXT:
+        strings = getattr(dataset, name)
+        arrays[name] = np.frombuffer("".join(strings).encode("utf-8", "surrogatepass"), np.uint8)
+        arrays[f"{name}_offsets"] = np.cumsum([0, *map(len, strings)], dtype=np.int64)
+    return arrays | {"dropped_ties": np.int64(dataset.dropped_ties)}
+
+
+def _strings(npz, name: str) -> list[str]:
+    """The strings of the text column ``name`` of a sidecar."""
+    text = sidecar.member(npz, name, np.uint8, 1).tobytes().decode("utf-8", "surrogatepass")
+    ends = sidecar.member(npz, f"{name}_offsets", np.int64, 1)
+    if ends[:1].tolist() != [0] or ends[-1] != len(text) or (np.diff(ends) < 0).any():
+        raise ValueError(f"sidecar member {name}_offsets does not split its text")
+    ends = ends.tolist()
+    return [text[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def _restore(npz) -> Dataset:
+    """The dataset in a sidecar's members, checked as outside input by its constructor."""
+    dropped = int(sidecar.member(npz, "dropped_ties", np.int64, 0))
+    if dropped < 0:
+        raise ValueError(f"sidecar dropped_ties is {dropped}")
+    ids, splits, vocab, schema = (_strings(npz, name) for name in _TEXT)
+    return Dataset(ids, splits, vocab, sidecar.member(npz, "token_ids", np.int32, 1),
+                   sidecar.member(npz, "offsets", np.int64, 1), sidecar.member(npz, "sentences", np.int32, 2),
+                   schema, sidecar.member(npz, "labels", np.int64, 1), sidecar.member(npz, "scores", np.float64, 3),
+                   sidecar.member(npz, "vectors", np.float64, 3), dropped_ties=dropped)
+
+
+def load_dataset(source: sidecar.Source) -> Dataset:
+    """A :class:`Dataset` from a JSON-lines file, given by path or as lines.
+
+    Raises a typed error naming the line on a malformed record. A path to
+    a regular file is read as UTF-8 and parsed once: a good parse is saved
+    beside the file (see :func:`pairrank.sidecar.sidecar_path`) with the
+    sha256 of the bytes parsed, and a later load of a file with the same
+    bytes builds the same dataset from that sidecar. A sidecar that does
+    not match the file or fails a check is ignored and rewritten, and one
+    owned by anyone but the file's owner, this user or root is ignored.
+    Any other path, such as a pipe, is only parsed.
+    """
+    return sidecar.load(source, SIDECAR_VERSION, _parse, _members, _restore)
 
 
 def vectorize(dataset: Dataset, table: Optional[EmbeddingTable] = None) -> Batch:

@@ -11,16 +11,14 @@ loads of the same bytes read the sidecar instead.
 
 from __future__ import annotations
 
-import io
-import os
-import stat
-import tempfile
-import zipfile
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import IO, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
+
+from . import sidecar
+from .sidecar import sidecar_path  # noqa: F401  (where a table's parse is saved)
 
 
 class EmbeddingError(ValueError):
@@ -223,124 +221,33 @@ def _parse(source: IO[str] | Iterable[str]) -> EmbeddingTable:
     return EmbeddingTable(matrix, rows, duplicates_skipped=duplicates)
 
 
-class _Hashed(io.RawIOBase):
-    """A binary file, each chunk fed to ``digest`` as it is read."""
-
-    def __init__(self, raw: IO[bytes], digest):
-        self._raw, self._digest = raw, digest
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._raw.readinto(buffer)
-        self._digest.update(memoryview(buffer)[:n])
-        return n
-
-
-def sidecar_path(path: str | os.PathLike) -> str:
-    """Where the parse of the table file at ``path`` is saved: ``.<file name>.pairrank.npz`` beside it."""
-    head, name = os.path.split(os.fspath(path))
-    return os.path.join(head, f".{name}.pairrank.npz")
-
-
-def _sha256(source: IO[bytes]) -> bytes:
-    """The sha256 of the rest of ``source``, read 256 KiB at a time."""
-    import hashlib
-
-    digest = hashlib.sha256()
-    buffer = bytearray(1 << 18)
-    view = memoryview(buffer)
-    while n := source.readinto(buffer):
-        digest.update(view[:n])
-    return digest.digest()
-
-
-def _member(npz, name: str, dtype, ndim: int) -> np.ndarray:
-    a = npz[name]
-    if a.dtype != dtype or a.ndim != ndim:
-        raise ValueError(f"sidecar member {name} is {a.dtype} of {a.ndim} dimensions")
-    return a
-
-
-def _read_sidecar(path: str, source: IO[bytes], owner: int) -> Optional[EmbeddingTable]:
-    """The table saved at ``path`` for the bytes of ``source``, checked as outside input.
-
-    None when there is no such sidecar, or it is owned by someone other
-    than ``owner`` (the table's owner), this user or root, or it is
-    truncated, corrupt, of another version, saved for other bytes, or fails
-    a check.
-    """
-    try:
-        # Opened here, not by np.load, which leaves the file open when the zip cannot be read.
-        with open(path, "rb") as fid:
-            # Anyone who can read the table can compute its digest and, in a
-            # shared directory, plant a sidecar of other vectors. Only the
-            # table's owner, this user and root (who could as well change
-            # the table) are trusted.
-            if os.fstat(fid.fileno()).st_uid not in (owner, os.geteuid(), 0):
-                return None
-            npz = np.load(fid, allow_pickle=False)
-            if not isinstance(npz, np.lib.npyio.NpzFile):
-                return None
-            if _member(npz, "version", np.int64, 0) != SIDECAR_VERSION:
-                return None
-            if _member(npz, "sha256", np.uint8, 1).tobytes() != _sha256(source):
-                return None
-            matrix = _member(npz, "matrix", np.float64, 2)
-            text = _member(npz, "tokens", np.uint8, 1).tobytes().decode("utf-8")
-            duplicates = int(_member(npz, "duplicates_skipped", np.int64, 0))
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
-        return None
-    tokens = text.split()
-    rows = dict(zip(tokens, range(1, len(tokens) + 1)))
-    # The tokens join back into the stored text only when each is non-empty and free of whitespace.
-    if not tokens or "\n".join(tokens) != text or len(rows) != len(tokens) or duplicates < 0:
-        return None
-    if len(matrix) != len(tokens) + 1 or matrix.shape[1] < 1:
-        return None
-    if matrix[0].any() or np.signbit(matrix[0]).any() or not np.isfinite(matrix).all():
-        return None
-    return EmbeddingTable(matrix, rows, duplicates_skipped=duplicates)
-
-
-def _write_sidecar(path: str, digest: bytes, table: EmbeddingTable, mode: int) -> None:
-    """Save ``table`` at ``path``, with permission bits ``mode``, as the parse
-    of the bytes whose sha256 is ``digest``.
-
-    The sidecar is written to a temporary file beside ``path`` and moved
-    into place, so a reader finds all of it or none. A failed write (a
-    read-only directory, a full disk) leaves nothing and is not an error.
-    """
-    members = {
-        "version": np.int64(SIDECAR_VERSION),
-        "sha256": np.frombuffer(digest, np.uint8),
+def _members(table: EmbeddingTable) -> dict[str, np.ndarray]:
+    """The arrays a table's sidecar holds."""
+    return {
         "matrix": table.matrix,
         "tokens": np.frombuffer("\n".join(table.rows).encode("utf-8"), np.uint8),
         "duplicates_skipped": np.int64(table.duplicates_skipped),
     }
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path), suffix=".tmp", dir=os.path.dirname(path) or None)
-        # The members as np.savez lays them out, each array's own bytes
-        # written where np.savez would first copy them.
-        with os.fdopen(fd, "wb") as f, zipfile.ZipFile(f, "w") as zf:
-            os.fchmod(f.fileno(), mode)
-            for name, a in members.items():
-                a = np.asarray(a)
-                with zf.open(f"{name}.npy", "w", force_zip64=True) as member:
-                    np.lib.format.write_array_header_1_0(member, np.lib.format.header_data_from_array_1_0(a))
-                    member.write(a.reshape(-1).view(np.uint8))
-        os.replace(tmp, path)
-    except OSError:
-        if tmp is not None:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
 
 
-def load_embedding_table(source: str | os.PathLike | IO[str] | Iterable[str]) -> EmbeddingTable:
+def _restore(npz) -> EmbeddingTable:
+    """The table in a sidecar's members, checked as outside input."""
+    matrix = sidecar.member(npz, "matrix", np.float64, 2)
+    text = sidecar.member(npz, "tokens", np.uint8, 1).tobytes().decode("utf-8")
+    duplicates = int(sidecar.member(npz, "duplicates_skipped", np.int64, 0))
+    tokens = text.split()
+    rows = dict(zip(tokens, range(1, len(tokens) + 1)))
+    # The tokens join back into the stored text only when each is non-empty and free of whitespace.
+    if not tokens or "\n".join(tokens) != text or len(rows) != len(tokens) or duplicates < 0:
+        raise ValueError("sidecar tokens are not a parsed table's")
+    if len(matrix) != len(tokens) + 1 or matrix.shape[1] < 1:
+        raise ValueError("sidecar matrix does not fit its tokens")
+    if matrix[0].any() or np.signbit(matrix[0]).any() or not np.isfinite(matrix).all():
+        raise ValueError("sidecar matrix is not a parsed table's")
+    return EmbeddingTable(matrix, rows, duplicates_skipped=duplicates)
+
+
+def load_embedding_table(source: sidecar.Source) -> EmbeddingTable:
     """An :class:`EmbeddingTable` from a text embedding file, given by path or as lines.
 
     Vector fields are parsed ``BLOCK_LINES`` lines at a time with numpy's
@@ -357,25 +264,7 @@ def load_embedding_table(source: str | os.PathLike | IO[str] | Iterable[str]) ->
     by anyone but the table's owner, this user or root is ignored. Any
     other path, such as a pipe, is only parsed.
     """
-    if not isinstance(source, (str, os.PathLike)):
-        return _parse(source)
-    with open(source, "rb") as f:
-        st = os.fstat(f.fileno())
-        if not stat.S_ISREG(st.st_mode):
-            with io.TextIOWrapper(f, encoding="utf-8") as text:
-                return _parse(text)
-        import hashlib
-
-        sidecar = sidecar_path(source)
-        table = _read_sidecar(sidecar, f, st.st_uid)
-        if table is None:
-            f.seek(0)
-            digest = hashlib.sha256()
-            with io.TextIOWrapper(io.BufferedReader(_Hashed(f, digest)), encoding="utf-8") as text:
-                table = _parse(text)
-            # Whoever may read the table may read its sidecar.
-            _write_sidecar(sidecar, digest.digest(), table, stat.S_IMODE(st.st_mode) & 0o666)
-    return table
+    return sidecar.load(source, SIDECAR_VERSION, _parse, _members, _restore)
 
 
 def compose_mean_matrix(

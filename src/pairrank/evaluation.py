@@ -14,7 +14,7 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .model import Batch, Model, forward_batch
+from .model import Batch, Model, ShapeMismatchError, forward_batch
 
 # Not called here: the benchmark's traced run hooks this name on this module.
 from .model import pack  # noqa: F401
@@ -92,6 +92,8 @@ def evaluate(
     check_tie_epsilon(tie_epsilon)
     if len(batch) == 0:
         raise EmptyEvaluation("empty dataset")
+    if splits is not None and len(splits) != len(batch):
+        raise ShapeMismatchError(f"{len(splits)} splits for {len(batch)} tuples")
     sigma, sigma_rev = predict_delta(model, batch)
     deltas = sigma - sigma_rev
     counts = _count(deltas, batch.y, tie_epsilon)

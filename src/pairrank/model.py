@@ -144,11 +144,19 @@ class Batch:
     _inputs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        names = ("P1", "P2", "Pr", "F1", "F2", "y")
         columns = (self.P1, self.P2, self.Pr, self.F1, self.F2, self.y)
         rows = [len(column) for column in columns]
         if len(set(rows)) > 1:
-            counts = ", ".join(f"{name} {n}" for name, n in zip(("P1", "P2", "Pr", "F1", "F2", "y"), rows))
+            counts = ", ".join(f"{name} {n}" for name, n in zip(names, rows))
             raise ShapeMismatchError(f"batch columns differ in rows: {counts}")
+        if any(column.ndim != 2 for column in columns[:5]):
+            dims = ", ".join(f"{name} {column.ndim}" for name, column in zip(names, columns[:5]))
+            raise ShapeMismatchError(f"batch columns must be 2-D: {dims}")
+        widths = [column.shape[1] for column in columns[:5]]
+        if not widths[0] == widths[1] == widths[2] or widths[3] != widths[4]:
+            named = ", ".join(f"{name} {w}" for name, w in zip(names, widths))
+            raise ShapeMismatchError(f"batch columns differ in width: {named}")
         # Read-only from here on: block_inputs caches what it builds from them.
         for column in columns:
             column.flags.writeable = False
@@ -182,7 +190,11 @@ class Batch:
 
 def pack(rows: Sequence[tuple], y: Sequence[int]) -> Batch:
     """A batch from (psi_t1, psi_t2, psi_r, phi_t1r, phi_t2r) rows of number sequences and their 0/1 labels."""
-    return Batch(*(np.array(column, dtype=float) for column in zip(*rows)), np.array(y))
+    y = np.array(y)
+    bad = y[~np.isin(y, (0, 1))]
+    if len(bad):
+        raise ValueError(f"labels must be 0 or 1, got {bad[0]:g}")
+    return Batch(*(np.array(column, dtype=float) for column in zip(*rows)), y)
 
 
 def _check_batch(model: Model, batch: Batch) -> None:

@@ -9,6 +9,7 @@ from unittest import mock
 import pytest
 
 import pairrank.cli
+import pairrank.data_ingest
 import pairrank.embeddings
 
 from pairrank.cli import run
@@ -518,5 +519,33 @@ def test_cold_and_warm_table_loads_give_the_same_outputs(tmp_path, capsys, data_
 
     cold = pipeline(tmp_path / "cold", cold=True)
     with mock.patch.object(pairrank.embeddings, "_parse", side_effect=AssertionError("parsed")):
+        warm = pipeline(tmp_path / "warm", cold=False)
+    assert len(cold) == 9 and cold == warm
+
+
+def test_cold_and_warm_data_loads_give_the_same_outputs(tmp_path, capsys, data_file, emb_file):
+    from pairrank.sidecar import sidecar_path
+
+    def pipeline(out_dir, cold):
+        out_dir.mkdir()
+        model, outputs = str(out_dir / "m.json"), {}
+        jobs = {
+            "train": train_args(data_file, model, str(out_dir / "r.jsonl"), embeddings=emb_file, valid=data_file),
+            "evaluate": ["evaluate", "--data", data_file, "--embeddings", emb_file, "--model", model,
+                         "--report", str(out_dir / "eval.json")],
+            "predict": ["predict", "--data", data_file, "--embeddings", emb_file, "--model", model,
+                        "--out", str(out_dir / "pred.jsonl")],
+            "extract": ["extract", "--data", data_file, "--embeddings", emb_file, "--out", str(out_dir / "f.jsonl")],
+        }
+        for job, args in jobs.items():
+            if cold and os.path.exists(sidecar_path(data_file)):
+                os.unlink(sidecar_path(data_file))
+            assert run(args) == 0
+            assert os.path.exists(sidecar_path(data_file))
+            outputs[job] = capsys.readouterr().out
+        return outputs | {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    cold = pipeline(tmp_path / "cold", cold=True)
+    with mock.patch.object(pairrank.data_ingest, "_parse", side_effect=AssertionError("parsed")):
         warm = pipeline(tmp_path / "warm", cold=False)
     assert len(cold) == 9 and cold == warm

@@ -2,6 +2,10 @@ import copy
 import dataclasses
 import io
 import json
+import os
+import pathlib
+import tempfile
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -10,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairrank import data_ingest
+from pairrank import data_ingest, sidecar
 
 from pairrank.data_ingest import (
     DatasetFormatError,
@@ -22,7 +26,8 @@ from pairrank.embeddings import load_embedding_table
 from pairrank.features import assemble_pairwise, bleu_components
 from pairrank.synthetic import token_dataset_lines
 from test_acceptance import brute_bleu_fields
-from test_embeddings import sequential_mean
+from test_embeddings import (FullDisk, fail_mkstemp, owned_by, replace_bytes, rewrite_sidecar, sequential_mean,
+                             sidecar_bytes, sidecar_members)
 
 
 def make_line(**overrides):
@@ -180,9 +185,17 @@ def test_dataset_refuses_scores_outside_the_schema():
     ({"sentences": [[0], [1], [2]]}, r"^sentences must hold integers in \[0, 2\)$"),
     ({"sentences": [0, 1, 0]}, r"^sentences has shape \(3,\), expected \(3, 1\)$"),
     ({"splits": []}, "^0 splits for 1 tuples$"),
+    # Token ids name vocabulary entries, and BLEU compares ids: a repeated
+    # entry would make two ids of one token.
+    ({"vocab": ["a", "a"]}, "^vocab must hold each token once$"),
+    ({"feature_schema": ["TER", "M"], "scores": [[[0.9, 0.5]], [[0.1, 0.5]]]},
+     r"^schema \['TER', 'M'\] must be sorted and hold each name once$"),
+    ({"feature_schema": ["M", "M"], "scores": [[[0.9, 0.5]], [[0.1, 0.5]]]},
+     r"^schema \['M', 'M'\] must be sorted and hold each name once$"),
 ], ids=["short-vector", "nan-vector", "vectors-without-tuple-axis", "label-7", "infinite-score", "huge-score",
         "token-outside-vocab", "float-token-ids", "falling-offsets", "offsets-short-of-tokens",
-        "sentence-outside-store", "sentences-without-tuple-axis", "splits-for-other-tuples"])
+        "sentence-outside-store", "sentences-without-tuple-axis", "splits-for-other-tuples",
+        "repeated-vocab", "unsorted-schema", "repeated-schema-name"])
 def test_dataset_refuses_bad_columns(columns, message):
     with pytest.raises(DatasetFormatError, match=message):
         hand_built(**columns)
@@ -407,3 +420,193 @@ def test_mutated_record_loads_and_vectorizes_or_raises_typed_error(base, mutatio
             assert len(batch) == len(y) == len(ds.tuples)
     except DatasetFormatError:
         pass
+
+
+SIDECAR_DATASETS = {
+    "ties-and-scores": [make_line(external_scores_1={"TER": 0.5, "M": 1}, external_scores_2={"TER": 0.25, "M": -2}),
+                        make_line(id="x2", y="tie"),
+                        make_line(id="x3", y=0, hyp1="The Cat  sat", reference="a dog stood", external_scores_1={"M": 0, "TER": 1e-300},
+                                  external_scores_2={"TER": 3, "M": 7.5})],
+    "precomputed": [make_line(psi_t1=[0.5, -1], psi_t2=[0.25, 2], psi_r=[1.0, 1e300]),
+                    make_line(id="x2", y=0, hyp2="the cat sat", psi_t1=[0, 0], psi_t2=[-0.0, 1], psi_r=[3, 4])],
+    "pre-tokenized": [make_line(hyp1=["the cat", "", "sat"], reference=["", "The", "cat\tsat"], hyp2=[]),
+                      make_line(id="x2", hyp1="the cat sat", reference=["the", "cat", "sat"])],
+    "defaults": ["", json.dumps({"reference": "r", "hyp1": "h", "hyp2": "h r", "y": 1}), "  ",
+                 json.dumps({"reference": "r", "hyp1": "h", "hyp2": "h r", "y": 0, "split": "de", "id": 7})],
+    "newline-id": [make_line(id="a\nb"), make_line(id="a", split="x\ny\n")],
+    "lone-surrogate": [make_line(id="\ud800", split="\udfff"), make_line(hyp1="\ud83d \ude00 x", reference=["\ud800"])],
+    "empty": [make_line(y="tie")],
+}
+
+
+def data_file(tmp_path, lines, name="data.jsonl"):
+    path = tmp_path / name
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+def assert_same_dataset(got, want):
+    for f in dataclasses.fields(data_ingest.Dataset):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+            assert not a.flags.writeable, f.name
+        else:
+            assert type(a) is type(b) and a == b, f.name
+
+
+def parsed(path):
+    with open(path, encoding="utf-8") as f:
+        return load_dataset(f)
+
+
+def parse_only():
+    """Loads inside this context may parse no text: they must come from a sidecar."""
+    return mock.patch.object(data_ingest, "_parse", side_effect=AssertionError("parsed"))
+
+
+@pytest.mark.parametrize("lines", SIDECAR_DATASETS.values(), ids=SIDECAR_DATASETS)
+def test_cold_and_warm_loads_give_the_parsed_dataset(tmp_path, lines):
+    path = data_file(tmp_path, lines)
+    want = parsed(path)
+    cold = load_dataset(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".data.jsonl.pairrank.npz", "data.jsonl"]
+    with parse_only():
+        warm = load_dataset(str(path))
+    assert_same_dataset(cold, want)
+    assert_same_dataset(warm, want)
+
+
+# Any text, and pieces of what a parse must keep: whitespace, newlines, lone surrogates.
+texts = st.text(max_size=4) | st.lists(st.sampled_from(["a", "É", " ", "\t", "\n", "\ud800", "\ude00"]),
+                                       max_size=4).map("".join)
+
+
+@given(st.lists(st.fixed_dictionaries({"id": texts, "split": texts, "reference": st.lists(texts, max_size=3),
+                                       "hyp1": texts, "hyp2": st.lists(texts, max_size=3),
+                                       "y": st.sampled_from([0, 1, "tie"])}), max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_any_parsed_dataset_round_trips_through_its_sidecar(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = data_file(pathlib.Path(tmp), [json.dumps(r) for r in records])
+        want = parsed(path)
+        assert_same_dataset(load_dataset(path), want)
+        with parse_only():
+            assert_same_dataset(load_dataset(path), want)
+
+
+def test_dataset_sidecar_is_keyed_by_content(tmp_path):
+    path = data_file(tmp_path, [make_line(y=1)])
+    assert load_dataset(path).labels.tolist() == [1]
+    stat = path.stat()
+    # The same size and modification time, other bytes.
+    path.write_bytes(path.read_bytes().replace(b'"y": 1', b'"y": 0'))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert load_dataset(path).labels.tolist() == [0]
+    with parse_only():
+        assert load_dataset(path).labels.tolist() == [0]
+
+
+def member_with(name, at, value):
+    def change(path):
+        a = sidecar_members(path)[name]
+        a[at] = value
+        rewrite_sidecar(path, **{name: a})
+    return change
+
+
+def strings_with(name, change):
+    """A spoiler that rewrites the sidecar's text column ``name`` as ``change`` of its strings."""
+    def spoil(path):
+        members = sidecar_members(path)
+        text, ends = members[name].tobytes().decode("utf-8"), members[f"{name}_offsets"].tolist()
+        strings = change([text[a:b] for a, b in zip(ends, ends[1:])])
+        rewrite_sidecar(path, **{name: np.frombuffer("".join(strings).encode("utf-8"), np.uint8),
+                                 f"{name}_offsets": np.cumsum([0, *map(len, strings)], dtype=np.int64)})
+    return spoil
+
+
+BAD_DATA_SIDECARS = {
+    "truncated": lambda p: replace_bytes(p, sidecar_bytes(p)[:-200]),
+    "not-a-zip-file": lambda p: replace_bytes(p, b"not a zip file\n"),
+    "other-version": lambda p: rewrite_sidecar(p, version=np.int64(data_ingest.SIDECAR_VERSION + 1)),
+    "other-digest": lambda p: rewrite_sidecar(p, sha256=np.zeros(32, np.uint8)),
+    "missing-member": lambda p: np.savez(sidecar.sidecar_path(p), **{
+        k: v for k, v in sidecar_members(p).items() if k != "vocab_offsets"}),
+    "pickled-member": lambda p: rewrite_sidecar(p, ids=np.array(["x1", "x2"], dtype=object)),
+    "label-of-7": member_with("labels", 0, 7),
+    "token-id-outside-vocabulary": lambda p: member_with("token_ids", 0, len(sidecar_members(p)["vocab_offsets"]))(p),
+    "falling-offsets": member_with("offsets", 1, 7),
+    "blob-offset-out-of-range": lambda p: member_with("ids_offsets", -1, len(sidecar_members(p)["ids"]) + 1)(p),
+    "falling-blob-offsets": member_with("vocab_offsets", 1, 9),
+    "float32-scores": lambda p: rewrite_sidecar(p, scores=sidecar_members(p)["scores"].astype(np.float32)),
+    "negative-dropped-ties": lambda p: rewrite_sidecar(p, dropped_ties=np.int64(-1)),
+    "repeated-vocab": strings_with("vocab", lambda vocab: [vocab[0], *vocab[:-1]]),
+    "unsorted-schema": strings_with("feature_schema", lambda schema: schema[::-1]),
+}
+
+
+@pytest.mark.parametrize("spoil", BAD_DATA_SIDECARS.values(), ids=BAD_DATA_SIDECARS)
+def test_bad_dataset_sidecar_is_ignored_and_rewritten(tmp_path, spoil):
+    # Three distinct sentences of three tokens each: offsets [0, 3, 6, 9].
+    path = data_file(tmp_path, SIDECAR_DATASETS["ties-and-scores"])
+    want = load_dataset(path)
+    spoil(path)
+    with mock.patch.object(data_ingest, "_parse", wraps=data_ingest._parse) as parse:
+        assert_same_dataset(load_dataset(path), want)
+    assert parse.call_count == 1
+    with parse_only():
+        assert_same_dataset(load_dataset(path), want)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".data.jsonl.pairrank.npz", "data.jsonl"]
+
+
+@pytest.mark.parametrize("sidecar_uid, served", [(1002, False), (1001, True), (1000, True), (0, True)],
+                         ids=["another-user", "the-files-owner", "this-user", "root"])
+def test_dataset_sidecar_is_served_only_from_a_trusted_owner(tmp_path, sidecar_uid, served):
+    # The data file is owned by 1001 and read by 1000. A sidecar with the
+    # file's digest and other labels, as anyone who can read the file could plant.
+    path = data_file(tmp_path, SIDECAR_DATASETS["ties-and-scores"])
+    want = load_dataset(path)
+    rewrite_sidecar(path, labels=1 - want.labels)
+    uids = {path.stat().st_ino: 1001, os.stat(sidecar.sidecar_path(path)).st_ino: sidecar_uid}
+    with owned_by(uids), mock.patch.object(sidecar.os, "geteuid", return_value=1000):
+        got = load_dataset(path)
+    assert got.labels.tolist() == (1 - want.labels if served else want.labels).tolist()
+
+
+@pytest.mark.parametrize("target, name, fake", [(sidecar.tempfile, "mkstemp", fail_mkstemp),
+                                                (sidecar.os, "fdopen", FullDisk)],
+                         ids=["read-only-directory", "full-disk"])
+def test_failed_dataset_sidecar_write_still_loads_and_leaves_nothing(tmp_path, target, name, fake):
+    path = data_file(tmp_path, SIDECAR_DATASETS["ties-and-scores"])
+    with mock.patch.object(target, name, fake):
+        assert_same_dataset(load_dataset(path), parsed(path))
+    assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+
+
+def test_malformed_data_raises_every_time_and_leaves_no_sidecar(tmp_path):
+    path = data_file(tmp_path, [make_line(), "{broken"])
+    for _ in range(2):
+        with pytest.raises(DatasetFormatError, match="^line 2: malformed JSON"):
+            load_dataset(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+
+
+def test_data_fifo_is_parsed_and_leaves_no_sidecar(tmp_path):
+    fifo = tmp_path / "data.fifo"
+    os.mkfifo(fifo)
+    lines = SIDECAR_DATASETS["ties-and-scores"]
+
+    def feed():
+        with open(fifo, "w", encoding="utf-8") as f:
+            f.writelines(line + "\n" for line in lines)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    with mock.patch.object(sidecar, "_write", side_effect=AssertionError("wrote")):
+        ds = load_dataset(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert_same_dataset(ds, load_dataset(lines))
+    assert [p.name for p in tmp_path.iterdir()] == ["data.fifo"]
+

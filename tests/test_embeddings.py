@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pairrank import embeddings
+from pairrank import embeddings, sidecar
 from pairrank.embeddings import (
     BLOCK_LINES,
     EmbeddingError,
@@ -477,7 +477,7 @@ def owned_by(uids):
         fields[4] = uids[st.st_ino]  # st_uid
         return os.stat_result(fields)
 
-    return mock.patch.object(embeddings.os, "fstat", fstat)
+    return mock.patch.object(sidecar.os, "fstat", fstat)
 
 
 @pytest.mark.parametrize("sidecar_uid, served", [(1002, False), (1001, True), (1000, True), (0, True)],
@@ -489,7 +489,7 @@ def test_sidecar_is_served_only_from_a_trusted_owner(tmp_path, sidecar_uid, serv
     want = load_embedding_table(path)
     rewrite_sidecar(path, matrix=want.matrix * 2)
     uids = {path.stat().st_ino: 1001, os.stat(embeddings.sidecar_path(path)).st_ino: sidecar_uid}
-    with owned_by(uids), mock.patch.object(embeddings.os, "geteuid", return_value=1000):
+    with owned_by(uids), mock.patch.object(sidecar.os, "geteuid", return_value=1000):
         got = load_embedding_table(path)
     assert np.array_equal(got.matrix, want.matrix * 2 if served else want.matrix)
 
@@ -506,8 +506,8 @@ class FullDisk(io.FileIO):
         raise OSError(28, "No space left on device")
 
 
-@pytest.mark.parametrize("target, name, fake", [(embeddings.tempfile, "mkstemp", fail_mkstemp),
-                                                (embeddings.os, "fdopen", FullDisk)],
+@pytest.mark.parametrize("target, name, fake", [(sidecar.tempfile, "mkstemp", fail_mkstemp),
+                                                (sidecar.os, "fdopen", FullDisk)],
                          ids=["read-only-directory", "full-disk"])
 def test_failed_sidecar_write_still_loads_and_leaves_nothing(tmp_path, target, name, fake):
     path = table_file(tmp_path, "a 1 2\nb 3 4\n")

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pairrank.evaluation import EmptyEvaluation, PairCounts, evaluate, kendall_tau, predict_delta, verdicts
-from pairrank.model import Batch, ModelConfig, init_model
+from pairrank.model import Batch, ModelConfig, ShapeMismatchError, init_model
 from pairrank.synthetic import interaction_rule_dataset
 
 CFG = ModelConfig(sentence_dim=3, pairwise_dim=0, hidden_per_block=2)
@@ -110,6 +110,14 @@ def test_per_split_breakdown():
     assert set(report.per_split) == {"cz", "de"}
     totals = sum(c.total for c, _ in report.per_split.values())
     assert totals == report.counts.total
+
+
+@pytest.mark.parametrize("n_splits", [9, 11])
+def test_splits_of_the_wrong_length_are_refused(n_splits):
+    m = init_model(ModelConfig(3, 0, 2, seed=2))
+    data = interaction_rule_dataset(10, sentence_dim=3, seed=9)
+    with pytest.raises(ShapeMismatchError, match=f"^{n_splits} splits for 10 tuples$"):
+        evaluate(m, data, splits=["cz"] * n_splits)
 
 
 def test_empty_dataset():

@@ -209,6 +209,35 @@ def test_batch_refuses_a_column_one_row_short(short):
         Batch(**columns)
 
 
+@pytest.mark.parametrize("arch", ["single-layer", "multi-layer"])
+@pytest.mark.parametrize("widths", [(3, 4, 2, 2, 2), (3, 3, 3, 2, 1)], ids=["sentence", "pairwise"])
+def test_batch_refuses_columns_of_different_widths(arch, widths):
+    # The single-layer model reads P1, P2 and Pr side by side, so a 3 + 4 + 2
+    # split of its 9 sentence inputs would score without error.
+    rng = np.random.default_rng(0)
+    columns = {c: rng.normal(size=(5, w)) for c, w in zip(COLUMNS, widths)}
+    named = ", ".join(f"{c} {w}" for c, w in zip(COLUMNS, widths))
+    with pytest.raises(ShapeMismatchError, match=f"^batch columns differ in width: {named}$"):
+        batch = Batch(**columns, y=np.ones(5, int))
+        forward_batch(init_model(ModelConfig(3, 2, 2, architecture=arch)), batch)
+
+
+@pytest.mark.parametrize("flat", COLUMNS[:5])
+def test_batch_refuses_a_column_that_is_not_2d(flat):
+    columns = {c: np.zeros((5, 2)) for c in COLUMNS[:5]}
+    columns[flat] = np.zeros(5)
+    dims = ", ".join(f"{c} {1 if c == flat else 2}" for c in COLUMNS[:5])
+    with pytest.raises(ShapeMismatchError, match=f"^batch columns must be 2-D: {dims}$"):
+        Batch(**columns, y=np.ones(5, int))
+
+
+@pytest.mark.parametrize("y, bad", [([2] * 10, "2"), ([0.5] * 10, "0.5"), ([1] * 9 + [-1], "-1")])
+def test_pack_refuses_labels_other_than_0_and_1(y, bad):
+    rows = [tuple(np.ones(2) for _ in range(5))] * 10
+    with pytest.raises(ValueError, match=f"^labels must be 0 or 1, got {bad}$"):
+        pack(rows, y)
+
+
 def test_take_keeps_the_labels_with_their_rows():
     batch = labelled_input(8, seed=1)
     idx = [5, 0, 7, 0, 2]

@@ -61,6 +61,8 @@ def _read_config(path: str) -> dict:
     """The options in a JSON config file, each refused unless its flag could give it."""
     with open(path, encoding="utf-8") as f:
         opts = json.load(f)
+    if not isinstance(opts, dict):
+        raise ValueError(f"config must be a JSON object of options, got {json.dumps(opts)}")
     unknown = set(opts) - set(TRAIN_OPTIONS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -232,21 +234,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .synthetic import interaction_rule_dataset, linear_rule_dataset
+    from .synthetic import mixed_rule_batch
 
-    config = ModelConfig(
-        sentence_dim=3,
-        pairwise_dim=2,
-        hidden_per_block=args.hidden,
-        architecture=args.arch,
-        seed=args.seed,
-    )
-    model = init_model(config)
-    # Sentence vectors from one planted rule, pairwise features and labels from the other.
-    sent = interaction_rule_dataset(8, sentence_dim=3, seed=args.seed)
-    pair = linear_rule_dataset(8, pairwise_dim=2, seed=args.seed + 1)
-    batch = dataclasses.replace(sent, F1=pair.F1, F2=pair.F2, y=pair.y)
-    err = grad_check(model, batch, CostConfig(kind=args.cost), step=args.step)
+    model = init_model(ModelConfig(3, 2, hidden_per_block=args.hidden, architecture=args.arch, seed=args.seed))
+    err = grad_check(model, mixed_rule_batch(8, args.seed), CostConfig(kind=args.cost))
     print(f"max relative error {err:.3e}")
     return 0 if err <= 1e-5 else 1
 
@@ -292,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient self-check")
     for key in ("seed", "cost", "arch", "hidden"):
         _add_option(p, key, default=_default(key))
-    p.add_argument("--step", type=float, default=1e-6)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -53,7 +53,8 @@ class EmbeddingTable:
     """Token vectors as one ``(V + 1, d)`` float64 matrix and a token -> row map.
 
     Row 0 is the zero vector that an out-of-vocabulary token adds; the
-    ``V`` tokens take rows 1 to ``V``.
+    ``V`` tokens take rows 1 to ``V``. The constructor checks all of this,
+    and that each token is one word and every value finite.
     """
 
     matrix: np.ndarray
@@ -61,8 +62,20 @@ class EmbeddingTable:
     duplicates_skipped: int = 0
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise EmbeddingError(f"dimension must be >= 1, got {self.dimension}")
+        m = self.matrix
+        if m.ndim != 2 or min(m.shape) < 1:
+            raise EmbeddingError(f"matrix must be 2-D with a row 0 and width >= 1, got shape {m.shape}")
+        if list(self.rows.values()) != list(range(1, len(m))):
+            raise EmbeddingError(f"rows must number the tokens 1 to {len(m) - 1}, the matrix rows after row 0")
+        # The tokens split back from one string only when each is non-empty and free of whitespace.
+        if " ".join(self.rows).split() != list(self.rows):
+            raise EmbeddingError("each token must be one non-empty word without whitespace")
+        if m[0].any() or np.signbit(m[0]).any():
+            raise EmbeddingError("row 0, the out-of-vocabulary vector, must be +0.0")
+        if not np.isfinite(m).all():
+            raise EmbeddingError("non-finite vector value")
+        if self.duplicates_skipped < 0:
+            raise EmbeddingError(f"duplicates_skipped must be >= 0, got {self.duplicates_skipped}")
 
     @property
     def dimension(self) -> int:
@@ -231,20 +244,10 @@ def _members(table: EmbeddingTable) -> dict[str, np.ndarray]:
 
 
 def _restore(npz) -> EmbeddingTable:
-    """The table in a sidecar's members, checked as outside input."""
-    matrix = sidecar.member(npz, "matrix", np.float64, 2)
-    text = sidecar.member(npz, "tokens", np.uint8, 1).tobytes().decode("utf-8")
-    duplicates = int(sidecar.member(npz, "duplicates_skipped", np.int64, 0))
-    tokens = text.split()
-    rows = dict(zip(tokens, range(1, len(tokens) + 1)))
-    # The tokens join back into the stored text only when each is non-empty and free of whitespace.
-    if not tokens or "\n".join(tokens) != text or len(rows) != len(tokens) or duplicates < 0:
-        raise ValueError("sidecar tokens are not a parsed table's")
-    if len(matrix) != len(tokens) + 1 or matrix.shape[1] < 1:
-        raise ValueError("sidecar matrix does not fit its tokens")
-    if matrix[0].any() or np.signbit(matrix[0]).any() or not np.isfinite(matrix).all():
-        raise ValueError("sidecar matrix is not a parsed table's")
-    return EmbeddingTable(matrix, rows, duplicates_skipped=duplicates)
+    """The table in a sidecar's members, checked as outside input by its constructor."""
+    tokens = sidecar.member(npz, "tokens", np.uint8, 1).tobytes().decode("utf-8").split("\n")
+    return EmbeddingTable(sidecar.member(npz, "matrix", np.float64, 2), dict(zip(tokens, range(1, len(tokens) + 1))),
+                          duplicates_skipped=int(sidecar.member(npz, "duplicates_skipped", np.int64, 0)))
 
 
 def load_embedding_table(source: sidecar.Source) -> EmbeddingTable:

@@ -24,6 +24,10 @@ class ShapeMismatchError(ValueError):
     pass
 
 
+class LabelError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     sentence_dim: int
@@ -131,7 +135,8 @@ class Batch:
     and the reference (N x sentence_dim); F1 and F2 hold each
     hypothesis's pairwise features against the reference
     (N x pairwise_dim); y holds each tuple's label (N,), 1 where
-    hypothesis 1 was judged better and 0 where hypothesis 2 was.
+    hypothesis 1 was judged better and 0 where hypothesis 2 was, as ints
+    or floats. The constructor checks these shapes and labels.
     """
 
     P1: np.ndarray
@@ -146,6 +151,8 @@ class Batch:
     def __post_init__(self):
         names = ("P1", "P2", "Pr", "F1", "F2", "y")
         columns = (self.P1, self.P2, self.Pr, self.F1, self.F2, self.y)
+        if self.y.ndim != 1:
+            raise ShapeMismatchError(f"y must be 1-D, got shape {self.y.shape}")
         rows = [len(column) for column in columns]
         if len(set(rows)) > 1:
             counts = ", ".join(f"{name} {n}" for name, n in zip(names, rows))
@@ -157,6 +164,11 @@ class Batch:
         if not widths[0] == widths[1] == widths[2] or widths[3] != widths[4]:
             named = ", ".join(f"{name} {w}" for name, w in zip(names, widths))
             raise ShapeMismatchError(f"batch columns differ in width: {named}")
+        if self.y.dtype.kind not in "iuf":
+            raise LabelError(f"labels must be ints or floats, got {self.y.dtype}")
+        bad = self.y[(self.y != 0) & (self.y != 1)]
+        if len(bad):
+            raise LabelError(f"labels must be 0 or 1, got {bad[0]:g}")
         # Read-only from here on: block_inputs caches what it builds from them.
         for column in columns:
             column.flags.writeable = False
@@ -190,11 +202,7 @@ class Batch:
 
 def pack(rows: Sequence[tuple], y: Sequence[int]) -> Batch:
     """A batch from (psi_t1, psi_t2, psi_r, phi_t1r, phi_t2r) rows of number sequences and their 0/1 labels."""
-    y = np.array(y)
-    bad = y[~np.isin(y, (0, 1))]
-    if len(bad):
-        raise ValueError(f"labels must be 0 or 1, got {bad[0]:g}")
-    return Batch(*(np.array(column, dtype=float) for column in zip(*rows)), y)
+    return Batch(*(np.array(column, dtype=float) for column in zip(*rows)), np.array(y))
 
 
 def _check_batch(model: Model, batch: Batch) -> None:

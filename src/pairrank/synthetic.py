@@ -9,11 +9,15 @@ hidden blocks).
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 import numpy as np
 
 from .model import Batch, pack
+
+# The words of token_dataset_lines, w0 to w29; toy_embedding_lines gives them vectors.
+VOCAB_SIZE = 30
 
 
 def linear_rule_dataset(
@@ -44,12 +48,7 @@ def linear_rule_dataset(
     return pack(rows, ys)
 
 
-def interaction_rule_dataset(
-    n: int,
-    sentence_dim: int = 3,
-    seed: int = 0,
-    noise: float = 0.0,
-) -> Batch:
+def interaction_rule_dataset(n: int, sentence_dim: int = 3, seed: int = 0) -> Batch:
     """Label = which hypothesis vector has the larger inner product with the reference.
 
     The rule is a product of inputs, so it is invisible to a linear model
@@ -62,18 +61,23 @@ def interaction_rule_dataset(
         p1 = rng.normal(size=sentence_dim)
         p2 = rng.normal(size=sentence_dim)
         pr = rng.normal(size=sentence_dim)
-        y = int(p1 @ pr > p2 @ pr)
-        if noise > 0 and rng.random() < noise:
-            y = 1 - y
         rows.append((p1, p2, pr, empty, empty))
-        ys.append(y)
+        ys.append(int(p1 @ pr > p2 @ pr))
     return pack(rows, ys)
+
+
+def mixed_rule_batch(n: int, seed: int = 0) -> Batch:
+    """Interaction-rule sentence vectors (d = 3) with linear-rule pairwise
+    features (k = 2) and labels, drawn from ``seed`` and ``seed + 1``: input
+    on both of the network's channels, as the gradient check takes it."""
+    sent = interaction_rule_dataset(n, sentence_dim=3, seed=seed)
+    pair = linear_rule_dataset(n, pairwise_dim=2, seed=seed + 1)
+    return dataclasses.replace(sent, F1=pair.F1, F2=pair.F2, y=pair.y)
 
 
 def token_dataset_lines(
     n: int,
     seed: int = 0,
-    vocab_size: int = 30,
     splits: Optional[list[str]] = None,
     with_external: bool = False,
 ) -> list[str]:
@@ -86,17 +90,17 @@ def token_dataset_lines(
     import json
 
     rng = np.random.default_rng(seed)
-    vocab = [f"w{i}" for i in range(vocab_size)]
+    vocab = [f"w{i}" for i in range(VOCAB_SIZE)]
     splits = splits or ["all"]
     lines = []
     for i in range(n):
         length = int(rng.integers(4, 12))
-        ref = [vocab[j] for j in rng.integers(0, vocab_size, size=length)]
+        ref = [vocab[j] for j in rng.integers(0, VOCAB_SIZE, size=length)]
 
         def corrupt(k):
             hyp = list(ref)
             for pos in rng.choice(length, size=min(k, length), replace=False):
-                hyp[pos] = vocab[int(rng.integers(0, vocab_size))]
+                hyp[pos] = vocab[int(rng.integers(0, VOCAB_SIZE))]
             return hyp
 
         k1, k2 = sorted(rng.choice(np.arange(1, length + 1), size=2, replace=False))
@@ -120,7 +124,7 @@ def token_dataset_lines(
     return lines
 
 
-def toy_embedding_lines(vocab_size: int = 30, dim: int = 5, seed: int = 0) -> list[str]:
+def toy_embedding_lines(vocab_size: int = VOCAB_SIZE, dim: int = 5, seed: int = 0) -> list[str]:
     rng = np.random.default_rng(seed)
     return [
         "w%d %s" % (i, " ".join(repr(float(v)) for v in rng.normal(size=dim)))

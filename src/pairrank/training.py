@@ -38,13 +38,12 @@ COST_KINDS = tuple(PHASES)
 
 SIGMA_CLAMP = 1e-12
 
+# The parameter step of grad_check's central differences.
+GRAD_CHECK_STEP = 1e-6
+
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite cost or parameter."""
-
-
-class InvalidStep(ValueError):
-    pass
 
 
 def _check_finite(config, *names: str) -> None:
@@ -177,12 +176,7 @@ def _batch_gradients(model: Model, batch: Batch, cfg: CostConfig, kind: str):
     return grad, cost
 
 
-def grad_check(
-    model: Model,
-    batch: Batch,
-    cfg: CostConfig,
-    step: float = 1e-6,
-) -> float:
+def grad_check(model: Model, batch: Batch, cfg: CostConfig) -> float:
     """Max relative error of analytic vs. central-difference gradients.
 
     The difference quotient takes the cost in extended precision, from
@@ -191,8 +185,6 @@ def grad_check(
     rounding of the cost does not dominate it. The schedule cost kind
     checks each of its phases.
     """
-    if not 0 < step <= 1e-3:
-        raise InvalidStep(f"step must be in (0, 1e-3], got {step}")
     ld = np.longdouble
     batch_ld = batch.astype(ld)
     flat, model = flat_copy(model)
@@ -206,10 +198,10 @@ def grad_check(
         analytic, _ = _batch_gradients(model, batch, cfg, kind)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + GRAD_CHECK_STEP
             p_plus = flat[i]
             c_plus = cost_ld(kind)
-            flat[i] = orig - step
+            flat[i] = orig - GRAD_CHECK_STEP
             p_minus = flat[i]
             c_minus = cost_ld(kind)
             flat[i] = orig

@@ -2,7 +2,6 @@
 direction-of-effect replication on synthetic data. Each test prints one
 PASS line (visible with ``pytest -s``) once its assertions hold."""
 
-import dataclasses
 import math
 import time
 
@@ -15,6 +14,7 @@ from pairrank.model import ModelConfig, init_model
 from pairrank.synthetic import (
     interaction_rule_dataset,
     linear_rule_dataset,
+    mixed_rule_batch,
     token_dataset_lines,
     toy_embedding_lines,
 )
@@ -25,12 +25,6 @@ def _report(n, detail):
     print(f"ACCEPTANCE {n}: PASS ({detail})")
 
 
-def mixed_examples(n, seed):
-    sent = interaction_rule_dataset(n, sentence_dim=3, seed=seed)
-    pair = linear_rule_dataset(n, pairwise_dim=2, seed=seed + 1)
-    return dataclasses.replace(sent, F1=pair.F1, F2=pair.F2, y=pair.y)
-
-
 def test_criterion_1_gradient_suite():
     t0 = time.perf_counter()
     worst = 0.0
@@ -38,7 +32,7 @@ def test_criterion_1_gradient_suite():
         for kind in ("logistic", "kendall", "logistic-then-kendall"):
             for seed in range(10):
                 model = init_model(ModelConfig(3, 2, 2, arch, seed=seed))
-                err = grad_check(model, mixed_examples(4, seed), CostConfig(kind=kind), step=1e-6)
+                err = grad_check(model, mixed_rule_batch(4, seed), CostConfig(kind=kind))
                 worst = max(worst, err)
                 assert err <= 1e-5, f"{arch}/{kind} seed {seed}: {err}"
     elapsed = time.perf_counter() - t0

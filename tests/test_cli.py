@@ -113,6 +113,16 @@ def test_config_value_is_checked_like_its_flag(tmp_path, capsys, data_file, key,
     assert not model.exists()
 
 
+@pytest.mark.parametrize("doc", ["null", "5", "[]", '"abc"'])
+def test_config_that_is_not_a_json_object_is_refused(tmp_path, capsys, data_file, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(doc)
+    model = tmp_path / "m.json"
+    assert run(["train", "--data", data_file, "--out", str(model), "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: ValueError: config must be a JSON object of options, got {doc}\n"
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_non_finite_float_option_refused(tmp_path, capsys, data_file, source):
     # NaN fails both "l2 < 0" and "l2 > 0", so a range check alone would train unregularized.

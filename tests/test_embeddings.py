@@ -1,7 +1,9 @@
+import base64
 import hashlib
 import io
 import os
 import threading
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -167,6 +169,43 @@ def test_bulk_compose_matches_sequential_mean(sentences, values):
         assert np.array_equal(row, want)
         assert row.tobytes() == want.tobytes()  # sign of zero too
         assert n_oov == want_oov
+
+
+TABLE_MATRIX = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]])
+
+
+def with_value(row, col, value):
+    matrix = TABLE_MATRIX.copy()
+    matrix[row, col] = value
+    return matrix
+
+
+# Each was built without error before the table checked itself, and composed
+# wrong: a row past the matrix read its last row, a non-zero row 0 was added
+# for every out-of-vocabulary token.
+BAD_TABLES = {
+    "row-past-the-matrix": (TABLE_MATRIX, {"a": 1, "b": 7}, 0),
+    "row-without-a-token": (TABLE_MATRIX, {"a": 1}, 0),
+    "rows-out-of-order": (TABLE_MATRIX, {"b": 2, "a": 1}, 0),
+    "repeated-token": (TABLE_MATRIX, dict(zip(["a", "a"], [1, 2])), 0),
+    "empty-token": (TABLE_MATRIX, {"a": 1, "": 2}, 0),
+    "token-with-space": (TABLE_MATRIX, {"a": 1, "b c": 2}, 0),
+    "token-with-newline": (TABLE_MATRIX, {"a": 1, "b\n": 2}, 0),
+    "non-zero-row-0": (with_value(0, 1, 1.0), {"a": 1, "b": 2}, 0),
+    "negative-zero-row-0": (with_value(0, 0, -0.0), {"a": 1, "b": 2}, 0),
+    "nan": (with_value(2, 1, np.nan), {"a": 1, "b": 2}, 0),
+    "infinity": (with_value(1, 0, -np.inf), {"a": 1, "b": 2}, 0),
+    "1-d-matrix": (np.zeros(3), {"a": 1, "b": 2}, 0),
+    "no-row-0": (np.zeros((0, 2)), {}, 0),
+    "width-0": (np.zeros((3, 0)), {"a": 1, "b": 2}, 0),
+    "negative-duplicates": (TABLE_MATRIX, {"a": 1, "b": 2}, -1),
+}
+
+
+@pytest.mark.parametrize("matrix, rows, duplicates", BAD_TABLES.values(), ids=BAD_TABLES)
+def test_table_refuses_what_no_parse_gives(matrix, rows, duplicates):
+    with pytest.raises(EmbeddingError):
+        EmbeddingTable(matrix, rows, duplicates_skipped=duplicates)
 
 
 def per_line_load(lines):
@@ -449,6 +488,27 @@ def test_bad_sidecar_is_ignored_and_rewritten(tmp_path, spoil):
     with parse_only():
         assert_same_table(load_embedding_table(path), want)
     assert sorted(p.name for p in tmp_path.iterdir()) == [".emb.txt.pairrank.npz", "emb.txt"]
+
+
+# The sidecar that the loader wrote for "a 1 2\nb 3 4\nb 5 6\n" before the table's
+# constructor took over the sidecar's checks (6de88fa), zlib-compressed.
+EARLIER_SIDECAR = (
+    "eNoL8GZm0WWAAEWGJRvnr/oPBdwMIgxlqUXFmfl5enkFlYwMAgwdUIUwerJfqG9AJCNDGUO1ekpqcXKRupWCuk2mhbqOgnpaflFJUWJe"
+    "fH5RSipI3C0xpzgVKF6ckViQCuRraOoo1CpQBLgYoe4IQPHEolSjzTBPcAE9AbTRyNQM5ocFUHUL8PmhptSQKD8YG+lQ6A2u6p+d8UVc"
+    "axb791dV3c6U+qjIbLh8jYJhcs3hlm65e0cyUf3WMm2CErLfchNLijIrYH7bAFW3AW/8pBEXP8Y6CkaUeY6LASv4YA9lOEAoDigt4IDq"
+    "1zOfTbmR/VqSn52aVwzzazNUXTNV4pHSaFTgSuRKCsCZl8SAzk8pLcjJTE4sSS2OL87OLChITRn82YqRSZcZ1UcdUHdyI0VoA1gDUlmB"
+    "rhGUIxdA8xwXisajQBKRP9H1gVL7Bmh6RtW3EGglIu2j6wOlnGZo2kDV18vEgJSO8HlQDEWfDzMDjggM8GZlA6lhBUJVoKtkWEA8AKIq"
+    "KAc="
+)
+
+
+def test_sidecar_from_the_earlier_loader_is_served(tmp_path):
+    path = table_file(tmp_path, "a 1 2\nb 3 4\nb 5 6\n")
+    with open(embeddings.sidecar_path(path), "wb") as f:
+        f.write(zlib.decompress(base64.b64decode(EARLIER_SIDECAR)))
+    with parse_only():
+        table = load_embedding_table(path)
+    assert_same_table(table, EmbeddingTable(TABLE_MATRIX, {"a": 1, "b": 2}, duplicates_skipped=1))
 
 
 def test_hashing_needs_no_file_digest_and_reads_every_chunk(tmp_path, monkeypatch):

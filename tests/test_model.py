@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import io
 import json
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from pairrank.evaluation import predict_delta
 from pairrank.model import (
     Batch,
+    LabelError,
     ModelConfig,
     ShapeMismatchError,
     forward_batch,
@@ -229,6 +231,27 @@ def test_batch_refuses_a_column_that_is_not_2d(flat):
     dims = ", ".join(f"{c} {1 if c == flat else 2}" for c in COLUMNS[:5])
     with pytest.raises(ShapeMismatchError, match=f"^batch columns must be 2-D: {dims}$"):
         Batch(**columns, y=np.ones(5, int))
+
+
+@pytest.mark.parametrize("y, error, message", [
+    (np.full(5, 2), LabelError, "labels must be 0 or 1, got 2"),
+    (np.full(5, 0.5), LabelError, "labels must be 0 or 1, got 0.5"),
+    (np.array([1.0, 0.0, np.nan, 1.0, 0.0]), LabelError, "labels must be 0 or 1, got nan"),
+    (np.ones(5, bool), LabelError, "labels must be ints or floats, got bool"),
+    (np.ones((5, 1), int), ShapeMismatchError, re.escape("y must be 1-D, got shape (5, 1)")),
+], ids=["two", "half", "nan", "bool", "column"])
+def test_batch_refuses_labels_other_than_0_and_1_or_not_1d(y, error, message):
+    # Each of these used to evaluate and train: labels of 2 as all disconcordant, a
+    # (n, 1) column broadcast against every tuple's delta.
+    batch = labelled_input(5)
+    with pytest.raises(error, match=f"^{message}$"):
+        dataclasses.replace(batch, y=y)
+
+
+@pytest.mark.parametrize("y", [np.array([0, 1, 1]), np.array([0.0, 1.0, 1.0]), np.array([0, 1, 1], np.uint8)])
+def test_batch_takes_int_and_float_labels(y):
+    batch = dataclasses.replace(labelled_input(3), y=y)
+    assert batch.y is y and np.array_equal(batch.swapped().y, [1, 0, 0])
 
 
 @pytest.mark.parametrize("y, bad", [([2] * 10, "2"), ([0.5] * 10, "0.5"), ([1] * 9 + [-1], "-1")])

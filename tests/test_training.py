@@ -7,12 +7,11 @@ import pytest
 from pairrank import training
 from pairrank.evaluation import DEFAULT_TIE_EPSILON, EmptyEvaluation, PairCounts, evaluate, kendall_tau, verdicts
 from pairrank.model import BLOCKS, Batch, ModelConfig, backward_batch, forward_batch, init_model, pack, sigmoid
-from pairrank.synthetic import interaction_rule_dataset, linear_rule_dataset
+from pairrank.synthetic import linear_rule_dataset, mixed_rule_batch
 from pairrank.training import (
     SIGMA_CLAMP,
     CostConfig,
     DivergenceError,
-    InvalidStep,
     TrainConfig,
     _batch_gradients,
     grad_check,
@@ -22,13 +21,6 @@ from pairrank.training import (
 )
 
 CFG = ModelConfig(sentence_dim=3, pairwise_dim=2, hidden_per_block=2)
-
-
-def mixed_examples(n=6, seed=0):
-    """Inputs exercising both sentence and pairwise channels, with the pairwise rule's labels."""
-    sent = interaction_rule_dataset(n, sentence_dim=3, seed=seed)
-    pair = linear_rule_dataset(n, pairwise_dim=2, seed=seed + 1)
-    return dataclasses.replace(sent, F1=pair.F1, F2=pair.F2, y=pair.y)
 
 
 def test_logistic_cost_values():
@@ -74,7 +66,7 @@ def test_backward_zero_model_logistic():
     m = init_model(CFG)
     for name in m.param_names:
         m.params[name] = np.zeros_like(m.params[name])
-    batch = dataclasses.replace(mixed_examples(1), y=np.array([1.0]))
+    batch = dataclasses.replace(mixed_rule_batch(1), y=np.array([1.0]))
     grad, _ = _batch_gradients(m, batch, CostConfig(kind="logistic"), "logistic")
     # b_out is the last parameter.
     assert grad[-1] == pytest.approx(-0.5, abs=1e-15)
@@ -101,7 +93,7 @@ def test_gradients_match_finite_differences(arch, kind):
     cfg = ModelConfig(3, 2, hidden_per_block=2, architecture=arch, seed=11)
     for seed in range(3):
         m = init_model(ModelConfig(3, 2, 2, arch, seed=seed))
-        err = grad_check(m, mixed_examples(5, seed=seed), CostConfig(kind=kind), step=1e-6)
+        err = grad_check(m, mixed_rule_batch(5, seed=seed), CostConfig(kind=kind))
         assert err <= 1e-5, f"{arch}/{kind} seed {seed}: {err}"
 
 
@@ -181,15 +173,7 @@ def test_grad_check_catches_a_wrong_slope(monkeypatch, terms, kind):
 
     monkeypatch.setattr(training, terms, off_slope)
     m = init_model(ModelConfig(3, 2, 2, seed=4))
-    assert grad_check(m, mixed_examples(5, seed=4), CostConfig(kind=kind)) > 1e-5
-
-
-def test_grad_check_invalid_step():
-    m = init_model(CFG)
-    with pytest.raises(InvalidStep):
-        grad_check(m, mixed_examples(2), CostConfig(), step=0.0)
-    with pytest.raises(InvalidStep):
-        grad_check(m, mixed_examples(2), CostConfig(), step=1e-2)
+    assert grad_check(m, mixed_rule_batch(5, seed=4), CostConfig(kind=kind)) > 1e-5
 
 
 def test_cost_config_validation():
@@ -216,7 +200,7 @@ def test_non_finite_float_field_refused(cls, field, value):
 
 @pytest.mark.parametrize("pretrain, epochs", [(3, 3), (50, 3)])
 def test_pretrain_epochs_must_leave_a_kendall_phase(pretrain, epochs):
-    data = mixed_examples(8)
+    data = mixed_rule_batch(8)
     m = init_model(CFG)
     with pytest.raises(ValueError, match=r"^pretrain_epochs \(\d+\) must be less than epochs"):
         train(m, data, data, TrainConfig(epochs=epochs),
@@ -224,7 +208,7 @@ def test_pretrain_epochs_must_leave_a_kendall_phase(pretrain, epochs):
 
 
 def test_pretrain_epochs_within_the_schedule_still_train():
-    data = mixed_examples(8)
+    data = mixed_rule_batch(8)
     m = init_model(CFG)
     schedule = CostConfig(kind="logistic-then-kendall", pretrain_epochs=3)
     _, report = train(m, data, data, TrainConfig(epochs=4, batch_size=4), schedule)
@@ -255,7 +239,7 @@ def test_train_separable():
 
 def test_train_zero_epochs_noop():
     m = init_model(CFG)
-    data = mixed_examples(4)
+    data = mixed_rule_batch(4)
     m2, report = train(m, data, data, TrainConfig(epochs=0), CostConfig())
     assert report.epochs == []
     for name in m.param_names:
@@ -264,7 +248,7 @@ def test_train_zero_epochs_noop():
 
 @pytest.mark.parametrize("empty", ["training", "validation"])
 def test_train_refuses_an_empty_set(empty):
-    data = mixed_examples(8)
+    data = mixed_rule_batch(8)
     none = data.take(np.arange(0))
     sets = (none, data) if empty == "training" else (data, none)
     tcfg = TrainConfig(epochs=10, batch_size=4, early_stop_patience=2)
@@ -273,7 +257,7 @@ def test_train_refuses_an_empty_set(empty):
 
 
 def test_train_deterministic():
-    data = mixed_examples(64, seed=3)
+    data = mixed_rule_batch(64, seed=3)
     results = []
     for _ in range(2):
         m = init_model(ModelConfig(3, 2, 2, seed=5))
@@ -287,7 +271,7 @@ def test_train_deterministic():
 
 
 def test_train_schedule_records_phases():
-    data = mixed_examples(32, seed=2)
+    data = mixed_rule_batch(32, seed=2)
     m = init_model(ModelConfig(3, 2, 2, seed=1))
     tcfg = TrainConfig(learning_rate=0.01, epochs=6, batch_size=8, shuffle_seed=1)
     _, report = train(m, data, data, tcfg, CostConfig(kind="logistic-then-kendall"))
@@ -295,7 +279,7 @@ def test_train_schedule_records_phases():
 
 
 def test_train_divergence_detected():
-    batch = mixed_examples(32, seed=4)
+    batch = mixed_rule_batch(32, seed=4)
     F1 = batch.F1.copy()
     F1[0] = [np.nan, 0.0]
     data = dataclasses.replace(batch, F1=F1)
@@ -309,7 +293,7 @@ def test_divergence_names_the_first_non_finite_parameter():
     # All-zero sentence vectors give the block weights a zero gradient, so they
     # stay finite while the step overflows every parameter after them; the cost
     # of that step is finite.
-    batch = mixed_examples(16, seed=4)
+    batch = mixed_rule_batch(16, seed=4)
     zero = dataclasses.replace(batch, **{c: np.zeros_like(batch.P1) for c in ("P1", "P2", "Pr")})
     m = init_model(ModelConfig(3, 2, 2, seed=1))
     m.params["w_out"] = 10 * m.params["w_out"]
@@ -333,7 +317,7 @@ def test_train_early_stopping_returns_best():
 def test_report_jsonl_roundtrip():
     import io, json
 
-    data = mixed_examples(16, seed=0)
+    data = mixed_rule_batch(16, seed=0)
     m = init_model(ModelConfig(3, 2, 2, seed=0))
     _, report = train(m, data, data, TrainConfig(epochs=3, batch_size=8), CostConfig())
     buf = io.StringIO()
@@ -430,7 +414,7 @@ def step_oracle_train(model, batch, valid_batch, tcfg, ccfg):
 def test_train_is_bit_identical_to_the_per_parameter_step(kind, arch, hidden):
     # 45 tuples in mini-batches of 16 leave a ragged last batch of 13. Batches
     # of more than 8 rows let a block sum in a different order than before.
-    data, valid = mixed_examples(45, seed=2), mixed_examples(30, seed=9)
+    data, valid = mixed_rule_batch(45, seed=2), mixed_rule_batch(30, seed=9)
     m = init_model(ModelConfig(3, 2, hidden, arch, seed=6))
     tcfg = TrainConfig(learning_rate=0.3, epochs=12, batch_size=16, shuffle_seed=4, l2=0.02,
                        early_stop_patience=3)

@@ -12,7 +12,7 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -100,13 +100,15 @@ def _load_data(path: str, table: Optional[EmbeddingTable]):
     return dataset, data_ingest.vectorize(dataset, table)
 
 
-def _write_jsonl(rows: Iterable[dict], path: Optional[str]) -> None:
-    """Write ``rows`` as JSON lines to ``path``, or to standard output without one.
+def _write_jsonl(columns: dict[str, Sequence], path: Optional[str]) -> None:
+    """Write each row of ``columns`` (named, of one length) as a JSON object, keys in
+    column order, one per line to ``path``, or to standard output without one.
 
     A reader that closes standard output early (``pairrank predict | head``)
     ends the output quietly, as the end of a pipeline, not as an error.
     """
-    lines = (json.dumps(row) + "\n" for row in rows)
+    names = list(columns)
+    lines = (json.dumps(dict(zip(names, row))) + "\n" for row in zip(*columns.values(), strict=True))
     if path:
         with open(path, "w", encoding="utf-8") as sink:
             sink.writelines(lines)
@@ -123,27 +125,12 @@ def _write_jsonl(rows: Iterable[dict], path: Optional[str]) -> None:
 def cmd_extract(args) -> int:
     dataset, batch = _load_data(args.data, _load_table(args.embeddings))
     if args.schema:
-        for name in list(BLEUCOMP_FEATURE_NAMES) + dataset.feature_schema:
+        for name in (*BLEUCOMP_FEATURE_NAMES, *dataset.feature_schema):
             print(name)
         return 0
-    rows = zip(dataset.ids, dataset.splits, batch.y.tolist(), batch.F1.tolist(), batch.F2.tolist(),
-               batch.P1.tolist(), batch.P2.tolist(), batch.Pr.tolist())
-    _write_jsonl(
-        (
-            {
-                "id": id_,
-                "split": split,
-                "y": label,
-                "phi_t1r": phi_t1r,
-                "phi_t2r": phi_t2r,
-                "psi_t1": psi_t1,
-                "psi_t2": psi_t2,
-                "psi_r": psi_r,
-            }
-            for id_, split, label, phi_t1r, phi_t2r, psi_t1, psi_t2, psi_r in rows
-        ),
-        args.out,
-    )
+    _write_jsonl({"id": dataset.ids, "split": dataset.splits, "y": batch.y.tolist(), "phi_t1r": batch.F1.tolist(),
+                  "phi_t2r": batch.F2.tolist(), "psi_t1": batch.P1.tolist(), "psi_t2": batch.P2.tolist(),
+                  "psi_r": batch.Pr.tolist()}, args.out)
     return 0
 
 
@@ -151,7 +138,7 @@ def _check_valid_matches(data, data_batch, valid, valid_batch) -> None:
     """Refuse a --valid set whose features are not the ones --data trains on."""
     if valid.feature_schema != data.feature_schema:
         raise data_ingest.InconsistentSchema(
-            f"--valid has feature schema {valid.feature_schema}, --data has {data.feature_schema}"
+            f"--valid has feature schema {list(valid.feature_schema)}, --data has {list(data.feature_schema)}"
         )
     widths = valid_batch.P1.shape[1], data_batch.P1.shape[1]
     if widths[0] != widths[1]:
@@ -197,11 +184,16 @@ def _print_tau_table(report: evaluation.EvalReport) -> None:
     print(values)
 
 
-def cmd_evaluate(args) -> int:
+def _scoring_inputs(args):
+    """What evaluate and predict score, in order: the tie band checked, the dataset and its batch, the model."""
     evaluation.check_tie_epsilon(args.tie_epsilon)
     dataset, batch = _load_data(args.data, _load_table(args.embeddings))
     with open(args.model, encoding="utf-8") as f:
-        model = load_model(f)
+        return dataset, batch, load_model(f)
+
+
+def cmd_evaluate(args) -> int:
+    dataset, batch, model = _scoring_inputs(args)
     report = evaluation.evaluate(model, batch, tie_epsilon=args.tie_epsilon, splits=dataset.splits)
     _print_tau_table(report)
     if args.report:
@@ -215,21 +207,12 @@ DECISIONS = np.array(["t2-better", "t1-better", "tie"])
 
 
 def cmd_predict(args) -> int:
-    evaluation.check_tie_epsilon(args.tie_epsilon)
-    dataset, batch = _load_data(args.data, _load_table(args.embeddings))
-    with open(args.model, encoding="utf-8") as f:
-        model = load_model(f)
+    dataset, batch, model = _scoring_inputs(args)
     sigma, sigma_rev = predict_delta(model, batch)
     deltas = sigma - sigma_rev
     decisions = DECISIONS[verdicts(deltas, args.tie_epsilon)]
-    rows = zip(dataset.ids, sigma.tolist(), sigma_rev.tolist(), deltas.tolist(), decisions.tolist())
-    _write_jsonl(
-        (
-            {"id": id_, "sigma": s, "sigma_rev": s_rev, "delta": delta, "decision": decision}
-            for id_, s, s_rev, delta, decision in rows
-        ),
-        args.out,
-    )
+    _write_jsonl({"id": dataset.ids, "sigma": sigma.tolist(), "sigma_rev": sigma_rev.tolist(),
+                  "delta": deltas.tolist(), "decision": decisions.tolist()}, args.out)
     return 0
 
 
@@ -246,17 +229,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pairrank")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("extract", help="extract feature vectors from a dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--embeddings")
+    # The inputs every data subcommand reads, and the model and tie band that evaluate and predict add.
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--data", required=True)
+    inputs.add_argument("--embeddings")
+    scoring = argparse.ArgumentParser(add_help=False, parents=[inputs])
+    scoring.add_argument("--model", required=True)
+    scoring.add_argument("--tie-epsilon", dest="tie_epsilon", type=float, default=DEFAULT_TIE_EPSILON)
+
+    p = sub.add_parser("extract", parents=[inputs], help="extract feature vectors from a dataset")
     p.add_argument("--schema", action="store_true", help="print the feature schema and exit")
     p.add_argument("--out")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("train", help="train a ranking model")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("train", parents=[inputs], help="train a ranking model")
     p.add_argument("--valid")
-    p.add_argument("--embeddings")
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.add_argument("--config", help="JSON file of option values; flags override")
@@ -264,19 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
         _add_option(p, key)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="evaluate a model, print per-split tau")
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--embeddings")
-    p.add_argument("--tie-epsilon", dest="tie_epsilon", type=float, default=DEFAULT_TIE_EPSILON)
+    p = sub.add_parser("evaluate", parents=[scoring], help="evaluate a model, print per-split tau")
     p.add_argument("--report")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("predict", help="write per-tuple decisions")
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--embeddings")
-    p.add_argument("--tie-epsilon", dest="tie_epsilon", type=float, default=DEFAULT_TIE_EPSILON)
+    p = sub.add_parser("predict", parents=[scoring], help="write per-tuple decisions")
     p.add_argument("--out")
     p.set_defaults(func=cmd_predict)
 

@@ -110,7 +110,7 @@ class Dataset:
     token_ids: np.ndarray
     offsets: np.ndarray
     sentences: np.ndarray
-    feature_schema: list[str]
+    feature_schema: Sequence[str]
     labels: np.ndarray
     scores: np.ndarray
     vectors: np.ndarray
@@ -124,7 +124,7 @@ class Dataset:
         if len(set(self.vocab)) != len(self.vocab):
             raise DatasetFormatError("vocab must hold each token once")
         if list(self.feature_schema) != sorted(set(self.feature_schema)):
-            raise InconsistentSchema(f"schema {self.feature_schema} must be sorted and hold each name once")
+            raise InconsistentSchema(f"schema {list(self.feature_schema)} must be sorted and hold each name once")
         if len(self.splits) != n:
             raise DatasetFormatError(f"{len(self.splits)} splits for {n} tuples")
         labels = _column(self.labels, "labels", (n,))
@@ -134,7 +134,7 @@ class Dataset:
         self.labels = labels.astype(int)
         self.scores = _column(self.scores, "scores", (2, n, None))
         if self.scores.shape[2] != k:
-            raise InconsistentSchema(f"scores have {self.scores.shape[2]} columns for schema {self.feature_schema}")
+            raise InconsistentSchema(f"scores have {self.scores.shape[2]} columns for schema {list(self.feature_schema)}")
         self.vectors = _column(self.vectors, "vectors", (3, n, None))
         self.token_ids = _column(self.token_ids, "token_ids", (None,), len(self.vocab)).astype(np.int32, copy=False)
         offsets = _column(self.offsets, "offsets", (None,), len(self.token_ids) + 1).astype(np.int64, copy=False)
@@ -142,6 +142,7 @@ class Dataset:
             raise DatasetFormatError("offsets must rise from 0 to the number of tokens")
         self.offsets = offsets
         self.sentences = _column(self.sentences, "sentences", (3, n), len(offsets) - 1).astype(np.int32, copy=False)
+        self.feature_schema = tuple(self.feature_schema)
         for column in (self.labels, self.scores, self.vectors, self.token_ids, self.offsets, self.sentences):
             column.flags.writeable = False
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from typing import IO, Iterable, Iterator, Optional, Sequence
+from types import MappingProxyType
+from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -54,21 +55,23 @@ class EmbeddingTable:
 
     Row 0 is the zero vector that an out-of-vocabulary token adds; the
     ``V`` tokens take rows 1 to ``V``. The constructor checks all of this,
-    and that each token is one word and every value finite.
+    and that each token is one word and every value finite. The table is
+    read-only from then on: ``matrix`` cannot be written, and ``rows`` is a
+    read-only view of the map that was checked.
     """
 
     matrix: np.ndarray
-    rows: dict[str, int]
+    rows: Mapping[str, int]
     duplicates_skipped: int = 0
 
     def __post_init__(self):
-        m = self.matrix
+        m, rows = self.matrix, dict(self.rows)
         if m.ndim != 2 or min(m.shape) < 1:
             raise EmbeddingError(f"matrix must be 2-D with a row 0 and width >= 1, got shape {m.shape}")
-        if list(self.rows.values()) != list(range(1, len(m))):
+        if list(rows.values()) != list(range(1, len(m))):
             raise EmbeddingError(f"rows must number the tokens 1 to {len(m) - 1}, the matrix rows after row 0")
         # The tokens split back from one string only when each is non-empty and free of whitespace.
-        if " ".join(self.rows).split() != list(self.rows):
+        if " ".join(rows).split() != list(rows):
             raise EmbeddingError("each token must be one non-empty word without whitespace")
         if m[0].any() or np.signbit(m[0]).any():
             raise EmbeddingError("row 0, the out-of-vocabulary vector, must be +0.0")
@@ -76,6 +79,9 @@ class EmbeddingTable:
             raise EmbeddingError("non-finite vector value")
         if self.duplicates_skipped < 0:
             raise EmbeddingError(f"duplicates_skipped must be >= 0, got {self.duplicates_skipped}")
+        # rows_of looks tokens up in the dict itself, which is faster than through the view.
+        self._rows, self.rows = rows, MappingProxyType(rows)
+        m.flags.writeable = False
 
     @property
     def dimension(self) -> int:
@@ -86,7 +92,7 @@ class EmbeddingTable:
 
     def rows_of(self, tokens: Sequence[str]) -> np.ndarray:
         """Each token's row of ``matrix``, 0 for a token out of the vocabulary."""
-        return np.fromiter(map(self.rows.get, tokens, repeat(0)), dtype=np.int64, count=len(tokens))
+        return np.fromiter(map(self._rows.get, tokens, repeat(0)), dtype=np.int64, count=len(tokens))
 
 
 @dataclass
@@ -280,8 +286,11 @@ def compose_mean_matrix(
     length. Token vectors are summed position by position into a zeroed
     buffer, and an out-of-vocabulary token adds the zero row, so each
     sentence's sum runs in token order, exactly as one token at a time
-    would. Sentences with no token found come back as zero vectors.
+    would. Sentences with no token found come back as zero vectors. A row
+    outside ``table.matrix`` raises :class:`EmbeddingError`.
     """
+    if rows.min(initial=0) < 0 or rows.max(initial=0) >= len(table.matrix):
+        raise EmbeddingError(f"token rows must lie in [0, {len(table.matrix)}), got {rows.min()} to {rows.max()}")
     starts = np.cumsum(lens) - lens
     found_before = np.concatenate(([0], np.cumsum(rows != 0)))
     found = found_before[starts + lens] - found_before[starts]

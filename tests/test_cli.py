@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -69,7 +70,7 @@ def test_train_and_evaluate(tmp_path, capsys, data_file, emb_file):
                 "--model", model, "--report", eval_report]) == 0
     out = capsys.readouterr().out
     assert "cz" in out and "de" in out and "AVG" in out
-    doc = json.loads(open(eval_report).read())
+    doc = json.loads(Path(eval_report).read_text())
     assert set(doc["per_split"]) == {"cz", "de"}
     assert -1.0 <= doc["tau"] <= 1.0
 
@@ -81,7 +82,7 @@ def test_cli_determinism(tmp_path, data_file, emb_file):
         d.mkdir()
         model, report = str(d / "m.json"), str(d / "r.jsonl")
         assert run(train_args(data_file, model, report, embeddings=emb_file)) == 0
-        outs.append((open(model, "rb").read(), open(report, "rb").read()))
+        outs.append((Path(model).read_bytes(), Path(report).read_bytes()))
     assert outs[0] == outs[1]
 
 
@@ -94,7 +95,7 @@ def test_config_file_with_flag_override(tmp_path, data_file):
     assert run(["train", "--data", data_file, "--out", model, "--report", report,
                 "--config", str(cfg), "--epochs", "4"]) == 0
     assert len((tmp_path / "r.jsonl").read_text().splitlines()) == 4
-    doc = json.loads(open(model).read())
+    doc = json.loads(Path(model).read_text())
     assert doc["config"]["architecture"] == "single-layer"
 
 
@@ -161,7 +162,7 @@ def test_config_file_trains_as_the_same_flags(tmp_path, data_file, opts, flags):
     for name, extra in (("file", ["--config", str(cfg)]), ("flags", flags)):
         model, report = str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}.jsonl")
         assert run(train_args(data_file, model, report) + extra) == 0
-        outs.append((open(model, "rb").read(), open(report, "rb").read()))
+        outs.append((Path(model).read_bytes(), Path(report).read_bytes()))
     assert outs[0] == outs[1]
 
 
@@ -174,7 +175,7 @@ def test_train_defaults_are_the_config_defaults(tmp_path, data_file, emb_file):
         model, report = str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}.jsonl")
         assert run(["train", "--data", data_file, "--embeddings", emb_file, "--out", model,
                     "--report", report, *flags]) == 0
-        outs.append((open(model, "rb").read(), open(report, "rb").read()))
+        outs.append((Path(model).read_bytes(), Path(report).read_bytes()))
     assert outs[0] == outs[1]
 
 
@@ -241,7 +242,7 @@ def test_evaluate_matches_library(tmp_path, data_file):
     with open(data_file) as f:
         ds = data_ingest.load_dataset(f)
     lib = evaluation.evaluate(model, data_ingest.vectorize(ds), splits=ds.splits)
-    doc = json.loads(open(report_path).read())
+    doc = json.loads(Path(report_path).read_text())
     assert doc["tau"] == lib.tau
 
 
@@ -360,8 +361,8 @@ def test_precomputed_vectors_golden_bytes(tmp_path, capsys):
     emb.write_text("\n".join(toy_embedding_lines(30, dim=4, seed=2)) + "\n")
     assert run(["extract", "--data", str(data), "--embeddings", str(emb), "--out", str(composed)]) == 0
     psi = tmp_path / "psi.jsonl"
-    with open(psi, "w") as f:
-        for line, row in zip(lines, map(json.loads, open(composed))):
+    with open(psi, "w") as f, open(composed) as rows:
+        for line, row in zip(lines, map(json.loads, rows)):
             f.write(json.dumps({**json.loads(line), **{k: row[k] for k in ("psi_t1", "psi_t2", "psi_r")}}) + "\n")
     out = {role: str(tmp_path / role) for role in PRECOMPUTED_GOLDEN}
     assert run(["train", "--data", str(psi), "--out", out["model"], "--report", out["train_report"],
@@ -411,7 +412,7 @@ def test_train_names_the_set_its_tau_is_measured_on(tmp_path, capsys, data_file)
     assert ", final valid tau " in capsys.readouterr().out
     # Without --valid the training set stands in for it: same model, same report.
     for a, b in zip(paths["a"], paths["b"]):
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_early_stopping_prints_the_written_models_tau(tmp_path, capsys):
@@ -438,7 +439,8 @@ def test_early_stopping_prints_the_written_models_tau(tmp_path, capsys):
 
 def edited_lines(data_file, **fields):
     """The records of ``data_file`` with ``fields`` set in each."""
-    return "".join(json.dumps({**json.loads(line), **fields}) + "\n" for line in open(data_file))
+    with open(data_file) as lines:
+        return "".join(json.dumps({**json.loads(line), **fields}) + "\n" for line in lines)
 
 
 @pytest.mark.parametrize("role, flags", [("data", []), ("valid", ["--patience", "1", "--epochs", "10"])],

@@ -227,6 +227,16 @@ def test_checked_columns_are_read_only(write):
     assert y.tolist() == [1] and np.isfinite(batch.F1).all() and np.isfinite(batch.Pr).all()
 
 
+def test_feature_schema_cannot_grow():
+    # A name appended to the schema once made vectorize repeat a score column under it.
+    ds = load_dataset([make_line(external_scores_1={"METEOR": 0.8}, external_scores_2={"METEOR": 0.7})])
+    with pytest.raises(AttributeError):
+        ds.feature_schema.append("X")
+    assert ds.feature_schema == ("METEOR",)
+    assert hand_built(feature_schema=["M"]).feature_schema == ("M",)
+    assert vectorize(ds).F1.shape == (1, 17)
+
+
 def test_loaded_dataset_holds_few_bytes_per_token():
     # The sentence store keeps each distinct sentence once, as 4-byte ids.
     # Held as lists of token strings, the same lines take 78 bytes per token.

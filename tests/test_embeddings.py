@@ -208,6 +208,21 @@ def test_table_refuses_what_no_parse_gives(matrix, rows, duplicates):
         EmbeddingTable(matrix, rows, duplicates_skipped=duplicates)
 
 
+@pytest.mark.parametrize("rows", [[7], [-1, 1]], ids=["past-the-matrix", "negative"])
+def test_compose_refuses_rows_outside_the_table(rows):
+    # np.take clips: row 7 of a 3-row matrix read its last row, and -1 counted as found and read row 0.
+    with pytest.raises(EmbeddingError, match=r"^token rows must lie in \[0, 3\)"):
+        compose_mean_matrix(np.array(rows), np.array([len(rows)]), table_ab())
+
+
+def test_table_keeps_the_rows_it_checked():
+    rows = {"a": 1, "b": 2}
+    table = EmbeddingTable(TABLE_MATRIX.copy(), rows)
+    rows["c"] = 9
+    assert len(table) == 2
+    assert table.rows_of(["c", "b"]).tolist() == [0, 2]
+
+
 def per_line_load(lines):
     """The line-at-a-time loader that block parsing replaced, kept as the oracle.
 
@@ -394,6 +409,22 @@ def test_cold_and_warm_loads_give_the_parsed_table(tmp_path, text):
         warm = load_embedding_table(str(path))
     assert_same_table(cold, want)
     assert_same_table(warm, want)
+
+
+@pytest.mark.parametrize("served", [False, True], ids=["parsed", "from-sidecar"])
+def test_loaded_table_is_read_only(tmp_path, served):
+    # Once checked, no write can change what a token composes to or add a token.
+    path = table_file(tmp_path, "a 1 2\nb 3 4\n")
+    table = load_embedding_table(path)
+    if served:
+        with parse_only():
+            table = load_embedding_table(path)
+    with pytest.raises(ValueError, match="read-only"):
+        table.matrix[0] = [5, 5]
+    with pytest.raises(TypeError):
+        table.rows["c"] = 9
+    assert compose_sentence_vector(["zzz", "a"], table).values.tolist() == [1.0, 2.0]
+    assert len(table) == 2
 
 
 def test_sidecar_is_keyed_by_content(tmp_path):

@@ -93,6 +93,9 @@ class _Tuples(Sequence):
 class Dataset:
     """Judgments as read-only columns, checked on construction.
 
+    The constructor may freeze an array it is given in place rather than
+    copy it, so a caller that keeps the array may no longer write to it.
+
     ``ids`` and ``splits`` name each of the n tuples. The text is a
     sentence store that holds each distinct sentence once: sentence ``s`` is
     ``token_ids[offsets[s]:offsets[s + 1]]``, ids into ``vocab``, and
@@ -119,7 +122,9 @@ class Dataset:
     tuples = property(_Tuples)
 
     def __post_init__(self):
-        self.ids, self.splits, self.vocab = tuple(self.ids), tuple(self.splits), tuple(self.vocab)
+        self.ids, self.splits, self.vocab, self.feature_schema = map(
+            tuple, (self.ids, self.splits, self.vocab, self.feature_schema)
+        )
         n, k = len(self.ids), len(self.feature_schema)
         if len(set(self.vocab)) != len(self.vocab):
             raise DatasetFormatError("vocab must hold each token once")
@@ -142,7 +147,6 @@ class Dataset:
             raise DatasetFormatError("offsets must rise from 0 to the number of tokens")
         self.offsets = offsets
         self.sentences = _column(self.sentences, "sentences", (3, n), len(offsets) - 1).astype(np.int32, copy=False)
-        self.feature_schema = tuple(self.feature_schema)
         for column in (self.labels, self.scores, self.vectors, self.token_ids, self.offsets, self.sentences):
             column.flags.writeable = False
 

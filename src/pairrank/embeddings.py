@@ -56,8 +56,9 @@ class EmbeddingTable:
     Row 0 is the zero vector that an out-of-vocabulary token adds; the
     ``V`` tokens take rows 1 to ``V``. The constructor checks all of this,
     and that each token is one word and every value finite. The table is
-    read-only from then on: ``matrix`` cannot be written, and ``rows`` is a
-    read-only view of the map that was checked.
+    read-only from then on: the constructor takes over ``matrix`` and makes
+    it read-only in place, as ``Dataset`` and ``Batch`` do with their
+    columns, and ``rows`` is a read-only view of a copy of the map it checked.
     """
 
     matrix: np.ndarray
@@ -79,8 +80,7 @@ class EmbeddingTable:
             raise EmbeddingError("non-finite vector value")
         if self.duplicates_skipped < 0:
             raise EmbeddingError(f"duplicates_skipped must be >= 0, got {self.duplicates_skipped}")
-        # rows_of looks tokens up in the dict itself, which is faster than through the view.
-        self._rows, self.rows = rows, MappingProxyType(rows)
+        self.rows = MappingProxyType(rows)
         m.flags.writeable = False
 
     @property
@@ -92,7 +92,7 @@ class EmbeddingTable:
 
     def rows_of(self, tokens: Sequence[str]) -> np.ndarray:
         """Each token's row of ``matrix``, 0 for a token out of the vocabulary."""
-        return np.fromiter(map(self._rows.get, tokens, repeat(0)), dtype=np.int64, count=len(tokens))
+        return np.fromiter(map(self.rows.get, tokens, repeat(0)), dtype=np.int64, count=len(tokens))
 
 
 @dataclass

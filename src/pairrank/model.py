@@ -136,7 +136,8 @@ class Batch:
     hypothesis's pairwise features against the reference
     (N x pairwise_dim); y holds each tuple's label (N,), 1 where
     hypothesis 1 was judged better and 0 where hypothesis 2 was, as ints
-    or floats. The constructor checks these shapes and labels.
+    or floats. The constructor checks these shapes and labels, then takes
+    over the arrays it was given and makes them read-only in place.
     """
 
     P1: np.ndarray

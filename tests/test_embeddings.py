@@ -172,6 +172,8 @@ def test_bulk_compose_matches_sequential_mean(sentences, values):
 
 
 TABLE_MATRIX = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]])
+# A table takes over its matrix and makes it read-only, so the shared one is read-only from the start.
+TABLE_MATRIX.flags.writeable = False
 
 
 def with_value(row, col, value):

@@ -20,7 +20,7 @@ from . import data_ingest, evaluation, training
 from .embeddings import EmbeddingTable, load_embedding_table
 from .features import BLEUCOMP_FEATURE_NAMES
 from .evaluation import DEFAULT_TIE_EPSILON, predict_delta, verdicts
-from .model import ARCHITECTURES, ModelConfig, init_model, load_model, save_model
+from .model import ARCHITECTURES, Batch, ModelConfig, init_model, load_model, save_model
 from .training import CostConfig, TrainConfig, grad_check, train
 
 # Each train option, once: its config-file key (the flag is the key with "-"
@@ -147,16 +147,23 @@ def _check_valid_matches(data, data_batch, valid, valid_batch) -> None:
         )
 
 
-def cmd_train(args) -> int:
-    fields = _train_fields(args)
-    tcfg, ccfg = TrainConfig(**fields[TrainConfig]), CostConfig(**fields[CostConfig])
+def _train_batches(args) -> tuple[Batch, Batch]:
+    """The training batch and the validation batch, and nothing else, so that the table
+    and the datasets are freed before training starts."""
     table = _load_table(args.embeddings)
     dataset, batch = _load_data(args.data, table)
     # Without --valid, training validates on the training set itself.
-    valid_batch = batch
-    if args.valid:
-        valid_set, valid_batch = _load_data(args.valid, table)
-        _check_valid_matches(dataset, batch, valid_set, valid_batch)
+    if not args.valid:
+        return batch, batch
+    valid_set, valid_batch = _load_data(args.valid, table)
+    _check_valid_matches(dataset, batch, valid_set, valid_batch)
+    return batch, valid_batch
+
+
+def cmd_train(args) -> int:
+    fields = _train_fields(args)
+    tcfg, ccfg = TrainConfig(**fields[TrainConfig]), CostConfig(**fields[CostConfig])
+    batch, valid_batch = _train_batches(args)
     config = ModelConfig(sentence_dim=batch.P1.shape[1], pairwise_dim=batch.F1.shape[1], **fields[ModelConfig])
     model, report = train(init_model(config), batch, valid_batch, tcfg, ccfg)
     with open(args.out, "w", encoding="utf-8") as f:

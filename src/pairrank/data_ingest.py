@@ -28,8 +28,10 @@ from .model import Batch
 from .embeddings import compose_sentence_vector  # noqa: F401
 from .features import assemble_pairwise, bleu_components  # noqa: F401
 
-# Tuples per bulk feature pass; bounds the size of its temporary arrays.
-CHUNK_TUPLES = 512
+# Tokens per bulk feature pass (a tuple's hyp1, hyp2 and reference tokens, summed
+# over its tuples); bounds the size of its temporary arrays. A pass holds at least
+# one tuple, so one tuple larger than the budget is a pass of its own.
+CHUNK_TOKENS = 8192
 
 # The version of what a dataset's sidecar saves: the layout of its members
 # and the parse rules that made them. Bump it on any change to what _parse
@@ -343,10 +345,10 @@ def vectorize(dataset: Dataset, table: Optional[EmbeddingTable] = None) -> Batch
     given, else they have width 0; a table given for precomputed vectors
     raises. The pairwise feature vectors are freshly computed BLEU
     components, then the dataset's external scores. The BLEU and
-    composition work runs on the dataset's sentence store in bulk,
-    ``CHUNK_TUPLES`` tuples at a time, into preallocated columns, and gives
-    the same values bit for bit as counting and composing one tuple at a
-    time.
+    composition work runs on the dataset's sentence store in bulk, over
+    chunks of whole tuples whose tokens fit ``CHUNK_TOKENS`` (or of one
+    tuple larger than that), into preallocated columns, and gives the same
+    values bit for bit as counting and composing one tuple at a time.
     """
     if dataset.vectors.size and table is not None:
         raise DatasetFormatError(f"tuple {dataset.ids[0]}: precomputed sentence vectors and an embedding table given")
@@ -359,8 +361,12 @@ def vectorize(dataset: Dataset, table: Optional[EmbeddingTable] = None) -> Batch
     else:
         vectors = np.empty((3, n, table.dimension))
         rows = table.rows_of(dataset.vocab)
-    for lo in range(0, n, CHUNK_TUPLES):
-        chunk = slice(lo, lo + CHUNK_TUPLES)
+    # The tokens read by the end of each tuple; a chunk ends at the last tuple that keeps it within the budget.
+    ends = np.cumsum(np.diff(dataset.offsets)[sentences].sum(axis=0))
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + CHUNK_TOKENS, "right")))
+        chunk, lo = slice(lo, hi), hi
         refs = sentences[2, chunk]
         bleu = bleu_matrix(*store, sentences[:2, chunk].ravel(), np.tile(refs, 2))
         features[:, chunk, :k] = bleu.reshape(2, len(refs), k)

@@ -18,6 +18,10 @@ from .embeddings import encode_tokens, gather_tokens
 
 MAX_ORDER = 4
 
+# The int64 bound under which n-gram codes and their (sentence, code) keys are
+# kept exact; _clipped_counts renumbers them densely before they reach it.
+CODE_LIMIT = 2**62
+
 
 class NonFiniteFeature(ValueError):
     pass
@@ -83,11 +87,14 @@ def _clipped_counts(
     pair of sentences of a store (see ``gather_tokens``).
 
     Returns (N, max_order) arrays of matches and totals for n = 1..max_order,
-    then both lengths. Each k-gram gets an exact dense id from the (k-1)-gram
-    id before it and its last token id, so no two distinct grams share an
-    id. Grams are counted per hypothesis, and once per distinct reference;
-    clipped matches come from a sorted lookup of each hypothesis gram in its
-    reference's counts.
+    then both lengths. Each k-gram's code is exact: the (k-1)-gram code
+    before it times the number of token ids, plus its last token id, so no
+    two distinct grams share a code. Once a (sentence, code) key or the next
+    order's codes could reach ``CODE_LIMIT``, the order's codes are
+    renumbered densely with ``np.unique``, which keeps them distinct and
+    small. Grams are counted
+    per hypothesis, and once per distinct reference; clipped matches come
+    from a sorted lookup of each hypothesis gram in its reference's counts.
     """
     hyps, refs = np.asarray(hyps, dtype=np.int64), np.asarray(refs, dtype=np.int64)
     n = len(hyps)
@@ -108,8 +115,11 @@ def _clipped_counts(
     code, n_codes = ids, n_ids
     for k in range(1, max_order + 1):
         if k > 1:
-            extended = code[: len(ids) - k + 1] * n_ids + ids[k - 1 :]
-            grams, code = np.unique(extended, return_inverse=True)
+            code = code[: len(ids) - k + 1] * n_ids + ids[k - 1 :]
+            n_codes *= n_ids
+        # The keys below reach n_codes * len(lens), and the next order's codes n_codes * n_ids.
+        if n_codes * max(len(lens), n_ids if k < max_order else 1) >= CODE_LIMIT:
+            grams, code = np.unique(code, return_inverse=True)
             n_codes = len(grams)
         ok = room[: len(code)] >= k
         # One key per (sentence, gram); hypotheses sort before references.

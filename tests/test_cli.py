@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -402,6 +404,32 @@ def test_train_loads_embeddings_once(tmp_path, data_file, emb_file, monkeypatch)
     model = str(tmp_path / "m.json")
     assert run(train_args(data_file, model, embeddings=emb_file, valid=data_file)) == 0
     assert len(loads) == 1
+
+
+@pytest.mark.parametrize("valid", [False, True], ids=["no-valid", "valid"])
+def test_train_holds_only_its_batches_while_training(tmp_path, data_file, emb_file, monkeypatch, valid):
+    loaded, alive_at_train = [], []
+
+    def kept(load):
+        def wrapper(path):
+            result = load(path)
+            loaded.append(weakref.ref(result))
+            return result
+        return wrapper
+
+    def train(*args, **kwargs):
+        gc.collect()
+        alive_at_train.append([ref() is not None for ref in loaded])
+        return real_train(*args, **kwargs)
+
+    real_train = pairrank.cli.train
+    monkeypatch.setattr(pairrank.cli, "load_embedding_table", kept(pairrank.cli.load_embedding_table))
+    monkeypatch.setattr(pairrank.data_ingest, "load_dataset", kept(pairrank.data_ingest.load_dataset))
+    monkeypatch.setattr(pairrank.cli, "train", train)
+    extra = {"valid": data_file} if valid else {}
+    assert run(train_args(data_file, str(tmp_path / "m.json"), embeddings=emb_file, **extra)) == 0
+    # The table and each dataset are freed before training starts.
+    assert alive_at_train == [[False] * (3 if valid else 2)]
 
 
 def test_train_names_the_set_its_tau_is_measured_on(tmp_path, capsys, data_file):

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 import io
@@ -285,12 +286,30 @@ def test_splits_of():
     assert list(ds.splits) == ["cz", "de", "cz", "de"]
 
 
+@contextlib.contextmanager
+def chunk_tokens(budget):
+    """``vectorize`` with a token budget of ``budget`` per chunk, checking that each
+    chunk is a single tuple or holds at most ``budget`` tokens."""
+    real = data_ingest.bleu_matrix
+
+    def checked(token_ids, offsets, hyps, refs):
+        # hyps holds each hyp1 of the chunk, then each hyp2; refs the references, twice over.
+        lens, tuples = np.diff(offsets), len(hyps) // 2
+        assert tuples == 1 or lens[hyps].sum() + lens[refs[:tuples]].sum() <= budget
+        return real(token_ids, offsets, hyps, refs)
+
+    with mock.patch.object(data_ingest, "CHUNK_TOKENS", budget), mock.patch.object(data_ingest, "bleu_matrix", checked):
+        yield
+
+
 sentence = st.lists(st.sampled_from(["w0", "w1", "w2", "oov"]), max_size=8)
 
 
+# Budgets of 1-30 tokens against tuples of 0-24 give one-tuple chunks,
+# chunks of several tuples and tuples larger than the budget.
 @given(st.lists(st.tuples(sentence, sentence, st.integers(0, 2)), min_size=1, max_size=10),
        st.lists(sentence, min_size=3, max_size=3),
-       st.integers(1, 4))
+       st.integers(1, 30))
 def test_vectorize_same_in_one_chunk_or_several(rows, refs, chunk):
     n = len(rows)
     lines = [make_line(id=f"t{i}", split="all", reference=refs[j], hyp1=h1, hyp2=h2, y=i % 2,
@@ -299,7 +318,7 @@ def test_vectorize_same_in_one_chunk_or_several(rows, refs, chunk):
     ds = load_dataset(lines)
     table = load_embedding_table(io.StringIO("w0 0.1 -0.0\nw1 0.3 2.5\nw2 -7.0 1e-3\n"))
     whole = vectorize(ds, table)
-    with mock.patch.object(data_ingest, "CHUNK_TUPLES", chunk):
+    with chunk_tokens(chunk):
         chunked = vectorize(ds, table)
     ya, yb = whole.y, chunked.y
     assert len(whole) == len(chunked) == n
@@ -317,7 +336,7 @@ written = st.tuples(st.integers(0, 3), st.booleans())
 
 @given(st.lists(pool_sentence, min_size=4, max_size=4),
        st.lists(st.tuples(written, written, written), min_size=1, max_size=12),
-       st.integers(1, 5))
+       st.integers(1, 30))
 def test_store_shares_sentences_and_features_match_oracles(pool, rows, chunk):
     def text(j, as_string):
         return " ".join(pool[j]) if as_string else pool[j]
@@ -326,7 +345,7 @@ def test_store_shares_sentences_and_features_match_oracles(pool, rows, chunk):
              for i, (h1, h2, r) in enumerate(rows)]
     ds = load_dataset(lines)
     table = load_embedding_table(io.StringIO("w0 0.1 -0.0\nw1 0.3 2.5\nw2 -7.0 1e-3\n"))
-    with mock.patch.object(data_ingest, "CHUNK_TUPLES", chunk):
+    with chunk_tokens(chunk):
         batch = vectorize(ds, table)
     # The store holds as many sentences as there are distinct token
     # sequences, however they were written, and every tuple reads back its

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pairrank import features
 from pairrank.features import (
     BLEUCOMP_FEATURE_NAMES,
     NonFiniteFeature,
@@ -159,6 +161,32 @@ def test_bleu_matrix_matches_brute_force(refs, rows):
         want = np.array(p + m + t + [hl, rl, ratio, bp], dtype=float)
         assert row.tobytes() == want.tobytes()
         assert bleu_components(hyp, ref).flatten().tobytes() == want.tobytes()
+
+
+@given(st.lists(short_sentence, min_size=1, max_size=4),
+       st.lists(st.tuples(short_sentence, st.integers(0, 3)), max_size=12))
+def test_bleu_matrix_same_when_codes_are_renumbered(refs, rows):
+    hyps = [h for h, _ in rows]
+    args = *store(hyps + refs), np.arange(len(rows)), [len(rows) + j % len(refs) for _, j in rows]
+    exact = bleu_matrix(*args)
+    with mock.patch.object(features, "CODE_LIMIT", 0), mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        renumbered = bleu_matrix(*args)
+    # The distinct references are found once, then each order renumbers its codes.
+    assert [call.kwargs.get("return_inverse") for call in unique.call_args_list].count(True) == 1 + features.MAX_ORDER
+    assert renumbered.tobytes() == exact.tobytes()
+    for row, (hyp, j) in zip(renumbered, rows):
+        p, m, t, hl, rl, ratio, bp = brute_bleu_fields(hyp, refs[j % len(refs)])
+        assert row.tobytes() == np.array(p + m + t + [hl, rl, ratio, bp], dtype=float).tobytes()
+
+
+def test_bleu_matrix_exact_for_large_token_ids():
+    # With 2^30 token ids, the exact trigram codes of "0 1 2" and "16 1 2" are
+    # equal modulo 2^64, so they must be renumbered before order 3 extends them.
+    hyp, ref = [0, 1, 2, 2**30 - 1], [16, 1, 2]
+    row = bleu_matrix(np.array(hyp + ref, dtype=np.int32), np.array([0, 4, 7]), [0], [1])[0]
+    p, m, t, hl, rl, ratio, bp = brute_bleu_fields(hyp, ref)
+    assert m[2] == 0
+    assert row.tobytes() == np.array(p + m + t + [hl, rl, ratio, bp], dtype=float).tobytes()
 
 
 def test_bleu_matrix_length_mismatch():

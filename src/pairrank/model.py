@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import IO, Sequence
+from typing import IO, Optional, Sequence
 
 import numpy as np
 
@@ -127,6 +127,13 @@ def init_model(config: ModelConfig) -> Model:
     return Model(config=config, params=params)
 
 
+# The block inputs a batch builds: each block's, in BLOCKS order, then the
+# (t2,t1) input. Exchanging the hypotheses maps this list onto itself
+# reversed, so a batch's swapped view reads the same inputs backwards.
+BLOCK_INPUTS = (*BLOCKS.values(), ("P2", "P1"))
+COLUMNS = ("P1", "P2", "Pr", "F1", "F2", "y")
+
+
 @dataclass
 class Batch:
     """Model inputs for a set of tuples, one row per tuple.
@@ -146,24 +153,25 @@ class Batch:
     F1: np.ndarray
     F2: np.ndarray
     y: np.ndarray
-    # The blocks' inputs built so far, by block name (see block_inputs).
-    _inputs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The block inputs in BLOCK_INPUTS order, once built.
+    _blocks: Optional[list] = field(default=None, init=False, repr=False, compare=False)
+    # The swapped view, once built. It never points back, so reference counting frees both.
+    _swapped: Optional["Batch"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = ("P1", "P2", "Pr", "F1", "F2", "y")
         columns = (self.P1, self.P2, self.Pr, self.F1, self.F2, self.y)
         if self.y.ndim != 1:
             raise ShapeMismatchError(f"y must be 1-D, got shape {self.y.shape}")
         rows = [len(column) for column in columns]
         if len(set(rows)) > 1:
-            counts = ", ".join(f"{name} {n}" for name, n in zip(names, rows))
+            counts = ", ".join(f"{name} {n}" for name, n in zip(COLUMNS, rows))
             raise ShapeMismatchError(f"batch columns differ in rows: {counts}")
         if any(column.ndim != 2 for column in columns[:5]):
-            dims = ", ".join(f"{name} {column.ndim}" for name, column in zip(names, columns[:5]))
+            dims = ", ".join(f"{name} {column.ndim}" for name, column in zip(COLUMNS, columns[:5]))
             raise ShapeMismatchError(f"batch columns must be 2-D: {dims}")
         widths = [column.shape[1] for column in columns[:5]]
         if not widths[0] == widths[1] == widths[2] or widths[3] != widths[4]:
-            named = ", ".join(f"{name} {w}" for name, w in zip(names, widths))
+            named = ", ".join(f"{name} {w}" for name, w in zip(COLUMNS, widths))
             raise ShapeMismatchError(f"batch columns differ in width: {named}")
         if self.y.dtype.kind not in "iuf":
             raise LabelError(f"labels must be ints or floats, got {self.y.dtype}")
@@ -174,27 +182,53 @@ class Batch:
         for column in columns:
             column.flags.writeable = False
 
+    @classmethod
+    def _of_checked(cls, columns, blocks: Optional[list] = None) -> "Batch":
+        """A batch of read-only columns drawn from a checked batch's, which hold
+        its rules already, and their block inputs if built: no check runs again."""
+        out = cls.__new__(cls)
+        vars(out).update(zip(COLUMNS, columns), _blocks=blocks, _swapped=None)
+        return out
+
     def __len__(self) -> int:
         return self.P1.shape[0]
 
     def block_inputs(self) -> list[np.ndarray]:
         """Each block's input, in BLOCKS order: its two sentence-vector columns
-        side by side (N x 2 * sentence_dim). Built on first use and kept."""
-        for name, (a, b) in BLOCKS.items():
-            if name not in self._inputs:
-                self._inputs[name] = np.hstack([getattr(self, a), getattr(self, b)])
-        return [self._inputs[name] for name in BLOCKS]
+        side by side (N x 2 * sentence_dim). Built on first use, with the (t2,t1)
+        input that the swapped view reads, and kept."""
+        if self._blocks is None:
+            self._blocks = [np.concatenate([getattr(self, a), getattr(self, b)], axis=1) for a, b in BLOCK_INPUTS]
+            for x in self._blocks:
+                x.setflags(write=False)
+        return self._blocks[:3]
 
     def swapped(self) -> "Batch":
-        """The same tuples with the two hypotheses, so the labels, exchanged. It
-        shares the (t1,r) and (t2,r) block inputs built so far, which trade places."""
-        out = Batch(self.P2, self.P1, self.Pr, self.F2, self.F1, 1 - self.y)
-        out._inputs = {{"1r": "2r", "2r": "1r"}[name]: x for name, x in self._inputs.items() if name != "12"}
-        return out
+        """The same tuples with the two hypotheses, so the labels, exchanged: built
+        on first use and kept. It shares the block inputs built by then, in
+        reverse order, so the (t1,r) and (t2,r) inputs trade places."""
+        if self._swapped is None:
+            y = 1 - self.y
+            y.setflags(write=False)
+            blocks = None if self._blocks is None else self._blocks[::-1]
+            self._swapped = Batch._of_checked((self.P2, self.P1, self.Pr, self.F2, self.F1, y), blocks)
+        return self._swapped
 
     def take(self, idx) -> "Batch":
-        """The rows at ``idx``, in that order."""
-        return Batch(self.P1[idx], self.P2[idx], self.Pr[idx], self.F1[idx], self.F2[idx], self.y[idx])
+        """The rows at ``idx``, in that order, with their block inputs if built.
+        ``idx`` is anything that picks rows of a 1-D array, such as row numbers
+        or a boolean mask over the rows, and picks the rows that ``P1[idx]``
+        would. Any other index raises ShapeMismatchError."""
+        if np.ndim(idx) != 1:
+            raise ShapeMismatchError(f"take needs a 1-D index, got {np.ndim(idx)}-D")
+        # Row numbers, so that every column is gathered by ndarray.take, which
+        # reads a boolean mask otherwise (as row numbers 0 and 1).
+        rows = np.arange(len(self))[idx]
+        columns = [getattr(self, name).take(rows, axis=0) for name in COLUMNS]
+        blocks = None if self._blocks is None else [x.take(rows, axis=0) for x in self._blocks]
+        for a in (*columns, *(blocks or ())):
+            a.setflags(write=False)
+        return Batch._of_checked(columns, blocks)
 
     def astype(self, dtype) -> "Batch":
         """A copy with every column, the labels too, cast to ``dtype``."""
@@ -258,7 +292,7 @@ def backward_batch(model: Model, batch: Batch, cache, dz: np.ndarray) -> np.ndar
         dW = grad[: k * n_in].reshape(len(X), h, n_in)
         for i, x in enumerate(X):
             np.matmul(dA[i].T, x, out=dW[i])
-        np.sum(dA, axis=1, out=grad[k * n_in : k * (n_in + 1)].reshape(len(X), h))
+        dA.sum(axis=1, out=grad[k * n_in : k * (n_in + 1)].reshape(len(X), h))
     np.matmul(Z.T, dz, out=grad[-1 - Z.shape[1] : -1])
     grad[-1] = dz.sum()
     return grad

@@ -122,8 +122,8 @@ class TrainReport:
 
 def _logistic_terms(sigma, y):
     """The logistic cost summed over the batch, and its slope dJ/dz at the pre-sigmoid output z."""
-    s = np.clip(sigma, SIGMA_CLAMP, 1.0 - SIGMA_CLAMP)
-    return -np.sum(y * np.log(s) + (1 - y) * np.log(1.0 - s)), sigma - y
+    s = np.minimum(np.maximum(sigma, SIGMA_CLAMP), 1.0 - SIGMA_CLAMP)
+    return -(y * np.log(s) + (1 - y) * np.log(1.0 - s)).sum(), sigma - y
 
 
 def _kendall_terms(delta, y, cfg: CostConfig):
@@ -138,7 +138,7 @@ def _kendall_terms(delta, y, cfg: CostConfig):
         + g * (1 - y) * sig_pos * (1.0 - sig_pos)
         - lam * b * delta * tie
     )
-    return np.sum(y * sig_neg + (1 - y) * sig_pos + lam * tie), slope
+    return (y * sig_neg + (1 - y) * sig_pos + lam * tie).sum(), slope
 
 
 def logistic_cost(sigma, y):

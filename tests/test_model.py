@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from pairrank.evaluation import predict_delta
 from pairrank.model import (
+    BLOCKS,
     Batch,
     LabelError,
     ModelConfig,
     ShapeMismatchError,
+    flat_copy,
     forward_batch,
     init_model,
     load_model,
@@ -162,6 +164,7 @@ def test_swapped_view_shares_the_traded_block_inputs_without_a_cycle():
     batch = random_input(CFG, 3)
     forward_batch(m, batch)
     swapped = batch.swapped()
+    assert batch.swapped() is swapped
     forward_batch(m, swapped)
     X12, X1r, X2r = batch.block_inputs()
     Y12, Y1r, Y2r = swapped.block_inputs()
@@ -267,6 +270,91 @@ def test_take_keeps_the_labels_with_their_rows():
     part = batch.take(idx)
     assert part.y.tolist() == batch.y[idx].tolist()
     assert np.array_equal(part.F1[:, 0], part.y)
+
+
+@pytest.mark.parametrize("built", [False, True], ids=["built-after-take", "gathered-from-parent"])
+def test_take_keeps_the_block_inputs_with_their_rows(built):
+    batch = labelled_input(8, seed=4)
+    if built:
+        batch.block_inputs()
+    idx = [6, 1, 1, 3]
+    part = batch.take(idx)
+    assert all(np.array_equal(x, whole[idx]) for x, whole in zip(part.block_inputs(), batch.block_inputs()))
+    for x, (a, b) in zip(part.block_inputs(), BLOCKS.values()):
+        assert np.array_equal(x, np.hstack([getattr(part, a), getattr(part, b)]))
+    assert np.array_equal(part.swapped().block_inputs()[0], np.hstack([part.P2, part.P1]))
+
+
+def test_take_by_boolean_mask_takes_the_rows_that_indexing_does():
+    batch = labelled_input(6, seed=5)
+    batch.block_inputs()
+    mask = np.array([False, True, False, True, True, False])
+    part = batch.take(mask)
+    for name in ("P1", "P2", "Pr", "F1", "F2", "y"):
+        assert np.array_equal(getattr(part, name), getattr(batch, name)[mask]), name
+    assert all(np.array_equal(x, whole[mask]) for x, whole in zip(part.block_inputs(), batch.block_inputs()))
+    with pytest.raises(IndexError):
+        batch.take(mask[:-1])
+
+
+@pytest.mark.parametrize("idx", [3, np.int64(3), np.array(3), np.array([[0, 1], [2, 3]]), [[0], [1]]],
+                         ids=["int", "numpy-int", "0-d", "2-d", "nested-list"])
+def test_take_refuses_an_index_that_is_not_1d(idx):
+    with pytest.raises(ShapeMismatchError, match="^take needs a 1-D index"):
+        labelled_input(5).take(idx)
+
+
+@pytest.mark.parametrize("idx", [np.arange(0), []], ids=["array", "list"])
+def test_take_of_no_rows_is_an_empty_batch(idx):
+    batch = labelled_input(5)
+    batch.block_inputs()
+    part = batch.take(idx)
+    assert len(part) == 0
+    assert [getattr(part, c).shape for c in ("P1", "F1", "y")] == [(0, 3), (0, 2), (0,)]
+    assert part.y.dtype == batch.y.dtype
+    assert [x.shape for x in part.block_inputs()] == [(0, 6)] * 3
+
+
+def test_taken_and_swapped_batches_are_read_only_like_any_other():
+    part = labelled_input(5).take([4, 0])
+    for batch in (part, part.swapped()):
+        for name in ("P1", "P2", "Pr", "F1", "F2", "y"):
+            assert not getattr(batch, name).flags.writeable, name
+        assert not any(x.flags.writeable for x in batch.block_inputs())
+
+
+def edited(model, name, how):
+    """``model`` with parameter ``name`` changed: rebound to a new array, or changed in place."""
+    if how == "rebound":
+        model.params[name] = model.params[name] + 0.25
+    else:
+        model.params[name][...] += 0.25
+    return model
+
+
+@pytest.mark.parametrize("how", ["rebound", "in-place"])
+@pytest.mark.parametrize("flat", [False, True], ids=["model", "flat-copy"])
+@pytest.mark.parametrize("arch", ["multi-layer", "single-layer"])
+def test_forward_sees_every_parameter_change(arch, flat, how):
+    # Forward must read the parameters afresh on every call: anything kept from
+    # an earlier call would miss a change by either route, on a model of its own
+    # arrays or on a flat copy, whose parameters are views of one vector.
+    config = ModelConfig(3, 2, hidden_per_block=2, architecture=arch, seed=1)
+    batch = labelled_input(6, seed=6)
+    for name in init_model(config).param_names:
+        m = flat_copy(init_model(config))[1] if flat else init_model(config)
+        before = forward_batch(m, batch)[0]
+        before_delta = predict_delta(m, batch)
+        m = edited(m, name, how)
+        # The reference: a model of fresh copies of the edited parameters, sharing nothing with m.
+        fresh = m.copy()
+        after = forward_batch(m, batch)[0]
+        assert not np.array_equal(after, before), name
+        assert np.array_equal(after, forward_batch(fresh, batch)[0]), name
+        sigma, sigma_rev = predict_delta(m, batch)
+        assert not (np.array_equal(sigma, before_delta[0]) and np.array_equal(sigma_rev, before_delta[1])), name
+        want = predict_delta(fresh, batch)
+        assert np.array_equal(sigma, want[0]) and np.array_equal(sigma_rev, want[1]), name
 
 
 def test_swapped_carries_the_opposite_labels():

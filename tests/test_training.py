@@ -5,9 +5,17 @@ import numpy as np
 import pytest
 
 from pairrank import training
-from pairrank.evaluation import DEFAULT_TIE_EPSILON, EmptyEvaluation, PairCounts, evaluate, kendall_tau, verdicts
+from pairrank.evaluation import (
+    DEFAULT_TIE_EPSILON,
+    EmptyEvaluation,
+    PairCounts,
+    evaluate,
+    kendall_tau,
+    predict_delta,
+    verdicts,
+)
 from pairrank.model import BLOCKS, Batch, ModelConfig, backward_batch, forward_batch, init_model, pack, sigmoid
-from pairrank.synthetic import linear_rule_dataset, mixed_rule_batch
+from pairrank.synthetic import interaction_rule_dataset, linear_rule_dataset, mixed_rule_batch
 from pairrank.training import (
     SIGMA_CLAMP,
     CostConfig,
@@ -428,3 +436,41 @@ def test_train_is_bit_identical_to_the_per_parameter_step(kind, arch, hidden):
     assert got.params.keys() == want.params.keys()
     for name in want.params:
         assert identical(got.params[name], want.params[name]), name
+
+
+def benchmark_shaped_batch(n, seed):
+    """Sentence vectors of width 100 and pairwise features of width 17, the widths
+    of the train-heavy benchmark's inputs, labelled by the pairwise rule."""
+    sent = interaction_rule_dataset(n, sentence_dim=100, seed=seed)
+    pair = linear_rule_dataset(n, pairwise_dim=17, seed=seed + 1)
+    return dataclasses.replace(sent, F1=pair.F1, F2=pair.F2, y=pair.y)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "kendall", "logistic-then-kendall"])
+def test_train_is_bit_identical_to_the_per_parameter_step_at_the_benchmark_shape(kind):
+    # 16 units per block over 200 inputs, in mini-batches of 32 with a ragged
+    # last batch of 8: products of the benchmark's size, which go through the
+    # BLAS kernels that the width-3 cases above are too small to reach.
+    data, valid = benchmark_shaped_batch(200, seed=3), benchmark_shaped_batch(64, seed=8)
+    m = init_model(ModelConfig(100, 17, 16, seed=5))
+    tcfg = TrainConfig(learning_rate=0.05, epochs=8, batch_size=32, shuffle_seed=1, early_stop_patience=2)
+    # The schedule fine-tunes from epoch 2, so that it reaches its ranking phase before it stops early.
+    pretrain = 2 if kind == "logistic-then-kendall" else None
+    ccfg = CostConfig(kind=kind, gamma=20.0, beta=20.0, pretrain_epochs=pretrain)
+    got, report = train(m, data, valid, tcfg, ccfg)
+    want, want_epochs = step_oracle_train(m, data, valid, tcfg, ccfg)
+    assert [(r.train_cost, r.valid_tau) for r in report.epochs] == want_epochs
+    assert {r.cost_kind for r in report.epochs} == set(training.PHASES[kind])
+    assert len(report.epochs) < tcfg.epochs
+    assert got.params.keys() == want.params.keys()
+    for name in want.params:
+        assert identical(got.params[name], want.params[name]), name
+
+
+@pytest.mark.parametrize("arch", ["multi-layer", "single-layer"])
+def test_predict_delta_is_bit_identical_to_the_oracle_at_the_benchmark_shape(arch):
+    batch = benchmark_shaped_batch(600, seed=4)
+    m = init_model(ModelConfig(100, 17, 16, arch, seed=2))
+    sigma, sigma_rev = predict_delta(m, batch)
+    assert identical(sigma, step_oracle_forward(m, batch)[0])
+    assert identical(sigma_rev, step_oracle_forward(m, step_oracle_swapped(batch))[0])

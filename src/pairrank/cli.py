@@ -169,8 +169,9 @@ def cmd_train(args) -> int:
     with open(args.out, "w", encoding="utf-8") as f:
         save_model(model, f)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as f:
-            report.to_jsonl(f)
+        # Wall-clock is kept in memory only, so that identical runs write identical bytes.
+        _write_jsonl({name: [getattr(r, name) for r in report.epochs]
+                      for name in ("epoch", "cost_kind", "train_cost", "valid_tau")}, args.report)
     final_tau = report.epochs[-1].valid_tau if report.epochs else float("nan")
     measured_on = "valid" if args.valid else "train"
     summary = f"final {measured_on} tau {final_tau:.4f}"

@@ -41,6 +41,11 @@ CHUNK_TOKENS = 8192
 # sidecar of another version is ignored and rewritten.
 SIDECAR_VERSION = 1
 
+# What a dataset's sidecar saves: each field of its constructor, and its type (see pairrank.sidecar).
+_FIELDS = {"token_ids": (np.int32, 1), "offsets": (np.int64, 1), "sentences": (np.int32, 2), "labels": (np.int64, 1),
+           "scores": (np.float64, 3), "vectors": (np.float64, 3), "ids": sidecar.STRINGS, "splits": sidecar.STRINGS,
+           "vocab": sidecar.STRINGS, "feature_schema": sidecar.STRINGS, "dropped_ties": sidecar.COUNT}
+
 
 class DatasetFormatError(ValueError):
     pass
@@ -149,6 +154,8 @@ class Dataset:
             raise DatasetFormatError("offsets must rise from 0 to the number of tokens")
         self.offsets = offsets
         self.sentences = _column(self.sentences, "sentences", (3, n), len(offsets) - 1).astype(np.int32, copy=False)
+        if self.dropped_ties < 0:
+            raise DatasetFormatError(f"dropped_ties must be >= 0, got {self.dropped_ties}")
         for column in (self.labels, self.scores, self.vectors, self.token_ids, self.offsets, self.sentences):
             column.flags.writeable = False
 
@@ -280,61 +287,14 @@ def _distinct(token_ids: array, ends: array) -> tuple[np.ndarray, np.ndarray, np
     return np.frombuffer(b"".join(seen), np.intc), offsets, sentences
 
 
-# The dataset's text columns, each saved in its sidecar as one blob and offsets.
-_TEXT = ("ids", "splits", "vocab", "feature_schema")
-
-
-def _members(dataset: Dataset) -> dict[str, np.ndarray]:
-    """The arrays a dataset's sidecar holds.
-
-    Each text column is one UTF-8 blob, lone surrogates (from ``\\ud800``
-    escapes) kept, and the offsets of its strings' characters in it, so a
-    string may hold any character, a newline included, or none.
-    """
-    arrays = {name: getattr(dataset, name) for name in (
-        "token_ids", "offsets", "sentences", "labels", "scores", "vectors")}
-    for name in _TEXT:
-        strings = getattr(dataset, name)
-        arrays[name] = np.frombuffer("".join(strings).encode("utf-8", "surrogatepass"), np.uint8)
-        arrays[f"{name}_offsets"] = np.cumsum([0, *map(len, strings)], dtype=np.int64)
-    return arrays | {"dropped_ties": np.int64(dataset.dropped_ties)}
-
-
-def _strings(npz, name: str) -> list[str]:
-    """The strings of the text column ``name`` of a sidecar."""
-    text = sidecar.member(npz, name, np.uint8, 1).tobytes().decode("utf-8", "surrogatepass")
-    ends = sidecar.member(npz, f"{name}_offsets", np.int64, 1)
-    if ends[:1].tolist() != [0] or ends[-1] != len(text) or (np.diff(ends) < 0).any():
-        raise ValueError(f"sidecar member {name}_offsets does not split its text")
-    ends = ends.tolist()
-    return [text[a:b] for a, b in zip(ends, ends[1:])]
-
-
-def _restore(npz) -> Dataset:
-    """The dataset in a sidecar's members, checked as outside input by its constructor."""
-    dropped = int(sidecar.member(npz, "dropped_ties", np.int64, 0))
-    if dropped < 0:
-        raise ValueError(f"sidecar dropped_ties is {dropped}")
-    ids, splits, vocab, schema = (_strings(npz, name) for name in _TEXT)
-    return Dataset(ids, splits, vocab, sidecar.member(npz, "token_ids", np.int32, 1),
-                   sidecar.member(npz, "offsets", np.int64, 1), sidecar.member(npz, "sentences", np.int32, 2),
-                   schema, sidecar.member(npz, "labels", np.int64, 1), sidecar.member(npz, "scores", np.float64, 3),
-                   sidecar.member(npz, "vectors", np.float64, 3), dropped_ties=dropped)
-
-
 def load_dataset(source: sidecar.Source) -> Dataset:
     """A :class:`Dataset` from a JSON-lines file, given by path or as lines.
 
     Raises a typed error naming the line on a malformed record. A path to
-    a regular file is read as UTF-8 and parsed once: a good parse is saved
-    beside the file (see :func:`pairrank.sidecar.sidecar_path`) with the
-    sha256 of the bytes parsed, and a later load of a file with the same
-    bytes builds the same dataset from that sidecar. A sidecar that does
-    not match the file or fails a check is ignored and rewritten, and one
-    owned by anyone but the file's owner, this user or root is ignored.
-    Any other path, such as a pipe, is only parsed.
+    a regular file is parsed once and then read from its sidecar, by the
+    rules of :func:`pairrank.sidecar.load`.
     """
-    return sidecar.load(source, SIDECAR_VERSION, _parse, _members, _restore)
+    return sidecar.load(source, SIDECAR_VERSION, _parse, Dataset, _FIELDS)
 
 
 def vectorize(dataset: Dataset, table: Optional[EmbeddingTable] = None) -> Batch:

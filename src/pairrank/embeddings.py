@@ -11,7 +11,7 @@ loads of the same bytes read the sidecar instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence
@@ -19,7 +19,6 @@ from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from . import sidecar
-from .sidecar import sidecar_path  # noqa: F401  (where a table's parse is saved)
 
 
 class EmbeddingError(ValueError):
@@ -45,34 +44,41 @@ BLOCK_LINES = 512
 # parse rules that made them. Bump it on any change to what _parse accepts
 # or returns (header detection, which fields are numeric, the non-finite
 # check, keep-first on duplicates, the token -> row order), or to the
-# layout; a sidecar of another version is ignored and rewritten.
-SIDECAR_VERSION = 1
+# layout; a sidecar of another version is ignored and rewritten. Version 1
+# joined the tokens with newlines; version 2 saves them as strings with
+# offsets, as the dataset's sidecar saves its text.
+SIDECAR_VERSION = 2
 
 
 @dataclass
 class EmbeddingTable:
-    """Token vectors as one ``(V + 1, d)`` float64 matrix and a token -> row map.
+    """Token vectors as one ``(V + 1, d)`` float64 matrix and its ``V`` tokens in row order.
 
     Row 0 is the zero vector that an out-of-vocabulary token adds; the
-    ``V`` tokens take rows 1 to ``V``. The constructor checks all of this,
-    and that each token is one word and every value finite. The table is
-    read-only from then on: the constructor takes over ``matrix`` and makes
-    it read-only in place, as ``Dataset`` and ``Batch`` do with their
-    columns, and ``rows`` is a read-only view of a copy of the map it checked.
+    ``V`` tokens take rows 1 to ``V``, and ``rows`` maps each to its row.
+    The constructor checks all of this, and that each token is one word,
+    held once, and every value finite. The table is read-only from then
+    on: the constructor takes over ``matrix`` and makes it read-only in
+    place, as ``Dataset`` and ``Batch`` do with their columns, keeps
+    ``tokens`` as a tuple, and makes ``rows`` a read-only map.
     """
 
     matrix: np.ndarray
-    rows: Mapping[str, int]
+    tokens: Sequence[str]
     duplicates_skipped: int = 0
+    rows: Mapping[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        m, rows = self.matrix, dict(self.rows)
+        m, tokens = self.matrix, tuple(self.tokens)
         if m.ndim != 2 or min(m.shape) < 1:
             raise EmbeddingError(f"matrix must be 2-D with a row 0 and width >= 1, got shape {m.shape}")
-        if list(rows.values()) != list(range(1, len(m))):
-            raise EmbeddingError(f"rows must number the tokens 1 to {len(m) - 1}, the matrix rows after row 0")
+        if len(tokens) != len(m) - 1:
+            raise EmbeddingError(f"{len(tokens)} tokens for the {len(m) - 1} matrix rows after row 0")
+        rows = dict(zip(tokens, range(1, len(m))))
+        if len(rows) != len(tokens):
+            raise EmbeddingError("each token must be held once")
         # The tokens split back from one string only when each is non-empty and free of whitespace.
-        if " ".join(rows).split() != list(rows):
+        if " ".join(tokens).split() != list(tokens):
             raise EmbeddingError("each token must be one non-empty word without whitespace")
         if m[0].any() or np.signbit(m[0]).any():
             raise EmbeddingError("row 0, the out-of-vocabulary vector, must be +0.0")
@@ -80,7 +86,7 @@ class EmbeddingTable:
             raise EmbeddingError("non-finite vector value")
         if self.duplicates_skipped < 0:
             raise EmbeddingError(f"duplicates_skipped must be >= 0, got {self.duplicates_skipped}")
-        self.rows = MappingProxyType(rows)
+        self.tokens, self.rows = tokens, MappingProxyType(rows)
         m.flags.writeable = False
 
     @property
@@ -209,7 +215,7 @@ def _parse_block(linenos: Sequence[int], rests: Sequence[str], dimension: Option
 
 def _parse(source: IO[str] | Iterable[str]) -> EmbeddingTable:
     """The table in the lines of a text embedding file, as :func:`load_embedding_table` describes."""
-    rows: dict[str, int] = {}
+    kept: dict[str, None] = {}  # each token read, once, in row order
     # Grown in place block by block: stacking the blocks at the end would
     # hold the table twice. Row 0 stays the zero vector.
     matrix = np.zeros((1, 0))
@@ -223,37 +229,25 @@ def _parse(source: IO[str] | Iterable[str]) -> EmbeddingTable:
         dimension = values.shape[1]
         keep = []
         for lineno, token in zip(linenos, tokens):
-            new = token not in rows
+            new = token not in kept
             if new:
-                rows[token] = len(rows) + 1
+                kept[token] = None
                 row_lines.append(lineno)
             keep.append(new)
         duplicates += len(keep) - sum(keep)
         top = len(matrix)
-        matrix.resize((len(rows) + 1, dimension), refcheck=False)
+        matrix.resize((len(kept) + 1, dimension), refcheck=False)
         matrix[top:] = values[keep]
-    if not rows:
+    if not kept:
         raise EmptyTableError("no embedding entries in input")
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if len(bad):
         raise EmbeddingError(f"line {row_lines[bad[0] - 1]}: non-finite vector value")
-    return EmbeddingTable(matrix, rows, duplicates_skipped=duplicates)
+    return EmbeddingTable(matrix, list(kept), duplicates_skipped=duplicates)
 
 
-def _members(table: EmbeddingTable) -> dict[str, np.ndarray]:
-    """The arrays a table's sidecar holds."""
-    return {
-        "matrix": table.matrix,
-        "tokens": np.frombuffer("\n".join(table.rows).encode("utf-8"), np.uint8),
-        "duplicates_skipped": np.int64(table.duplicates_skipped),
-    }
-
-
-def _restore(npz) -> EmbeddingTable:
-    """The table in a sidecar's members, checked as outside input by its constructor."""
-    tokens = sidecar.member(npz, "tokens", np.uint8, 1).tobytes().decode("utf-8").split("\n")
-    return EmbeddingTable(sidecar.member(npz, "matrix", np.float64, 2), dict(zip(tokens, range(1, len(tokens) + 1))),
-                          duplicates_skipped=int(sidecar.member(npz, "duplicates_skipped", np.int64, 0)))
+# What a table's sidecar saves: each field of its constructor, and its type (see pairrank.sidecar).
+_FIELDS = {"matrix": (np.float64, 2), "tokens": sidecar.STRINGS, "duplicates_skipped": sidecar.COUNT}
 
 
 def load_embedding_table(source: sidecar.Source) -> EmbeddingTable:
@@ -263,17 +257,10 @@ def load_embedding_table(source: sidecar.Source) -> EmbeddingTable:
     float parser. Duplicate tokens keep the first occurrence; the number
     skipped is recorded on the table. Raises, naming the line, on
     inconsistent dimensions, non-numeric fields and non-finite values;
-    raises on empty input.
-
-    A path to a regular file is read as UTF-8 and parsed once: a good
-    parse is saved beside the file (see :func:`sidecar_path`) with the
-    sha256 of the bytes parsed, and a later load of a file with the same
-    bytes builds the same table from that sidecar. A sidecar that does not
-    match the file or fails a check is ignored and rewritten, and one owned
-    by anyone but the table's owner, this user or root is ignored. Any
-    other path, such as a pipe, is only parsed.
+    raises on empty input. A path to a regular file is parsed once and then
+    read from its sidecar, by the rules of :func:`pairrank.sidecar.load`.
     """
-    return sidecar.load(source, SIDECAR_VERSION, _parse, _members, _restore)
+    return sidecar.load(source, SIDECAR_VERSION, _parse, EmbeddingTable, _FIELDS)
 
 
 def compose_mean_matrix(

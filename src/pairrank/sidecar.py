@@ -4,8 +4,8 @@ A loader given the path of a regular file parses it once: a good parse is
 saved as ``.<file name>.pairrank.npz`` beside the file, with the kind's
 version and the sha256 of the bytes parsed, and a later load of a file
 that hashes the same builds its value from that sidecar instead. Each kind
-of file supplies its parse, the arrays its value is saved as, and the
-check that builds the value back from them (see :func:`load`).
+of file supplies its parse, its record's constructor, and the constructor
+fields to save, each with its type (see :func:`load`).
 """
 
 from __future__ import annotations
@@ -15,13 +15,23 @@ import os
 import stat
 import tempfile
 import zipfile
-from typing import IO, Callable, Iterable, Optional, TypeVar, Union
+from typing import IO, Any, Callable, Iterable, Mapping, Optional, TypeVar, Union
 
 import numpy as np
 
 T = TypeVar("T")
 
 Source = Union[str, os.PathLike, IO[str], Iterable[str]]
+
+# The types of a saved field besides an array's (dtype, ndim): a sequence of
+# strings, saved as one UTF-8 blob, lone surrogates (from "\ud800" escapes)
+# kept, and ``<name>_offsets``, the offsets of its strings' characters in it, so
+# a string may hold any character, a newline included, or none; and a count,
+# an int64 scalar read back as an int.
+STRINGS, COUNT = "strings", "count"
+
+# Each saved field's name and type.
+Fields = Mapping[str, Union[str, tuple[Any, int]]]
 
 # What reading a sidecar that cannot be used raises: a failed read, a zip
 # or npy member that does not parse, a missing member, and a member that
@@ -62,7 +72,7 @@ def _sha256(source: IO[bytes]) -> bytes:
     return digest.digest()
 
 
-def member(npz, name: str, dtype, ndim: int) -> np.ndarray:
+def _member(npz, name: str, dtype, ndim: int) -> np.ndarray:
     """The sidecar member ``name``; raises ValueError unless it has ``dtype`` and ``ndim`` dimensions."""
     a = npz[name]
     if a.dtype != dtype or a.ndim != ndim:
@@ -70,25 +80,60 @@ def member(npz, name: str, dtype, ndim: int) -> np.ndarray:
     return a
 
 
+def _encode(value, fields: Fields) -> dict[str, np.ndarray]:
+    """The members that save the ``fields`` of ``value``."""
+    arrays = {}
+    for name, kind in fields.items():
+        v = getattr(value, name)
+        if kind == STRINGS:
+            arrays[name] = np.frombuffer("".join(v).encode("utf-8", "surrogatepass"), np.uint8)
+            arrays[f"{name}_offsets"] = np.cumsum([0, *map(len, v)], dtype=np.int64)
+        elif kind == COUNT:
+            arrays[name] = np.int64(v)
+        else:
+            arrays[name] = v
+    return arrays
+
+
+def _decode(npz, fields: Fields) -> dict[str, Any]:
+    """The ``fields`` saved in a sidecar's members; raises ValueError on a member of another type."""
+    values = {}
+    for name, kind in fields.items():
+        if kind == STRINGS:
+            text = _member(npz, name, np.uint8, 1).tobytes().decode("utf-8", "surrogatepass")
+            ends = _member(npz, f"{name}_offsets", np.int64, 1)
+            if ends[:1].tolist() != [0] or ends[-1] != len(text) or (np.diff(ends) < 0).any():
+                raise ValueError(f"sidecar member {name}_offsets does not split its text")
+            ends = ends.tolist()
+            values[name] = [text[a:b] for a, b in zip(ends, ends[1:])]
+        elif kind == COUNT:
+            values[name] = int(_member(npz, name, np.int64, 0))
+        else:
+            values[name] = _member(npz, name, *kind)
+    return values
+
+
 def load(
     source: Source,
     version: int,
     parse: Callable[[Iterable[str]], T],
-    members: Callable[[T], dict[str, np.ndarray]],
-    restore: Callable[[np.lib.npyio.NpzFile], T],
+    build: Callable[..., T],
+    fields: Fields,
 ) -> T:
     """``parse`` of ``source``, a path or lines of text, read from a sidecar where one holds it.
 
     A path to a regular file is read as UTF-8 and parsed once: a good
     parse is saved beside the file (see :func:`sidecar_path`) as its
-    ``members`` arrays, with ``version`` and the sha256 of the bytes
-    parsed, and a later load of a file with the same bytes calls
-    ``restore`` on that sidecar instead of parsing. ``restore`` checks the
-    members as outside input, raising ValueError on a bad one (as
-    :func:`member` does). A sidecar that does not match the file or fails
-    a check is ignored and rewritten, and one owned by anyone but the
-    file's owner, this user or root is ignored. Any other path (a pipe,
-    say), a file object and a list of lines are only parsed.
+    constructor ``fields``, with ``version`` and the sha256 of the bytes
+    parsed. Each field is typed as an array's ``(dtype, ndim)``, as
+    :data:`STRINGS` or as :data:`COUNT`. A later load of a file with the
+    same bytes reads the fields back, checking each member's type, and
+    returns ``build(**fields)`` instead of parsing; ``build``, the
+    record's constructor, checks them as outside input and raises
+    ValueError on a bad one. A sidecar that does not match the file or
+    fails a check is ignored and rewritten, and one owned by anyone but
+    the file's owner, this user or root is ignored. Any other path (a
+    pipe, say), a file object and a list of lines are only parsed.
     """
     if not isinstance(source, (str, os.PathLike)):
         return parse(source)
@@ -101,19 +146,20 @@ def load(
         import hashlib
 
         path = sidecar_path(source)
-        value = _read(path, f, st.st_uid, version, restore)
+        value = _read(path, f, st.st_uid, version, build, fields)
         if value is None:
             f.seek(0)
             digest = hashlib.sha256()
             with io.TextIOWrapper(io.BufferedReader(_Hashed(f, digest)), encoding="utf-8") as text:
                 value = parse(text)
             # Whoever may read the file may read its sidecar.
-            _write(path, version, digest.digest(), lambda: members(value), stat.S_IMODE(st.st_mode) & 0o666)
+            _write(path, version, digest.digest(), lambda: _encode(value, fields), stat.S_IMODE(st.st_mode) & 0o666)
     return value
 
 
-def _read(path: str, source: IO[bytes], owner: int, version: int, restore) -> Optional[T]:
-    """``restore`` of the sidecar at ``path`` for the bytes of ``source``.
+def _read(path: str, source: IO[bytes], owner: int, version: int, build: Callable[..., T],
+          fields: Fields) -> Optional[T]:
+    """``build`` of the ``fields`` in the sidecar at ``path`` for the bytes of ``source``.
 
     None when there is no such sidecar, or it is owned by someone other
     than ``owner`` (the file's owner), this user or root, or it is
@@ -132,11 +178,11 @@ def _read(path: str, source: IO[bytes], owner: int, version: int, restore) -> Op
             npz = np.load(fid, allow_pickle=False)
             if not isinstance(npz, np.lib.npyio.NpzFile):
                 return None
-            if member(npz, "version", np.int64, 0) != version:
+            if _member(npz, "version", np.int64, 0) != version:
                 return None
-            if member(npz, "sha256", np.uint8, 1).tobytes() != _sha256(source):
+            if _member(npz, "sha256", np.uint8, 1).tobytes() != _sha256(source):
                 return None
-            return restore(npz)
+            return build(**_decode(npz, fields))
     except _UNUSABLE:
         return None
 

@@ -10,16 +10,15 @@ logistic cost and fine-tunes under the ranking cost.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import IO, Optional
+from typing import Optional
 
 import numpy as np
 
 from .evaluation import EmptyEvaluation, evaluate
-from .model import Batch, Model, backward_batch, flat_copy, forward_batch, sigmoid
+from .model import Batch, Model, backward_batch, flat_copy, forward_batch
 
 # Not called here: the benchmark's traced run hooks this name on this module.
 from .model import pack  # noqa: F401
@@ -112,13 +111,6 @@ class TrainReport:
     epochs: list[EpochRecord] = field(default_factory=list)
     best_epoch: Optional[int] = None
 
-    def to_jsonl(self, sink: IO[str]) -> None:
-        # Wall-clock is kept in memory only so identical runs serialize
-        # to identical bytes.
-        for r in self.epochs:
-            row = {"epoch": r.epoch, "cost_kind": r.cost_kind, "train_cost": r.train_cost, "valid_tau": r.valid_tau}
-            sink.write(json.dumps(row) + "\n")
-
 
 def _logistic_terms(sigma, y):
     """The logistic cost summed over the batch, and its slope dJ/dz at the pre-sigmoid output z."""
@@ -130,15 +122,19 @@ def _kendall_terms(delta, y, cfg: CostConfig):
     """The ranking cost summed over the batch, and its slope dJ/d(delta), from one
     evaluation of each sigmoid and of the Gaussian tie term."""
     g, b, lam = cfg.gamma, cfg.beta, cfg.tie_weight
-    sig_neg = sigmoid(-g * delta)
-    sig_pos = sigmoid(g * delta)
+    gd, not_y = g * delta, 1 - y
+    # sigmoid(-gd) and sigmoid(gd), as model.sigmoid computes them: negation is
+    # exact, so exp(gd) is the exp(-(-gd)) that sigmoid(-gd) takes, bit for bit.
+    with np.errstate(over="ignore"):
+        sig_neg = 1.0 / (1.0 + np.exp(gd))
+        sig_pos = 1.0 / (1.0 + np.exp(-gd))
     tie = np.exp(-b * delta * delta / 2.0)
     slope = (
         -g * y * sig_neg * (1.0 - sig_neg)
-        + g * (1 - y) * sig_pos * (1.0 - sig_pos)
+        + g * not_y * sig_pos * (1.0 - sig_pos)
         - lam * b * delta * tie
     )
-    return (y * sig_neg + (1 - y) * sig_pos + lam * tie).sum(), slope
+    return (y * sig_neg + not_y * sig_pos + lam * tie).sum(), slope
 
 
 def logistic_cost(sigma, y):

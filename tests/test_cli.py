@@ -77,6 +77,15 @@ def test_train_and_evaluate(tmp_path, capsys, data_file, emb_file):
     assert -1.0 <= doc["tau"] <= 1.0
 
 
+def test_report_jsonl_roundtrip(tmp_path, data_file):
+    report = tmp_path / "r.jsonl"
+    assert run(train_args(data_file, str(tmp_path / "m.json"), str(report))) == 0
+    lines = [json.loads(l) for l in report.read_text().splitlines()]
+    assert len(lines) == 3
+    assert all("seconds" not in l for l in lines)
+    assert [l["epoch"] for l in lines] == [0, 1, 2]
+
+
 def test_cli_determinism(tmp_path, data_file, emb_file):
     outs = []
     for run_dir in ("a", "b"):
@@ -536,7 +545,7 @@ def test_train_refuses_a_valid_set_unlike_its_data(tmp_path, capsys, data_edit, 
 
 
 def test_cold_and_warm_table_loads_give_the_same_outputs(tmp_path, capsys, data_file, emb_file):
-    from pairrank.embeddings import sidecar_path
+    from pairrank.sidecar import sidecar_path
 
     def pipeline(out_dir, cold):
         out_dir.mkdir()

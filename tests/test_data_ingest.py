@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import copy
 import dataclasses
@@ -8,6 +9,7 @@ import pathlib
 import tempfile
 import threading
 import tracemalloc
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -28,7 +30,7 @@ from pairrank.features import assemble_pairwise, bleu_components
 from pairrank.synthetic import token_dataset_lines
 from test_acceptance import brute_bleu_fields
 from test_embeddings import (FullDisk, fail_mkstemp, owned_by, replace_bytes, rewrite_sidecar, sequential_mean,
-                             sidecar_bytes, sidecar_members)
+                             sidecar_bytes, sidecar_members, strings_with)
 
 
 def make_line(**overrides):
@@ -193,10 +195,11 @@ def test_dataset_refuses_scores_outside_the_schema():
      r"^schema \['TER', 'M'\] must be sorted and hold each name once$"),
     ({"feature_schema": ["M", "M"], "scores": [[[0.9, 0.5]], [[0.1, 0.5]]]},
      r"^schema \['M', 'M'\] must be sorted and hold each name once$"),
+    ({"dropped_ties": -1}, "^dropped_ties must be >= 0, got -1$"),
 ], ids=["short-vector", "nan-vector", "vectors-without-tuple-axis", "label-7", "infinite-score", "huge-score",
         "token-outside-vocab", "float-token-ids", "falling-offsets", "offsets-short-of-tokens",
         "sentence-outside-store", "sentences-without-tuple-axis", "splits-for-other-tuples",
-        "repeated-vocab", "unsorted-schema", "repeated-schema-name"])
+        "repeated-vocab", "unsorted-schema", "repeated-schema-name", "negative-dropped-ties"])
 def test_dataset_refuses_bad_columns(columns, message):
     with pytest.raises(DatasetFormatError, match=message):
         hand_built(**columns)
@@ -544,17 +547,6 @@ def member_with(name, at, value):
     return change
 
 
-def strings_with(name, change):
-    """A spoiler that rewrites the sidecar's text column ``name`` as ``change`` of its strings."""
-    def spoil(path):
-        members = sidecar_members(path)
-        text, ends = members[name].tobytes().decode("utf-8"), members[f"{name}_offsets"].tolist()
-        strings = change([text[a:b] for a, b in zip(ends, ends[1:])])
-        rewrite_sidecar(path, **{name: np.frombuffer("".join(strings).encode("utf-8"), np.uint8),
-                                 f"{name}_offsets": np.cumsum([0, *map(len, strings)], dtype=np.int64)})
-    return spoil
-
-
 BAD_DATA_SIDECARS = {
     "truncated": lambda p: replace_bytes(p, sidecar_bytes(p)[:-200]),
     "not-a-zip-file": lambda p: replace_bytes(p, b"not a zip file\n"),
@@ -587,6 +579,34 @@ def test_bad_dataset_sidecar_is_ignored_and_rewritten(tmp_path, spoil):
     with parse_only():
         assert_same_dataset(load_dataset(path), want)
     assert sorted(p.name for p in tmp_path.iterdir()) == [".data.jsonl.pairrank.npz", "data.jsonl"]
+
+
+# The sidecar that the loader of version 1, before one codec saved both kinds
+# of sidecar, wrote for SIDECAR_DATASETS["ties-and-scores"], zlib-compressed.
+EARLIER_DATA_SIDECAR = (
+    "eNrdl99LFFEUx+/4e9fMHwWFD7VCsAlr5K7lGoE+9IMQc7F6EIJtnJ3VrW1mmxnNTFPSYOkhzIh8c6MNQgnqIRIyksjnIqJ67A8wDIQQ"
+    "pB/3uufuzr2uy8ZOYI2sd2Y9X+/5zLn33HN8rfkFdShx1aD406npX3CVou2oT9b0kKrsUyJXBFSBomBIxzsnz7T5OgXUh646A7Iuac5D"
+    "DufhkNfpcjiDqmZoouJXtYBMvj8mhnUZf6/3iBEZP++tdTmGHDlddgH88DEQX9/HzlEIO4bAM7oPHKQMMbCLZWIY7K3PisHjduWIYX/8"
+    "4d701MzdPu+178e7b12+uWdu+BU6f7v752KReETpH2DZHtXeWKVsZZjNUC/Iij8U0CleHEzjmUPUkBVeU650DjvxgYQpD3/y4b4A7gvh"
+    "nkUc9Ve0mdegGgzqsqH/UfyyXYMN1gAiACJXEYy2tGvzxZPP0+b46bJiyIokJ/EmwXTSivh5XA53boBJPAE+CGLJYl1abZoxb7mw2CWH"
+    "k0zjYDduRcjcuYeMcqC0IVrYGe1m0oekaqn4zIPdfEaWYLYsDnduIYL4fGtOjF+aKVPn8srr3cpDgXX3Hfx9V0tiLGlh2dt9b86y+V8y"
+    "VC0JPwKGI1bAe9bg9+cCzzq/421jDXW+GDtvyopjYDRmRdK3IGn01/d7WOev/3hWSJ0vTzjv5zJflqkh27dvWebLg7Eg7XYqav84yGyn"
+    "SDhkbNrASAPSwMaBqUr6/3/E5kFoWaBsNrLdVUnsokgTYDZhRWjqvTkXSkaPLImGLhqibqhqIKB2szDhxY4ohamkMHycZsF81oo4Nf79"
+    "6oEalMNYlTaOzZ9GV8xrNCiLRq8m+3WpR74obta91nb6aAfLETkx5KIc1es4/pU9J2Tcc+YWqwIzBjQ1EpEDfiOUKjI2b58l5NXlsyxR"
+    "8LPUVFCNrAlMzSMvJC1aDIp4OyNcwL9TDRuvI+1PHLqbMkZ3H0/JNEO8lLQVdErW1zGcJE1LixeSkn0Slhk7p4h3LVPA81JSFo9D4cti"
+    "evHiSBXJvI6UoPNQtbG6AtwzpQpSXkfKtxGoz7h4FCFzMccLSek0BqmhmBG+xMIN3ig5GemLKWdEA8WIL2B4MSkL6Iws4qkSZCoSMk1a"
+    "xei22VCaw5nXkyNvAk41G6Nfwo/JA5CXkcNlFs6NSkY2Z0frjxpeThI0pWW9fo7jtD5d83qSGCl1NaMf3oIypMlMG7aC+T8SXtp8KvK1"
+    "Fq6dR5X4Zwmv9bqt5Ok3DSnfMg=="
+)
+
+
+def test_dataset_sidecar_from_the_earlier_loader_is_served(tmp_path):
+    path = data_file(tmp_path, SIDECAR_DATASETS["ties-and-scores"])
+    with open(sidecar.sidecar_path(path), "wb") as f:
+        f.write(zlib.decompress(base64.b64decode(EARLIER_DATA_SIDECAR)))
+    want = parsed(path)
+    with parse_only():
+        assert_same_dataset(load_dataset(path), want)
 
 
 @pytest.mark.parametrize("sidecar_uid, served", [(1002, False), (1001, True), (1000, True), (0, True)],

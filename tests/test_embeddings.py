@@ -160,7 +160,7 @@ finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 @example(sentences=[["a"], ["zzz", "b"], []], values=[-0.0] * 9)
 def test_bulk_compose_matches_sequential_mean(sentences, values):
     # Empty and all-OOV sentences come up often with two OOV tokens in five.
-    table = EmbeddingTable(np.array([0.0] * 3 + values).reshape(4, 3), {"a": 1, "b": 2, "c": 3})
+    table = EmbeddingTable(np.array([0.0] * 3 + values).reshape(4, 3), ["a", "b", "c"])
     rows = table.rows_of([t for s in sentences for t in s])
     got, oov = compose_mean_matrix(rows, np.array([len(s) for s in sentences], dtype=np.int64), table)
     assert got.shape == (len(sentences), 3)
@@ -184,30 +184,31 @@ def with_value(row, col, value):
 
 # Each was built without error before the table checked itself, and composed
 # wrong: a row past the matrix read its last row, a non-zero row 0 was added
-# for every out-of-vocabulary token.
+# for every out-of-vocabulary token. The table numbers its tokens itself, in
+# the order given, so a numbering is stated as a token list: a token past the
+# matrix is one token too many, and a row without a token one too few.
 BAD_TABLES = {
-    "row-past-the-matrix": (TABLE_MATRIX, {"a": 1, "b": 7}, 0),
-    "row-without-a-token": (TABLE_MATRIX, {"a": 1}, 0),
-    "rows-out-of-order": (TABLE_MATRIX, {"b": 2, "a": 1}, 0),
-    "repeated-token": (TABLE_MATRIX, dict(zip(["a", "a"], [1, 2])), 0),
-    "empty-token": (TABLE_MATRIX, {"a": 1, "": 2}, 0),
-    "token-with-space": (TABLE_MATRIX, {"a": 1, "b c": 2}, 0),
-    "token-with-newline": (TABLE_MATRIX, {"a": 1, "b\n": 2}, 0),
-    "non-zero-row-0": (with_value(0, 1, 1.0), {"a": 1, "b": 2}, 0),
-    "negative-zero-row-0": (with_value(0, 0, -0.0), {"a": 1, "b": 2}, 0),
-    "nan": (with_value(2, 1, np.nan), {"a": 1, "b": 2}, 0),
-    "infinity": (with_value(1, 0, -np.inf), {"a": 1, "b": 2}, 0),
-    "1-d-matrix": (np.zeros(3), {"a": 1, "b": 2}, 0),
-    "no-row-0": (np.zeros((0, 2)), {}, 0),
-    "width-0": (np.zeros((3, 0)), {"a": 1, "b": 2}, 0),
-    "negative-duplicates": (TABLE_MATRIX, {"a": 1, "b": 2}, -1),
+    "row-past-the-matrix": (TABLE_MATRIX, ["a", "b", "c"], 0),
+    "row-without-a-token": (TABLE_MATRIX, ["a"], 0),
+    "repeated-token": (TABLE_MATRIX, ["a", "a"], 0),
+    "empty-token": (TABLE_MATRIX, ["a", ""], 0),
+    "token-with-space": (TABLE_MATRIX, ["a", "b c"], 0),
+    "token-with-newline": (TABLE_MATRIX, ["a", "b\n"], 0),
+    "non-zero-row-0": (with_value(0, 1, 1.0), ["a", "b"], 0),
+    "negative-zero-row-0": (with_value(0, 0, -0.0), ["a", "b"], 0),
+    "nan": (with_value(2, 1, np.nan), ["a", "b"], 0),
+    "infinity": (with_value(1, 0, -np.inf), ["a", "b"], 0),
+    "1-d-matrix": (np.zeros(3), ["a", "b"], 0),
+    "no-row-0": (np.zeros((0, 2)), [], 0),
+    "width-0": (np.zeros((3, 0)), ["a", "b"], 0),
+    "negative-duplicates": (TABLE_MATRIX, ["a", "b"], -1),
 }
 
 
-@pytest.mark.parametrize("matrix, rows, duplicates", BAD_TABLES.values(), ids=BAD_TABLES)
-def test_table_refuses_what_no_parse_gives(matrix, rows, duplicates):
+@pytest.mark.parametrize("matrix, tokens, duplicates", BAD_TABLES.values(), ids=BAD_TABLES)
+def test_table_refuses_what_no_parse_gives(matrix, tokens, duplicates):
     with pytest.raises(EmbeddingError):
-        EmbeddingTable(matrix, rows, duplicates_skipped=duplicates)
+        EmbeddingTable(matrix, tokens, duplicates_skipped=duplicates)
 
 
 @pytest.mark.parametrize("rows", [[7], [-1, 1]], ids=["past-the-matrix", "negative"])
@@ -218,10 +219,10 @@ def test_compose_refuses_rows_outside_the_table(rows):
 
 
 def test_table_keeps_the_rows_it_checked():
-    rows = {"a": 1, "b": 2}
-    table = EmbeddingTable(TABLE_MATRIX.copy(), rows)
-    rows["c"] = 9
-    assert len(table) == 2
+    tokens = ["a", "b"]
+    table = EmbeddingTable(TABLE_MATRIX.copy(), tokens)
+    tokens.append("c")
+    assert len(table) == 2 and table.tokens == ("a", "b")
     assert table.rows_of(["c", "b"]).tolist() == [0, 2]
 
 
@@ -446,25 +447,25 @@ def test_sidecar_takes_the_tables_read_and_write_bits(tmp_path, mode):
     path = table_file(tmp_path, "a 1 2\n")
     path.chmod(mode)
     load_embedding_table(path)
-    assert os.stat(embeddings.sidecar_path(path)).st_mode & 0o777 == mode & 0o666
+    assert os.stat(sidecar.sidecar_path(path)).st_mode & 0o777 == mode & 0o666
 
 
 def sidecar_members(path):
-    with np.load(embeddings.sidecar_path(path)) as npz:
+    with np.load(sidecar.sidecar_path(path)) as npz:
         return dict(npz)
 
 
 def rewrite_sidecar(path, **changes):
-    np.savez(embeddings.sidecar_path(path), **{**sidecar_members(path), **changes})
+    np.savez(sidecar.sidecar_path(path), **{**sidecar_members(path), **changes})
 
 
 def sidecar_bytes(path):
-    with open(embeddings.sidecar_path(path), "rb") as f:
+    with open(sidecar.sidecar_path(path), "rb") as f:
         return f.read()
 
 
 def replace_bytes(path, data):
-    with open(embeddings.sidecar_path(path), "wb") as f:
+    with open(sidecar.sidecar_path(path), "wb") as f:
         f.write(data)
 
 
@@ -476,7 +477,7 @@ def flip_last_matrix_byte(path):
 
 
 def write_npy(path):
-    with open(embeddings.sidecar_path(path), "wb") as f:
+    with open(sidecar.sidecar_path(path), "wb") as f:
         np.save(f, np.zeros(3))
 
 
@@ -488,6 +489,17 @@ def matrix_with(row, col, value):
     return change
 
 
+def strings_with(name, change):
+    """A spoiler that rewrites the sidecar's text column ``name`` as ``change`` of its strings."""
+    def spoil(path):
+        members = sidecar_members(path)
+        text, ends = members[name].tobytes().decode("utf-8"), members[f"{name}_offsets"].tolist()
+        strings = change([text[a:b] for a, b in zip(ends, ends[1:])])
+        rewrite_sidecar(path, **{name: np.frombuffer("".join(strings).encode("utf-8"), np.uint8),
+                                 f"{name}_offsets": np.cumsum([0, *map(len, strings)], dtype=np.int64)})
+    return spoil
+
+
 BAD_SIDECARS = {
     "truncated": lambda p: replace_bytes(p, sidecar_bytes(p)[:-200]),
     "not-a-zip-file": lambda p: replace_bytes(p, b"not a zip file\n"),
@@ -495,16 +507,17 @@ BAD_SIDECARS = {
     "corrupt-matrix-byte": flip_last_matrix_byte,
     "other-version": lambda p: rewrite_sidecar(p, version=np.int64(embeddings.SIDECAR_VERSION + 1)),
     "other-digest": lambda p: rewrite_sidecar(p, sha256=np.zeros(32, np.uint8)),
-    "missing-member": lambda p: np.savez(embeddings.sidecar_path(p), **{
+    "missing-member": lambda p: np.savez(sidecar.sidecar_path(p), **{
         k: v for k, v in sidecar_members(p).items() if k != "duplicates_skipped"}),
     "pickled-member": lambda p: rewrite_sidecar(p, tokens=np.array(["a", "b"], dtype=object)),
     "float32-matrix": lambda p: rewrite_sidecar(p, matrix=sidecar_members(p)["matrix"].astype(np.float32)),
     "non-finite-value": matrix_with(1, 0, np.nan),
     "non-zero-row-0": matrix_with(0, 1, 1.0),
     "negative-zero-row-0": matrix_with(0, 0, -0.0),
-    "duplicate-tokens": lambda p: rewrite_sidecar(p, tokens=np.frombuffer(b"a\na", np.uint8)),
-    "token-with-space": lambda p: rewrite_sidecar(p, tokens=np.frombuffer(b"a\nb c", np.uint8)),
-    "empty-token": lambda p: rewrite_sidecar(p, tokens=np.frombuffer(b"a\n\nb", np.uint8)),
+    "duplicate-tokens": strings_with("tokens", lambda tokens: [tokens[0], tokens[0]]),
+    "token-with-space": strings_with("tokens", lambda tokens: [tokens[0], "b c"]),
+    "empty-token": strings_with("tokens", lambda tokens: [tokens[0], ""]),
+    "tokens-offsets-do-not-split": lambda p: rewrite_sidecar(p, tokens_offsets=np.array([0, 1, 3], np.int64)),
     "wrong-row-count": lambda p: rewrite_sidecar(p, matrix=np.zeros((4, 2))),
     "negative-duplicates": lambda p: rewrite_sidecar(p, duplicates_skipped=np.int64(-1)),
 }
@@ -523,8 +536,9 @@ def test_bad_sidecar_is_ignored_and_rewritten(tmp_path, spoil):
     assert sorted(p.name for p in tmp_path.iterdir()) == [".emb.txt.pairrank.npz", "emb.txt"]
 
 
-# The sidecar that the loader wrote for "a 1 2\nb 3 4\nb 5 6\n" before the table's
-# constructor took over the sidecar's checks (6de88fa), zlib-compressed.
+# The version-1 sidecar that the loader wrote for "a 1 2\nb 3 4\nb 5 6\n" before the
+# table's constructor took over the sidecar's checks (6de88fa), zlib-compressed:
+# its tokens are one newline-joined blob.
 EARLIER_SIDECAR = (
     "eNoL8GZm0WWAAEWGJRvnr/oPBdwMIgxlqUXFmfl5enkFlYwMAgwdUIUwerJfqG9AJCNDGUO1ekpqcXKRupWCuk2mhbqOgnpaflFJUWJe"
     "fH5RSipI3C0xpzgVKF6ckViQCuRraOoo1CpQBLgYoe4IQPHEolSjzTBPcAE9AbTRyNQM5ocFUHUL8PmhptSQKD8YG+lQ6A2u6p+d8UVc"
@@ -536,12 +550,18 @@ EARLIER_SIDECAR = (
 
 
 def test_sidecar_from_the_earlier_loader_is_served(tmp_path):
+    # Parsed once and rewritten as version 2, which is then served.
     path = table_file(tmp_path, "a 1 2\nb 3 4\nb 5 6\n")
-    with open(embeddings.sidecar_path(path), "wb") as f:
+    with open(sidecar.sidecar_path(path), "wb") as f:
         f.write(zlib.decompress(base64.b64decode(EARLIER_SIDECAR)))
+    assert sidecar_members(path)["version"] == 1
+    want = EmbeddingTable(TABLE_MATRIX, ["a", "b"], duplicates_skipped=1)
+    with mock.patch.object(embeddings, "_parse", wraps=embeddings._parse) as parse:
+        assert_same_table(load_embedding_table(path), want)
+    assert parse.call_count == 1
+    assert sidecar_members(path)["version"] == embeddings.SIDECAR_VERSION == 2
     with parse_only():
-        table = load_embedding_table(path)
-    assert_same_table(table, EmbeddingTable(TABLE_MATRIX, {"a": 1, "b": 2}, duplicates_skipped=1))
+        assert_same_table(load_embedding_table(path), want)
 
 
 def test_hashing_needs_no_file_digest_and_reads_every_chunk(tmp_path, monkeypatch):
@@ -581,7 +601,7 @@ def test_sidecar_is_served_only_from_a_trusted_owner(tmp_path, sidecar_uid, serv
     path = table_file(tmp_path, "a 1 2\nb 3 4\n")
     want = load_embedding_table(path)
     rewrite_sidecar(path, matrix=want.matrix * 2)
-    uids = {path.stat().st_ino: 1001, os.stat(embeddings.sidecar_path(path)).st_ino: sidecar_uid}
+    uids = {path.stat().st_ino: 1001, os.stat(sidecar.sidecar_path(path)).st_ino: sidecar_uid}
     with owned_by(uids), mock.patch.object(sidecar.os, "geteuid", return_value=1000):
         got = load_embedding_table(path)
     assert np.array_equal(got.matrix, want.matrix * 2 if served else want.matrix)

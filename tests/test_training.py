@@ -322,20 +322,6 @@ def test_train_early_stopping_returns_best():
     assert report.best_epoch is not None
 
 
-def test_report_jsonl_roundtrip():
-    import io, json
-
-    data = mixed_rule_batch(16, seed=0)
-    m = init_model(ModelConfig(3, 2, 2, seed=0))
-    _, report = train(m, data, data, TrainConfig(epochs=3, batch_size=8), CostConfig())
-    buf = io.StringIO()
-    report.to_jsonl(buf)
-    lines = [json.loads(l) for l in buf.getvalue().splitlines()]
-    assert len(lines) == 3
-    assert all("seconds" not in l for l in lines)
-    assert [l["epoch"] for l in lines] == [0, 1, 2]
-
-
 # The training step as it was before the flat parameter vector, kept as an
 # oracle: one hstack per block input and per forward, a separate forward of the
 # swapped pass, and one update and finiteness check per parameter.

@@ -1,6 +1,7 @@
 """JSON-lines datasets of pairwise translation judgments.
 
-One object per line with fields: id, split, reference, hyp1, hyp2,
+One object per line with fields: id (a string or an integer, by default
+the line number), split (a string, by default "all"), reference, hyp1, hyp2,
 y (1 means hyp1 is better, 0 means hyp2, "tie" drops the record),
 optional external_scores_1/external_scores_2 maps, and optional
 precomputed sentence vectors psi_t1/psi_t2/psi_r. Sentences may be raw
@@ -36,10 +37,11 @@ CHUNK_TOKENS = 8192
 # The version of what a dataset's sidecar saves: the layout of its members
 # and the parse rules that made them. Bump it on any change to what _parse
 # accepts or returns (lowercasing and whitespace tokenization, dropping
-# "tie" rows, the id and split defaults, the sorted schema, the vocabulary
-# in order of first appearance, the sentence dedup), or to the layout; a
-# sidecar of another version is ignored and rewritten.
-SIDECAR_VERSION = 1
+# "tie" rows, the id and split types and defaults, the sorted schema, the
+# vocabulary in order of first appearance, the sentence dedup), or to the
+# layout; a sidecar of another version is ignored and rewritten. Version 2
+# refuses an id or split of another type, which version 1 read as its str().
+SIDECAR_VERSION = 2
 
 # What a dataset's sidecar saves: each field of its constructor, and its type (see pairrank.sidecar).
 _FIELDS = {"token_ids": (np.int32, 1), "offsets": (np.int64, 1), "sentences": (np.int32, 2), "labels": (np.int64, 1),
@@ -254,11 +256,17 @@ def _parse(source: Iterable[str]) -> Dataset:
             sentence_dim = len(psi[0])
         elif len(psi[0]) != sentence_dim:
             raise DatasetFormatError(f"line {lineno}: sentence vector dimension {len(psi[0])} != {sentence_dim}")
+        tid, split = obj.get("id", lineno), obj.get("split", "all")
+        # bool is an int subclass, so true would otherwise pass as the id "True".
+        if isinstance(tid, bool) or not isinstance(tid, (str, int)):
+            raise DatasetFormatError(f"line {lineno}: id must be a string or an integer, got {tid!r}")
+        if not isinstance(split, str):
+            raise DatasetFormatError(f"line {lineno}: split must be a string, got {split!r}")
         for name in ("reference", "hyp1", "hyp2"):
             token_ids.extend(map(vocab.__getitem__, _tokens(obj, lineno, name)))
             ends.append(len(token_ids))
-        ids.append(str(obj.get("id", lineno)))
-        splits.append(str(obj.get("split", "all")))
+        ids.append(str(tid))
+        splits.append(split)
         labels.append(y)
         for column, named in zip(scores, ext):
             column.extend(map(named.__getitem__, schema))

@@ -155,8 +155,6 @@ class Batch:
     y: np.ndarray
     # The block inputs in BLOCK_INPUTS order, once built.
     _blocks: Optional[list] = field(default=None, init=False, repr=False, compare=False)
-    # The swapped view, once built. It never points back, so reference counting frees both.
-    _swapped: Optional["Batch"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         columns = (self.P1, self.P2, self.Pr, self.F1, self.F2, self.y)
@@ -187,7 +185,7 @@ class Batch:
         """A batch of read-only columns drawn from a checked batch's, which hold
         its rules already, and their block inputs if built: no check runs again."""
         out = cls.__new__(cls)
-        vars(out).update(zip(COLUMNS, columns), _blocks=blocks, _swapped=None)
+        vars(out).update(zip(COLUMNS, columns), _blocks=blocks)
         return out
 
     def __len__(self) -> int:
@@ -204,31 +202,28 @@ class Batch:
         return self._blocks[:3]
 
     def swapped(self) -> "Batch":
-        """The same tuples with the two hypotheses, so the labels, exchanged: built
-        on first use and kept. It shares the block inputs built by then, in
-        reverse order, so the (t1,r) and (t2,r) inputs trade places."""
-        if self._swapped is None:
-            y = 1 - self.y
-            y.setflags(write=False)
-            blocks = None if self._blocks is None else self._blocks[::-1]
-            self._swapped = Batch._of_checked((self.P2, self.P1, self.Pr, self.F2, self.F1, y), blocks)
-        return self._swapped
+        """The same tuples with the two hypotheses, so the labels, exchanged: a new
+        view on each call, sharing the block inputs built by then in reverse
+        order, so the (t1,r) and (t2,r) inputs trade places."""
+        y = 1 - self.y
+        y.setflags(write=False)
+        blocks = None if self._blocks is None else self._blocks[::-1]
+        return Batch._of_checked((self.P2, self.P1, self.Pr, self.F2, self.F1, y), blocks)
 
     def take(self, idx) -> "Batch":
-        """The rows at ``idx``, in that order, with their block inputs if built.
-        ``idx`` is anything that picks rows of a 1-D array, such as row numbers
-        or a boolean mask over the rows, and picks the rows that ``P1[idx]``
-        would. Any other index raises ShapeMismatchError."""
+        """The rows at ``idx``, in that order, as a batch that builds its own block
+        inputs on first use. ``idx`` is anything that picks rows of a 1-D array,
+        such as row numbers or a boolean mask over the rows, and picks the rows
+        that ``P1[idx]`` would. Any other index raises ShapeMismatchError."""
         if np.ndim(idx) != 1:
             raise ShapeMismatchError(f"take needs a 1-D index, got {np.ndim(idx)}-D")
         # Row numbers, so that every column is gathered by ndarray.take, which
         # reads a boolean mask otherwise (as row numbers 0 and 1).
         rows = np.arange(len(self))[idx]
         columns = [getattr(self, name).take(rows, axis=0) for name in COLUMNS]
-        blocks = None if self._blocks is None else [x.take(rows, axis=0) for x in self._blocks]
-        for a in (*columns, *(blocks or ())):
+        for a in columns:
             a.setflags(write=False)
-        return Batch._of_checked(columns, blocks)
+        return Batch._of_checked(columns)
 
     def astype(self, dtype) -> "Batch":
         """A copy with every column, the labels too, cast to ``dtype``."""
@@ -312,7 +307,8 @@ def _param_array(name: str, value) -> np.ndarray:
         a = np.array(value)
     except ValueError as exc:
         raise ShapeMismatchError(f"{name} must be an array of numbers") from exc
-    if a.dtype.kind not in "if":
+    # numpy reads a true or false among numbers as 1 or 0, so look for one among the values themselves.
+    if a.dtype.kind not in "if" or bool in map(type, np.array(value, dtype=object).flat):
         raise ShapeMismatchError(f"{name} must be an array of numbers")
     return a.astype(float)
 

@@ -2,12 +2,15 @@
 direction-of-effect replication on synthetic data. Each test prints one
 PASS line (visible with ``pytest -s``) once its assertions hold."""
 
-import math
+import json
+import os
+import sys
 import time
 
 import numpy as np
 
 from pairrank.cli import run
+from pairrank.data_ingest import load_dataset, vectorize
 from pairrank.evaluation import _count, evaluate, kendall_tau
 from pairrank.features import bleu_components
 from pairrank.model import ModelConfig, init_model
@@ -19,6 +22,15 @@ from pairrank.synthetic import (
     toy_embedding_lines,
 )
 from pairrank.training import CostConfig, TrainConfig, grad_check, kendall_cost, train
+
+# The benchmark's brute-force BLEU counter, imported read-only, so that one copy
+# serves the benchmark and these tests (test_features and test_data_ingest too).
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+sys.path.insert(0, PERFBENCH)
+try:
+    from oracle import brute_bleu_fields
+finally:
+    sys.path.remove(PERFBENCH)
 
 
 def _report(n, detail):
@@ -40,52 +52,34 @@ def test_criterion_1_gradient_suite():
     _report(1, f"max rel err {worst:.2e} over 60 combinations in {elapsed:.1f}s")
 
 
-def brute_bleu_fields(hyp, ref):
-    """Independent 16-field counter: list scans, no Counter, no reuse."""
-    precisions, matches, totals = [], [], []
-    for order in (1, 2, 3, 4):
-        hyp_grams = [tuple(hyp[i : i + order]) for i in range(len(hyp) - order + 1)]
-        ref_grams = [tuple(ref[i : i + order]) for i in range(len(ref) - order + 1)]
-        m = 0
-        done = set()
-        for g in hyp_grams:
-            if g in done:
-                continue
-            done.add(g)
-            m += min(hyp_grams.count(g), ref_grams.count(g))
-        t = len(hyp_grams)
-        matches.append(m)
-        totals.append(t)
-        precisions.append(m / t if t > 0 else 0.0)
-    hl, rl = len(hyp), len(ref)
-    ratio = hl / rl if rl > 0 else 0.0
-    if hl == 0:
-        bp = 0.0
-    elif hl >= rl:
-        bp = 1.0
-    else:
-        bp = math.exp(1.0 - rl / hl)
-    return precisions, matches, totals, hl, rl, ratio, bp
-
-
 def test_criterion_2_bleu_component_oracle():
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
     vocab = [f"v{i}" for i in range(20)]
+    pairs = []
     for _ in range(1000):
         hyp = [vocab[j] for j in rng.integers(0, 20, size=int(rng.integers(0, 16)))]
         ref = [vocab[j] for j in rng.integers(0, 20, size=int(rng.integers(0, 16)))]
+        pairs.append((hyp, ref))
+    for hyp, ref in pairs:
         c = bleu_components(hyp, ref)
-        p, m, t, hl, rl, ratio, bp = brute_bleu_fields(hyp, ref)
-        assert list(c.precisions) == p
-        assert list(c.matches) == m
-        assert list(c.totals) == t
-        assert (c.hyp_len, c.ref_len) == (hl, rl)
-        assert c.length_ratio == ratio
-        assert c.brevity_penalty == bp
+        want = brute_bleu_fields(hyp, ref)
+        assert list(c.precisions) == want[0:4]
+        assert list(c.matches) == want[4:8]
+        assert list(c.totals) == want[8:12]
+        assert (c.hyp_len, c.ref_len) == tuple(want[12:14])
+        assert c.length_ratio == want[14]
+        assert c.brevity_penalty == want[15]
+    # The path every CLI job runs: the same pairs as token-array lines, loaded and vectorized in bulk.
+    lines = [json.dumps({"id": i, "reference": ref, "hyp1": hyp, "hyp2": [], "y": 1})
+             for i, (hyp, ref) in enumerate(pairs)]
+    batch = vectorize(load_dataset(lines))
+    assert len(batch) == len(pairs)
+    for row, (hyp, ref) in zip(batch.F1, pairs):
+        assert row[:16].tolist() == brute_bleu_fields(hyp, ref)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
-    _report(2, f"1000 random pairs, all 16 fields exact, {elapsed:.1f}s")
+    _report(2, f"1000 random pairs, all 16 fields exact, alone and through load_dataset, {elapsed:.1f}s")
 
 
 def test_criterion_3_tau_oracle():

@@ -358,8 +358,7 @@ def test_store_shares_sentences_and_features_match_oracles(pool, rows, chunk):
         tup = ds.tuples[i]
         assert (tup.hyp1, tup.hyp2, tup.reference) == (pool[h1], pool[h2], pool[r])
         for phi, h in ((batch.F1[i], h1), (batch.F2[i], h2)):
-            p, m, t, hl, rl, ratio, bp = brute_bleu_fields(pool[h], pool[r])
-            assert phi.tobytes() == np.array(p + m + t + [hl, rl, ratio, bp], dtype=float).tobytes()
+            assert phi.tobytes() == np.array(brute_bleu_fields(pool[h], pool[r]), dtype=float).tobytes()
         for psi, j in ((batch.P1[i], h1), (batch.P2[i], h2), (batch.Pr[i], r)):
             assert psi.tobytes() == sequential_mean(pool[j], table)[0].tobytes()
 
@@ -387,12 +386,26 @@ def without(key):
     "null",
     "1" * 5000,
     "[" * 100000,
+    # Each of these used to load as its str(), which predict then wrote out: the split "None", the id "['x']".
+    make_line(id=True),
+    make_line(id=1.5),
+    make_line(id=["x"]),
+    make_line(id=None),
+    make_line(split=None),
+    make_line(split=3),
+    make_line(split={"k": 1}),
 ], ids=["nan-psi", "string-psi", "scalar-psi", "bool-score", "string-score", "huge-score",
         "list-scores", "no-reference", "no-hyp1", "no-hyp2", "array-line", "number-line",
-        "string-line", "null-line", "long-integer", "deep-nesting"])
+        "string-line", "null-line", "long-integer", "deep-nesting", "bool-id", "float-id", "list-id", "null-id",
+        "null-split", "integer-split", "object-split"])
 def test_malformed_record_raises_typed_error_naming_line(bad_line):
     with pytest.raises(DatasetFormatError, match=r"^line 2: "):
         load_dataset(io.StringIO(make_line() + "\n" + bad_line + "\n"))
+
+
+def test_id_may_be_an_integer_or_absent():
+    ds = load_dataset([make_line(id=-7), json.dumps({k: v for k, v in json.loads(make_line()).items() if k != "id"})])
+    assert ds.ids == ("-7", "2")
 
 
 # Field-level mutations of valid records: replace or delete a field, an
@@ -601,10 +614,16 @@ EARLIER_DATA_SIDECAR = (
 
 
 def test_dataset_sidecar_from_the_earlier_loader_is_served(tmp_path):
+    # Version 1 read an id or split of any type; parsed once and rewritten as version 2, which is then served.
     path = data_file(tmp_path, SIDECAR_DATASETS["ties-and-scores"])
     with open(sidecar.sidecar_path(path), "wb") as f:
         f.write(zlib.decompress(base64.b64decode(EARLIER_DATA_SIDECAR)))
+    assert sidecar_members(path)["version"] == 1
     want = parsed(path)
+    with mock.patch.object(data_ingest, "_parse", wraps=data_ingest._parse) as parse:
+        assert_same_dataset(load_dataset(path), want)
+    assert parse.call_count == 1
+    assert sidecar_members(path)["version"] == data_ingest.SIDECAR_VERSION == 2
     with parse_only():
         assert_same_dataset(load_dataset(path), want)
 

@@ -164,7 +164,6 @@ def test_swapped_view_shares_the_traded_block_inputs_without_a_cycle():
     batch = random_input(CFG, 3)
     forward_batch(m, batch)
     swapped = batch.swapped()
-    assert batch.swapped() is swapped
     forward_batch(m, swapped)
     X12, X1r, X2r = batch.block_inputs()
     Y12, Y1r, Y2r = swapped.block_inputs()
@@ -272,13 +271,15 @@ def test_take_keeps_the_labels_with_their_rows():
     assert np.array_equal(part.F1[:, 0], part.y)
 
 
-@pytest.mark.parametrize("built", [False, True], ids=["built-after-take", "gathered-from-parent"])
+@pytest.mark.parametrize("built", [False, True], ids=["built-after-take", "built-before-take"])
 def test_take_keeps_the_block_inputs_with_their_rows(built):
     batch = labelled_input(8, seed=4)
     if built:
         batch.block_inputs()
     idx = [6, 1, 1, 3]
     part = batch.take(idx)
+    # The part gathers none of its parent's block inputs; it builds its own on first use.
+    assert part._blocks is None
     assert all(np.array_equal(x, whole[idx]) for x, whole in zip(part.block_inputs(), batch.block_inputs()))
     for x, (a, b) in zip(part.block_inputs(), BLOCKS.values()):
         assert np.array_equal(x, np.hstack([getattr(part, a), getattr(part, b)]))
@@ -457,10 +458,12 @@ def saved_checkpoint(*path, value=None):
         (saved_checkpoint("config"), "^checkpoint has no config object$"),
         (saved_checkpoint("params", "W12", value="abc"), "^W12 must be an array of numbers$"),
         (saved_checkpoint("params", "W12", value=[[0.5] * 4, [0.5]]), "^W12 must be an array of numbers$"),
+        # numpy alone would load this W12 as [[1.0, -0.5, 0.5, 0.5]].
+        (saved_checkpoint("params", "W12", value=[[True, -0.5, 0.5, 0.5]]), "^W12 must be an array of numbers$"),
         ("[" + saved_checkpoint() + "]", "^checkpoint has no config object$"),
     ],
     ids=["unknown-config-key", "no-sentence-dim", "no-params", "no-config", "string-W12", "ragged-W12",
-         "array-document"],
+         "bool-in-W12", "array-document"],
 )
 def test_malformed_checkpoint_names_what_is_wrong(text, message):
     with pytest.raises(ShapeMismatchError, match=message):

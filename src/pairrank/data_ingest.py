@@ -1,11 +1,11 @@
 """JSON-lines datasets of pairwise translation judgments.
 
 One object per line with fields: id (a string or an integer, by default
-the line number), split (a string, by default "all"), reference, hyp1, hyp2,
-y (1 means hyp1 is better, 0 means hyp2, "tie" drops the record),
-optional external_scores_1/external_scores_2 maps, and optional
-precomputed sentence vectors psi_t1/psi_t2/psi_r. Sentences may be raw
-strings (tokenized on load) or pre-tokenized arrays.
+the line number, and unique among kept records), split (a string, by
+default "all"), reference, hyp1, hyp2, y (1 means hyp1 is better, 0 means
+hyp2, "tie" drops the record), optional external_scores_1/external_scores_2
+maps, and optional precomputed sentence vectors psi_t1/psi_t2/psi_r.
+Sentences may be raw strings (tokenized on load) or pre-tokenized arrays.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ CHUNK_TOKENS = 8192
 # vocabulary in order of first appearance, the sentence dedup), or to the
 # layout; a sidecar of another version is ignored and rewritten. Version 2
 # refuses an id or split of another type, which version 1 read as its str().
+# A repeated id is refused without a bump: a version-2 sidecar that holds
+# one fails the Dataset's own check, so its file is parsed again.
 SIDECAR_VERSION = 2
 
 # What a dataset's sidecar saves: each field of its constructor, and its type (see pairrank.sidecar).
@@ -105,7 +107,7 @@ class Dataset:
     The constructor may freeze an array it is given in place rather than
     copy it, so a caller that keeps the array may no longer write to it.
 
-    ``ids`` and ``splits`` name each of the n tuples. The text is a
+    ``ids`` and ``splits`` name each of the n tuples, no id twice. The text is a
     sentence store that holds each distinct sentence once: sentence ``s`` is
     ``token_ids[offsets[s]:offsets[s + 1]]``, ids into ``vocab``, and
     ``sentences`` (3, n) gives the store sentence of each tuple's hyp1, hyp2
@@ -137,6 +139,11 @@ class Dataset:
         n, k = len(self.ids), len(self.feature_schema)
         if len(set(self.vocab)) != len(self.vocab):
             raise DatasetFormatError("vocab must hold each token once")
+        seen: set[str] = set()
+        for tid in self.ids:
+            if tid in seen:
+                raise DatasetFormatError(f"id {tid!r} repeats")
+            seen.add(tid)
         if list(self.feature_schema) != sorted(set(self.feature_schema)):
             raise InconsistentSchema(f"schema {list(self.feature_schema)} must be sorted and hold each name once")
         if len(self.splits) != n:
@@ -214,8 +221,10 @@ def _scores(obj: dict, lineno: int, name: str) -> dict[str, float]:
 
 def _parse(source: Iterable[str]) -> Dataset:
     """The dataset in JSON lines, as :func:`load_dataset` describes."""
-    # One flat list per field, made into the dataset's columns at the end.
-    ids, splits, labels = [], [], []
+    # One flat list per field, made into the dataset's columns at the end;
+    # ids maps each kept record's id to its line, to name a repeat.
+    ids: dict[str, int] = {}
+    splits, labels = [], []
     scores, vectors = ([], []), ([], [], [])
     schema: Optional[list[str]] = None
     sentence_dim: Optional[int] = None
@@ -265,7 +274,9 @@ def _parse(source: Iterable[str]) -> Dataset:
         for name in ("reference", "hyp1", "hyp2"):
             token_ids.extend(map(vocab.__getitem__, _tokens(obj, lineno, name)))
             ends.append(len(token_ids))
-        ids.append(str(tid))
+        first = ids.setdefault(str(tid), lineno)
+        if first != lineno:
+            raise DatasetFormatError(f"line {lineno}: id {str(tid)!r} repeats line {first}")
         splits.append(split)
         labels.append(y)
         for column, named in zip(scores, ext):
@@ -273,7 +284,7 @@ def _parse(source: Iterable[str]) -> Dataset:
         for column, values in zip(vectors, psi):
             column.extend(values)
     n, schema = len(ids), schema or []
-    return Dataset(ids, splits, list(vocab), *_distinct(token_ids, ends), schema, labels,
+    return Dataset(list(ids), splits, list(vocab), *_distinct(token_ids, ends), schema, labels,
                    np.array(scores).reshape(2, n, len(schema)), np.array(vectors).reshape(3, n, sentence_dim or 0),
                    dropped_ties=dropped)
 

@@ -215,26 +215,20 @@ def _parse_block(linenos: Sequence[int], rests: Sequence[str], dimension: Option
 
 def _parse(source: IO[str] | Iterable[str]) -> EmbeddingTable:
     """The table in the lines of a text embedding file, as :func:`load_embedding_table` describes."""
-    kept: dict[str, None] = {}  # each token read, once, in row order
+    kept: dict[str, int] = {}  # each token read, once, in row order -> the line it came from
     # Grown in place block by block: stacking the blocks at the end would
     # hold the table twice. Row 0 stays the zero vector.
     matrix = np.zeros((1, 0))
-    row_lines: list[int] = []  # the line each of rows 1, 2, ... came from
     dimension: Optional[int] = None
-    duplicates = 0
+    entries = 0
     lines = _data_lines(source)
     while block := list(islice(lines, BLOCK_LINES)):
         linenos, tokens, rests = zip(*block)
         values = _parse_block(linenos, rests, dimension)
         dimension = values.shape[1]
-        keep = []
-        for lineno, token in zip(linenos, tokens):
-            new = token not in kept
-            if new:
-                kept[token] = None
-                row_lines.append(lineno)
-            keep.append(new)
-        duplicates += len(keep) - sum(keep)
+        entries += len(block)
+        # Lines are numbered once each, so setdefault gives back the line given only for a new token.
+        keep = [kept.setdefault(token, lineno) == lineno for lineno, token in zip(linenos, tokens)]
         top = len(matrix)
         matrix.resize((len(kept) + 1, dimension), refcheck=False)
         matrix[top:] = values[keep]
@@ -242,8 +236,8 @@ def _parse(source: IO[str] | Iterable[str]) -> EmbeddingTable:
         raise EmptyTableError("no embedding entries in input")
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if len(bad):
-        raise EmbeddingError(f"line {row_lines[bad[0] - 1]}: non-finite vector value")
-    return EmbeddingTable(matrix, list(kept), duplicates_skipped=duplicates)
+        raise EmbeddingError(f"line {list(kept.values())[bad[0] - 1]}: non-finite vector value")
+    return EmbeddingTable(matrix, list(kept), duplicates_skipped=entries - len(kept))
 
 
 # What a table's sidecar saves: each field of its constructor, and its type (see pairrank.sidecar).

@@ -37,6 +37,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # The type itself: a bool is an int subclass, and neither it nor a numpy integer saves as a JSON integer.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and type(value) is not int:
+                raise ShapeMismatchError(f"config key {f.name} must be an integer, got {json.dumps(value, default=repr)}")
         if self.sentence_dim < 0 or self.pairwise_dim < 0:
             raise ValueError("dimensions must be non-negative")
         if self.sentence_dim + self.pairwise_dim < 1:
@@ -270,7 +275,7 @@ def forward_batch(model: Model, batch: Batch):
     return sigma, (X, Z)
 
 
-def backward_batch(model: Model, batch: Batch, cache, dz: np.ndarray) -> np.ndarray:
+def backward_batch(model: Model, cache, dz: np.ndarray) -> np.ndarray:
     """Parameter gradients given upstream dJ/d(pre-sigmoid output), summed over the
     batch, as one vector in param_shapes order (as flat_copy lays them out)."""
     X, Z = cache
@@ -326,12 +331,6 @@ def load_model(source: IO[str]) -> Model:
     known = {f.name: f.default is MISSING for f in fields(ModelConfig)}
     problems = [f"unexpected config key {k}" for k in config if k not in known]
     problems += [f"missing config key {k}" for k, required in known.items() if required and k not in config]
-    # JSON true and false load as bool, an int subclass; 1.0 and null are not integers either.
-    problems += [
-        f"config key {f.name} must be an integer, got {json.dumps(config[f.name])}"
-        for f in fields(ModelConfig)
-        if f.type == "int" and f.name in config and type(config[f.name]) is not int
-    ]
     if problems:
         raise ShapeMismatchError("; ".join(problems))
     params = {k: _param_array(k, v) for k, v in doc["params"].items()}

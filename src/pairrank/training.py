@@ -159,16 +159,15 @@ def _batch_gradients(model: Model, batch: Batch, cfg: CostConfig, kind: str):
     sigma, cache = forward_batch(model, batch)
     if kind == LOGISTIC:
         cost, dz = _logistic_terms(sigma, batch.y)
-        return backward_batch(model, batch, cache, dz), cost
+        return backward_batch(model, cache, dz), cost
     if kind != KENDALL:
         raise ValueError(f"cannot take gradients of unresolved cost kind {kind!r}")
-    swapped = batch.swapped()
-    sigma_rev, cache_rev = forward_batch(model, swapped)
+    sigma_rev, cache_rev = forward_batch(model, batch.swapped())
     cost, dJ_dDelta = _kendall_terms(sigma - sigma_rev, batch.y, cfg)
     # Delta sees sigma with +1 and sigma' with -1; each pass backprops
     # through its own logistic output.
-    grad = backward_batch(model, batch, cache, dJ_dDelta * sigma * (1.0 - sigma))
-    grad += backward_batch(model, swapped, cache_rev, -dJ_dDelta * sigma_rev * (1.0 - sigma_rev))
+    grad = backward_batch(model, cache, dJ_dDelta * sigma * (1.0 - sigma))
+    grad += backward_batch(model, cache_rev, -dJ_dDelta * sigma_rev * (1.0 - sigma_rev))
     return grad, cost
 
 
@@ -240,7 +239,7 @@ def train(
     # L2 decays the weights, not the biases.
     decayed = np.concatenate([np.full(p.size, name.startswith(("W", "w"))) for name, p in model.params.items()])
     rng = np.random.default_rng(tcfg.shuffle_seed)
-    best, best_tau, since_best = model, -math.inf, 0
+    best = model
     for epoch in range(tcfg.epochs):
         t0 = time.perf_counter()
         kind = ccfg.phase_kind(epoch, tcfg.epochs)
@@ -268,14 +267,10 @@ def train(
                 seconds=time.perf_counter() - t0,
             )
         )
-        if valid_tau > best_tau:
-            best_tau = valid_tau
+        if report.best_epoch is None or valid_tau > report.epochs[report.best_epoch].valid_tau:
             if tcfg.early_stop_patience > 0:
                 best = model.copy()
             report.best_epoch = epoch
-            since_best = 0
-        else:
-            since_best += 1
-        if tcfg.early_stop_patience > 0 and since_best > tcfg.early_stop_patience:
+        if tcfg.early_stop_patience > 0 and epoch - report.best_epoch > tcfg.early_stop_patience:
             break
     return (best if tcfg.early_stop_patience > 0 else model), report

@@ -135,6 +135,23 @@ def test_config_that_is_not_a_json_object_is_refused(tmp_path, capsys, data_file
     assert not model.exists()
 
 
+@pytest.mark.parametrize("config, flags, message", [
+    ({"dropout": 0.1}, [], "unknown config keys: ['dropout']"),
+    (None, ["--hidden", "0"], "hidden_per_block must be positive"),
+    (None, ["--batch-size", "0"], "invalid training configuration"),
+    (None, ["--l2", "-1"], "l2 and early_stop_patience must be non-negative"),
+], ids=["unknown-config-key", "hidden-0", "batch-size-0", "negative-l2"])
+def test_train_refuses_an_option_out_of_range(tmp_path, capsys, data_file, config, flags, message):
+    if config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        flags = flags + ["--config", str(cfg)]
+    model = tmp_path / "m.json"
+    assert run(train_args(data_file, str(model)) + flags) == 1
+    assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_non_finite_float_option_refused(tmp_path, capsys, data_file, source):
     # NaN fails both "l2 < 0" and "l2 > 0", so a range check alone would train unregularized.

@@ -2,6 +2,7 @@ import base64
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -408,6 +409,24 @@ def test_id_may_be_an_integer_or_absent():
     assert ds.ids == ("-7", "2")
 
 
+@pytest.mark.parametrize("lines, message", [
+    # predict would write two rows under one id.
+    ([make_line(id=7), make_line(id="7")], "^line 2: id '7' repeats line 1$"),
+    # A record without an id takes its line number.
+    ([make_line(id=2), without("id")], "^line 2: id '2' repeats line 1$"),
+    ([make_line(), make_line(y="tie"), make_line(y=0)], "^line 3: id 'x1' repeats line 1$"),
+], ids=["integer-and-string", "integer-and-line-number", "past-a-dropped-tie"])
+def test_repeated_id_names_both_lines(lines, message):
+    with pytest.raises(DatasetFormatError, match=message):
+        load_dataset(lines)
+
+
+def test_dataset_refuses_a_repeated_id():
+    ds = load_dataset([make_line(id="t0"), make_line(id="t1", y=0), make_line(id="t2")])
+    with pytest.raises(DatasetFormatError, match="^id 't1' repeats$"):
+        dataclasses.replace(ds, ids=["t0", "t1", "t1"])
+
+
 # Field-level mutations of valid records: replace or delete a field, an
 # element of a vector or a named score, or the whole record.
 json_leaves = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
@@ -529,7 +548,7 @@ texts = st.text(max_size=4) | st.lists(st.sampled_from(["a", "É", " ", "\t", "\
 
 @given(st.lists(st.fixed_dictionaries({"id": texts, "split": texts, "reference": st.lists(texts, max_size=3),
                                        "hyp1": texts, "hyp2": st.lists(texts, max_size=3),
-                                       "y": st.sampled_from([0, 1, "tie"])}), max_size=4))
+                                       "y": st.sampled_from([0, 1, "tie"])}), max_size=4, unique_by=lambda r: r["id"]))
 @settings(max_examples=60, deadline=None)
 def test_any_parsed_dataset_round_trips_through_its_sidecar(records):
     with tempfile.TemporaryDirectory() as tmp:
@@ -576,6 +595,7 @@ BAD_DATA_SIDECARS = {
     "float32-scores": lambda p: rewrite_sidecar(p, scores=sidecar_members(p)["scores"].astype(np.float32)),
     "negative-dropped-ties": lambda p: rewrite_sidecar(p, dropped_ties=np.int64(-1)),
     "repeated-vocab": strings_with("vocab", lambda vocab: [vocab[0], *vocab[:-1]]),
+    "repeated-id": strings_with("ids", lambda ids: [ids[0]] * len(ids)),
     "unsorted-schema": strings_with("feature_schema", lambda schema: schema[::-1]),
 }
 
@@ -626,6 +646,19 @@ def test_dataset_sidecar_from_the_earlier_loader_is_served(tmp_path):
     assert sidecar_members(path)["version"] == data_ingest.SIDECAR_VERSION == 2
     with parse_only():
         assert_same_dataset(load_dataset(path), want)
+
+
+def test_sidecar_of_repeated_ids_is_parsed_again_and_names_the_line(tmp_path):
+    # A version-2 sidecar saved before ids had to be unique, for a file whose ids repeat.
+    path = data_file(tmp_path, [make_line(id=7), make_line(id=8)])
+    load_dataset(path)
+    data_file(tmp_path, [make_line(id=7), make_line(id="7")])
+    strings_with("ids", lambda ids: ["7", "7"])(path)
+    rewrite_sidecar(path, sha256=np.frombuffer(hashlib.sha256(path.read_bytes()).digest(), np.uint8))
+    with mock.patch.object(data_ingest, "_parse", wraps=data_ingest._parse) as parse:
+        with pytest.raises(DatasetFormatError, match="^line 2: id '7' repeats line 1$"):
+            load_dataset(path)
+    assert parse.call_count == 1
 
 
 @pytest.mark.parametrize("sidecar_uid, served", [(1002, False), (1001, True), (1000, True), (0, True)],

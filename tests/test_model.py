@@ -61,6 +61,19 @@ def test_config_validation():
         ModelConfig(sentence_dim=2, pairwise_dim=1, architecture="transformer")
 
 
+@pytest.mark.parametrize("changes, error, message", [
+    ({"sentence_dim": -1}, ValueError, "^dimensions must be non-negative$"),
+    # A checkpoint saved from any of these would not load, or not save at all.
+    ({"seed": True}, ShapeMismatchError, "^config key seed must be an integer, got true$"),
+    ({"hidden_per_block": 2.0}, ShapeMismatchError, r"^config key hidden_per_block must be an integer, got 2\.0$"),
+    ({"seed": np.int64(3)}, ShapeMismatchError,
+     f"^config key seed must be an integer, got {re.escape(json.dumps(repr(np.int64(3))))}$"),
+], ids=["negative-dimension", "bool-seed", "float-hidden", "numpy-integer-seed"])
+def test_model_config_refuses_a_bad_field(changes, error, message):
+    with pytest.raises(error, match=message):
+        ModelConfig(**{"sentence_dim": 2, "pairwise_dim": 1, **changes})
+
+
 def test_init_deterministic():
     a, b = init_model(CFG), init_model(CFG)
     for name in a.param_names:
@@ -460,10 +473,11 @@ def saved_checkpoint(*path, value=None):
         (saved_checkpoint("params", "W12", value=[[0.5] * 4, [0.5]]), "^W12 must be an array of numbers$"),
         # numpy alone would load this W12 as [[1.0, -0.5, 0.5, 0.5]].
         (saved_checkpoint("params", "W12", value=[[True, -0.5, 0.5, 0.5]]), "^W12 must be an array of numbers$"),
+        (saved_checkpoint("params", "W12", value=[[0.5, float("nan"), 0.5, 0.5]]), "^non-finite values in W12$"),
         ("[" + saved_checkpoint() + "]", "^checkpoint has no config object$"),
     ],
     ids=["unknown-config-key", "no-sentence-dim", "no-params", "no-config", "string-W12", "ragged-W12",
-         "bool-in-W12", "array-document"],
+         "bool-in-W12", "nan-in-W12", "array-document"],
 )
 def test_malformed_checkpoint_names_what_is_wrong(text, message):
     with pytest.raises(ShapeMismatchError, match=message):

@@ -110,7 +110,7 @@ def separate_gradients(model, batch, ys, cfg, kind):
     evaluation of the sigmoids: an oracle for the one-definition costs."""
     if kind == "logistic":
         sigma, cache = forward_batch(model, batch)
-        grads = backward_batch(model, batch, cache, sigma - ys)
+        grads = backward_batch(model, cache, sigma - ys)
         s = np.clip(sigma, SIGMA_CLAMP, 1.0 - SIGMA_CLAMP)
         return grads, -np.sum(ys * np.log(s) + (1 - ys) * np.log(1.0 - s))
     swapped = batch.swapped()
@@ -125,8 +125,8 @@ def separate_gradients(model, batch, ys, cfg, kind):
         + g * (1 - ys) * sig_pos * (1.0 - sig_pos)
         - lam * b * delta * np.exp(-b * delta * delta / 2.0)
     )
-    grads = backward_batch(model, batch, cache, dJ_dDelta * sigma * (1.0 - sigma))
-    grads_rev = backward_batch(model, swapped, cache_rev, -dJ_dDelta * sigma_rev * (1.0 - sigma_rev))
+    grads = backward_batch(model, cache, dJ_dDelta * sigma * (1.0 - sigma))
+    grads_rev = backward_batch(model, cache_rev, -dJ_dDelta * sigma_rev * (1.0 - sigma_rev))
     grads = grads + grads_rev
     disagreement = ys * sigmoid(-g * delta) + (1 - ys) * sigmoid(g * delta)
     return grads, np.sum(disagreement + lam * np.exp(-b * delta * delta / 2.0))
@@ -182,6 +182,13 @@ def test_grad_check_catches_a_wrong_slope(monkeypatch, terms, kind):
     monkeypatch.setattr(training, terms, off_slope)
     m = init_model(ModelConfig(3, 2, 2, seed=4))
     assert grad_check(m, mixed_rule_batch(5, seed=4), CostConfig(kind=kind)) > 1e-5
+
+
+def test_batch_gradients_refuse_an_unresolved_cost_kind():
+    m = init_model(ModelConfig(3, 2, 2, seed=4))
+    cfg = CostConfig(kind="logistic-then-kendall")
+    with pytest.raises(ValueError, match="^cannot take gradients of unresolved cost kind 'logistic-then-kendall'$"):
+        training._batch_gradients(m, mixed_rule_batch(5, seed=4), cfg, cfg.kind)
 
 
 def test_cost_config_validation():

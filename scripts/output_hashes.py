@@ -18,7 +18,9 @@ shows whether a change kept every output byte-identical:
     diff parent.json change.json
 
 It exits 1, naming the workload and the job, when a ``rerun`` job's
-hashes differ from the first pass's.
+hashes differ from the first pass's, and, naming the file, when the
+``rerun`` pass rewrote a sidecar (``.*.pairrank.npz``) that the first pass
+wrote, or wrote a new one: the rerun must read every parse from its sidecar.
 """
 
 from __future__ import annotations
@@ -85,22 +87,36 @@ def _with_vectors(records_path: str, features_path: str, path: str) -> None:
             sink.write(json.dumps({**json.loads(line), **{k: row[k] for k in VECTORS}}) + "\n")
 
 
-def workload_hashes(cli, generate, spec, seed: int, tmp: str) -> dict[str, dict]:
-    """Exit code and hashes per job of one workload, its data generated under ``tmp``."""
+def _sidecars(root: str) -> dict[str, tuple[int, int, int]]:
+    """The inode, size and modification time of each sidecar under ``root``, by path."""
+    found = {}
+    for head, _, names in os.walk(root):
+        for name in names:
+            if name.startswith(".") and name.endswith(".pairrank.npz"):
+                st = os.stat(os.path.join(head, name))
+                found[os.path.join(head, name)] = (st.st_ino, st.st_size, st.st_mtime_ns)
+    return found
+
+
+def workload_hashes(cli, generate, spec, seed: int, tmp: str) -> tuple[dict[str, dict], list[str]]:
+    """Exit code and hashes per job of one workload, its data generated under
+    ``tmp``, and the sidecars that the rerun wrote, relative to ``tmp``."""
     paths = generate(spec, seed, os.path.join(tmp, "data"))
     out = {role: os.path.join(tmp, role) for role in ROLES}
     jobs = _jobs(paths, ["--embeddings", paths["embeddings"]], out, spec.train_flags)
     result = _run(cli, jobs, out)
     # The same jobs again in the same directory: the first pass parsed the
     # table and each data file and saved each parse in a sidecar beside it,
-    # and this pass reads them from those sidecars.
+    # and this pass reads them from those sidecars, writing none.
+    before = _sidecars(tmp)
     result["rerun"] = _run(cli, jobs, out)
+    rewritten = [os.path.relpath(path, tmp) for path, st in sorted(_sidecars(tmp).items()) if before.get(path) != st]
     precomputed = os.path.join(tmp, "precomputed.jsonl")
     _with_vectors(paths["test"], out["features"], precomputed)
     out = {role: os.path.join(tmp, f"precomputed_{role}") for role in ROLES}
     data = dict.fromkeys(("train", "valid", "test"), precomputed)
     result["precomputed"] = _run(cli, _jobs(data, [], out, spec.train_flags), out)
-    return result
+    return result, rewritten
 
 
 def main() -> None:
@@ -119,16 +135,19 @@ def main() -> None:
         from workload import WORKLOADS, generate
     finally:
         sys.path.remove(PERFBENCH)
-    doc = {}
+    doc, rewritten = {}, []
     for name, spec in WORKLOADS.items():
         with tempfile.TemporaryDirectory() as tmp:
-            doc[name] = workload_hashes(pairrank.cli, generate, spec, args.seed, tmp)
+            doc[name], files = workload_hashes(pairrank.cli, generate, spec, args.seed, tmp)
+        rewritten += [(name, file) for file in files]
     print(json.dumps(doc, indent=2, sort_keys=True))
     differ = [(name, job) for name, result in doc.items() for job, hashes in result["rerun"].items()
               if hashes != result[job]]
     for name, job in differ:
         print(f"{name} {job}: the rerun's hashes differ from the first pass's", file=sys.stderr)
-    sys.exit(1 if differ else 0)
+    for name, file in rewritten:
+        print(f"{name} {file}: the rerun wrote this sidecar, where it should have read it", file=sys.stderr)
+    sys.exit(1 if differ or rewritten else 0)
 
 
 if __name__ == "__main__":

@@ -36,19 +36,20 @@ CHUNK_TOKENS = 8192
 
 # The version of what a dataset's sidecar saves: the layout of its members
 # and the parse rules that made them. Bump it on any change to what _parse
-# accepts or returns (lowercasing and whitespace tokenization, dropping
-# "tie" rows, the id and split types and defaults, the sorted schema, the
-# vocabulary in order of first appearance, the sentence dedup), or to the
-# layout; a sidecar of another version is ignored and rewritten. Version 2
-# refuses an id or split of another type, which version 1 read as its str().
-# A repeated id is refused without a bump: a version-2 sidecar that holds
-# one fails the Dataset's own check, so its file is parsed again.
-SIDECAR_VERSION = 2
+# accepts or returns (the text's decoding, lowercasing and whitespace
+# tokenization, dropping "tie" rows, the id and split types and defaults,
+# the sorted schema, the vocabulary in order of first appearance, the
+# sentence dedup), or to the layout; a sidecar of another version is
+# ignored and rewritten. Version 3 saves the text fields and the count in
+# one JSON member, and drops a leading byte-order mark, on which version 2
+# failed. A repeated id is refused without a bump: a sidecar that holds one
+# fails the Dataset's own check, so its file is parsed again.
+SIDECAR_VERSION = 3
 
 # What a dataset's sidecar saves: each field of its constructor, and its type (see pairrank.sidecar).
 _FIELDS = {"token_ids": (np.int32, 1), "offsets": (np.int64, 1), "sentences": (np.int32, 2), "labels": (np.int64, 1),
-           "scores": (np.float64, 3), "vectors": (np.float64, 3), "ids": sidecar.STRINGS, "splits": sidecar.STRINGS,
-           "vocab": sidecar.STRINGS, "feature_schema": sidecar.STRINGS, "dropped_ties": sidecar.COUNT}
+           "scores": (np.float64, 3), "vectors": (np.float64, 3), "ids": sidecar.JSON, "splits": sidecar.JSON,
+           "vocab": sidecar.JSON, "feature_schema": sidecar.JSON, "dropped_ties": sidecar.JSON}
 
 
 class DatasetFormatError(ValueError):
@@ -82,6 +83,13 @@ def _column(value, name: str, shape: tuple, bound: Optional[int] = None) -> np.n
     if bound is not None and a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= bound):
         raise DatasetFormatError(f"{name} must hold integers in [0, {bound})")
     return a
+
+
+def _strings(value, name: str) -> tuple[str, ...]:
+    """``value`` as a tuple; raises DatasetFormatError unless it is a sequence of strings."""
+    if isinstance(value, str) or not isinstance(value, Sequence) or not all(isinstance(s, str) for s in value):
+        raise DatasetFormatError(f"{name} must be a sequence of strings")
+    return tuple(value)
 
 
 class _Tuples(Sequence):
@@ -133,8 +141,8 @@ class Dataset:
     tuples = property(_Tuples)
 
     def __post_init__(self):
-        self.ids, self.splits, self.vocab, self.feature_schema = map(
-            tuple, (self.ids, self.splits, self.vocab, self.feature_schema)
+        self.ids, self.splits, self.vocab, self.feature_schema = (
+            _strings(getattr(self, name), name) for name in ("ids", "splits", "vocab", "feature_schema")
         )
         n, k = len(self.ids), len(self.feature_schema)
         if len(set(self.vocab)) != len(self.vocab):
@@ -163,6 +171,8 @@ class Dataset:
             raise DatasetFormatError("offsets must rise from 0 to the number of tokens")
         self.offsets = offsets
         self.sentences = _column(self.sentences, "sentences", (3, n), len(offsets) - 1).astype(np.int32, copy=False)
+        if isinstance(self.dropped_ties, bool) or not isinstance(self.dropped_ties, int):
+            raise DatasetFormatError(f"dropped_ties must be an integer, got {self.dropped_ties!r}")
         if self.dropped_ties < 0:
             raise DatasetFormatError(f"dropped_ties must be >= 0, got {self.dropped_ties}")
         for column in (self.labels, self.scores, self.vectors, self.token_ids, self.offsets, self.sentences):
@@ -354,5 +364,6 @@ def vectorize(dataset: Dataset, table: Optional[EmbeddingTable] = None) -> Batch
             used, slots = np.unique(sentences[:, chunk], return_inverse=True)
             tokens, lens = gather_tokens(*store, used)
             composed, _ = compose_mean_matrix(rows[tokens], lens, table)
-            vectors[:, chunk] = composed[slots.reshape(3, -1)]
+            for s, slots_s in enumerate(slots.reshape(3, -1)):
+                np.take(composed, slots_s, axis=0, out=vectors[s, chunk], mode="clip")
     return Batch(*vectors, *features, dataset.labels)

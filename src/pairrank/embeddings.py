@@ -42,12 +42,14 @@ BLOCK_LINES = 512
 
 # The version of what a sidecar saves: the layout of its members and the
 # parse rules that made them. Bump it on any change to what _parse accepts
-# or returns (header detection, which fields are numeric, the non-finite
-# check, keep-first on duplicates, the token -> row order), or to the
-# layout; a sidecar of another version is ignored and rewritten. Version 1
-# joined the tokens with newlines; version 2 saves them as strings with
-# offsets, as the dataset's sidecar saves its text.
-SIDECAR_VERSION = 2
+# or returns (the text's decoding, header detection, which fields are
+# numeric, the non-finite check, keep-first on duplicates, the token -> row
+# order), or to the layout; a sidecar of another version is ignored and
+# rewritten. Version 1 joined the tokens with newlines, and version 2 saved
+# them as one blob with offsets, and kept a leading byte-order mark as part
+# of the first token; version 3 saves them, with the count, in one JSON
+# member, and drops the mark.
+SIDECAR_VERSION = 3
 
 
 @dataclass
@@ -69,7 +71,12 @@ class EmbeddingTable:
     rows: Mapping[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        m, tokens = self.matrix, tuple(self.tokens)
+        tokens = self.tokens
+        if isinstance(tokens, str) or not isinstance(tokens, Sequence) or not all(isinstance(t, str) for t in tokens):
+            raise EmbeddingError("tokens must be a sequence of strings")
+        if isinstance(self.duplicates_skipped, bool) or not isinstance(self.duplicates_skipped, int):
+            raise EmbeddingError(f"duplicates_skipped must be an integer, got {self.duplicates_skipped!r}")
+        m, tokens = self.matrix, tuple(tokens)
         if m.ndim != 2 or min(m.shape) < 1:
             raise EmbeddingError(f"matrix must be 2-D with a row 0 and width >= 1, got shape {m.shape}")
         if len(tokens) != len(m) - 1:
@@ -241,7 +248,7 @@ def _parse(source: IO[str] | Iterable[str]) -> EmbeddingTable:
 
 
 # What a table's sidecar saves: each field of its constructor, and its type (see pairrank.sidecar).
-_FIELDS = {"matrix": (np.float64, 2), "tokens": sidecar.STRINGS, "duplicates_skipped": sidecar.COUNT}
+_FIELDS = {"matrix": (np.float64, 2), "tokens": sidecar.JSON, "duplicates_skipped": sidecar.JSON}
 
 
 def load_embedding_table(source: sidecar.Source) -> EmbeddingTable:
@@ -284,6 +291,8 @@ def compose_mean_matrix(
         m = np.count_nonzero(length > pos)
         np.take(table.matrix, rows[first[:m] + pos], axis=0, out=step[:m], mode="clip")
         acc[:m] += step[:m]
+    # Freed before the reorder below takes a buffer of its own.
+    del step
     values = np.empty_like(acc)
     values[order] = acc
     np.divide(values, found[:, None], out=values, where=found[:, None] > 0)

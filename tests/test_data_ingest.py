@@ -1,4 +1,5 @@
 import base64
+import codecs
 import contextlib
 import copy
 import dataclasses
@@ -10,6 +11,7 @@ import pathlib
 import tempfile
 import threading
 import tracemalloc
+import zipfile
 import zlib
 from unittest import mock
 
@@ -30,8 +32,8 @@ from pairrank.embeddings import load_embedding_table
 from pairrank.features import assemble_pairwise, bleu_components
 from pairrank.synthetic import token_dataset_lines
 from test_acceptance import brute_bleu_fields
-from test_embeddings import (FullDisk, fail_mkstemp, owned_by, replace_bytes, rewrite_sidecar, sequential_mean,
-                             sidecar_bytes, sidecar_members, strings_with)
+from test_embeddings import (BAD_FIELDS_JSON, FullDisk, fail_mkstemp, owned_by, replace_bytes, rewrite_sidecar,
+                             sequential_mean, sidecar_bytes, sidecar_members, strings_with, write_sidecar)
 
 
 def make_line(**overrides):
@@ -197,10 +199,19 @@ def test_dataset_refuses_scores_outside_the_schema():
     ({"feature_schema": ["M", "M"], "scores": [[[0.9, 0.5]], [[0.1, 0.5]]]},
      r"^schema \['M', 'M'\] must be sorted and hold each name once$"),
     ({"dropped_ties": -1}, "^dropped_ties must be >= 0, got -1$"),
+    # Text fields and the count as a sidecar's JSON may hold them.
+    ({"ids": [7]}, "^ids must be a sequence of strings$"),
+    ({"splits": "c"}, "^splits must be a sequence of strings$"),
+    ({"vocab": {"a": 0, "b": 1}}, "^vocab must be a sequence of strings$"),
+    ({"feature_schema": [["M"]]}, "^feature_schema must be a sequence of strings$"),
+    ({"dropped_ties": True}, "^dropped_ties must be an integer, got True$"),
+    ({"dropped_ties": 1.0}, "^dropped_ties must be an integer, got 1.0$"),
 ], ids=["short-vector", "nan-vector", "vectors-without-tuple-axis", "label-7", "infinite-score", "huge-score",
         "token-outside-vocab", "float-token-ids", "falling-offsets", "offsets-short-of-tokens",
         "sentence-outside-store", "sentences-without-tuple-axis", "splits-for-other-tuples",
-        "repeated-vocab", "unsorted-schema", "repeated-schema-name", "negative-dropped-ties"])
+        "repeated-vocab", "unsorted-schema", "repeated-schema-name", "negative-dropped-ties",
+        "integer-id", "splits-as-one-string", "vocab-as-an-object", "list-in-schema", "true-dropped-ties",
+        "float-dropped-ties"])
 def test_dataset_refuses_bad_columns(columns, message):
     with pytest.raises(DatasetFormatError, match=message):
         hand_built(**columns)
@@ -499,6 +510,8 @@ SIDECAR_DATASETS = {
                  json.dumps({"reference": "r", "hyp1": "h", "hyp2": "h r", "y": 0, "split": "de", "id": 7})],
     "newline-id": [make_line(id="a\nb"), make_line(id="a", split="x\ny\n")],
     "lone-surrogate": [make_line(id="\ud800", split="\udfff"), make_line(hyp1="\ud83d \ude00 x", reference=["\ud800"])],
+    "nul-quote-non-ascii": [make_line(id="a\x00b", split='say "hi"',
+                                      reference=["a\nb", "a\x00b", 'say "hi"', "wörd 日本"])],
     "empty": [make_line(y="tie")],
 }
 
@@ -559,6 +572,28 @@ def test_any_parsed_dataset_round_trips_through_its_sidecar(records):
             assert_same_dataset(load_dataset(path), want)
 
 
+def test_dataset_sidecar_is_one_json_member_and_an_array_per_column(tmp_path):
+    path = data_file(tmp_path, SIDECAR_DATASETS["ties-and-scores"])
+    load_dataset(path)
+    with zipfile.ZipFile(sidecar.sidecar_path(path)) as zf:
+        assert zf.namelist() == ["fields.json", "token_ids.npy", "offsets.npy", "sentences.npy", "labels.npy",
+                                 "scores.npy", "vectors.npy"]
+    assert sidecar_members(path)["fields.json"] == {
+        "version": data_ingest.SIDECAR_VERSION, "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+        "ids": ["x1", "x3"], "splits": ["cz", "cz"], "vocab": ["the", "cat", "sat", "a", "stood", "dog"],
+        "feature_schema": ["M", "TER"], "dropped_ties": 1}
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    # Kept, the mark failed the first line as malformed JSON.
+    want = parsed(data_file(tmp_path, SIDECAR_DATASETS["ties-and-scores"]))
+    path = tmp_path / "bom.jsonl"
+    path.write_bytes(codecs.BOM_UTF8 + (tmp_path / "data.jsonl").read_bytes())
+    assert_same_dataset(load_dataset(path), want)
+    with parse_only():
+        assert_same_dataset(load_dataset(path), want)
+
+
 def test_dataset_sidecar_is_keyed_by_content(tmp_path):
     path = data_file(tmp_path, [make_line(y=1)])
     assert load_dataset(path).labels.tolist() == [1]
@@ -582,21 +617,22 @@ def member_with(name, at, value):
 BAD_DATA_SIDECARS = {
     "truncated": lambda p: replace_bytes(p, sidecar_bytes(p)[:-200]),
     "not-a-zip-file": lambda p: replace_bytes(p, b"not a zip file\n"),
-    "other-version": lambda p: rewrite_sidecar(p, version=np.int64(data_ingest.SIDECAR_VERSION + 1)),
-    "other-digest": lambda p: rewrite_sidecar(p, sha256=np.zeros(32, np.uint8)),
-    "missing-member": lambda p: np.savez(sidecar.sidecar_path(p), **{
-        k: v for k, v in sidecar_members(p).items() if k != "vocab_offsets"}),
-    "pickled-member": lambda p: rewrite_sidecar(p, ids=np.array(["x1", "x2"], dtype=object)),
+    "other-version": lambda p: rewrite_sidecar(p, version=data_ingest.SIDECAR_VERSION + 1),
+    "other-digest": lambda p: rewrite_sidecar(p, sha256="0" * 64),
+    "missing-member": lambda p: write_sidecar(p, {k: v for k, v in sidecar_members(p).items() if k != "scores"}),
+    "pickled-member": lambda p: rewrite_sidecar(p, labels=sidecar_members(p)["labels"].astype(object)),
     "label-of-7": member_with("labels", 0, 7),
-    "token-id-outside-vocabulary": lambda p: member_with("token_ids", 0, len(sidecar_members(p)["vocab_offsets"]))(p),
+    "token-id-outside-vocabulary": lambda p: member_with("token_ids", 0, len(sidecar_members(p)["fields.json"]["vocab"]))(p),
     "falling-offsets": member_with("offsets", 1, 7),
-    "blob-offset-out-of-range": lambda p: member_with("ids_offsets", -1, len(sidecar_members(p)["ids"]) + 1)(p),
-    "falling-blob-offsets": member_with("vocab_offsets", 1, 9),
     "float32-scores": lambda p: rewrite_sidecar(p, scores=sidecar_members(p)["scores"].astype(np.float32)),
-    "negative-dropped-ties": lambda p: rewrite_sidecar(p, dropped_ties=np.int64(-1)),
+    "negative-dropped-ties": lambda p: rewrite_sidecar(p, dropped_ties=-1),
+    "true-dropped-ties": lambda p: rewrite_sidecar(p, dropped_ties=True),
     "repeated-vocab": strings_with("vocab", lambda vocab: [vocab[0], *vocab[:-1]]),
     "repeated-id": strings_with("ids", lambda ids: [ids[0]] * len(ids)),
+    "numeric-id": strings_with("ids", lambda ids: list(range(len(ids)))),
+    "null-split": strings_with("splits", lambda splits: [None] * len(splits)),
     "unsorted-schema": strings_with("feature_schema", lambda schema: schema[::-1]),
+    **BAD_FIELDS_JSON,
 }
 
 
@@ -634,7 +670,7 @@ EARLIER_DATA_SIDECAR = (
 
 
 def test_dataset_sidecar_from_the_earlier_loader_is_served(tmp_path):
-    # Version 1 read an id or split of any type; parsed once and rewritten as version 2, which is then served.
+    # Version 1 read an id or split of any type; parsed once and rewritten as version 3, which is then served.
     path = data_file(tmp_path, SIDECAR_DATASETS["ties-and-scores"])
     with open(sidecar.sidecar_path(path), "wb") as f:
         f.write(zlib.decompress(base64.b64decode(EARLIER_DATA_SIDECAR)))
@@ -643,18 +679,17 @@ def test_dataset_sidecar_from_the_earlier_loader_is_served(tmp_path):
     with mock.patch.object(data_ingest, "_parse", wraps=data_ingest._parse) as parse:
         assert_same_dataset(load_dataset(path), want)
     assert parse.call_count == 1
-    assert sidecar_members(path)["version"] == data_ingest.SIDECAR_VERSION == 2
+    assert sidecar_members(path)["fields.json"]["version"] == data_ingest.SIDECAR_VERSION == 3
     with parse_only():
         assert_same_dataset(load_dataset(path), want)
 
 
 def test_sidecar_of_repeated_ids_is_parsed_again_and_names_the_line(tmp_path):
-    # A version-2 sidecar saved before ids had to be unique, for a file whose ids repeat.
+    # A sidecar saved before ids had to be unique, for a file whose ids repeat.
     path = data_file(tmp_path, [make_line(id=7), make_line(id=8)])
     load_dataset(path)
     data_file(tmp_path, [make_line(id=7), make_line(id="7")])
-    strings_with("ids", lambda ids: ["7", "7"])(path)
-    rewrite_sidecar(path, sha256=np.frombuffer(hashlib.sha256(path.read_bytes()).digest(), np.uint8))
+    rewrite_sidecar(path, ids=["7", "7"], sha256=hashlib.sha256(path.read_bytes()).hexdigest())
     with mock.patch.object(data_ingest, "_parse", wraps=data_ingest._parse) as parse:
         with pytest.raises(DatasetFormatError, match="^line 2: id '7' repeats line 1$"):
             load_dataset(path)

@@ -1,8 +1,11 @@
 import base64
+import codecs
 import hashlib
 import io
+import json
 import os
 import threading
+import zipfile
 import zlib
 from unittest import mock
 
@@ -202,6 +205,10 @@ BAD_TABLES = {
     "no-row-0": (np.zeros((0, 2)), [], 0),
     "width-0": (np.zeros((3, 0)), ["a", "b"], 0),
     "negative-duplicates": (TABLE_MATRIX, ["a", "b"], -1),
+    "list-token": (TABLE_MATRIX, ["a", ["b"]], 0),
+    "tokens-as-one-string": (TABLE_MATRIX, "ab", 0),
+    "bool-duplicates": (TABLE_MATRIX, ["a", "b"], True),
+    "float-duplicates": (TABLE_MATRIX, ["a", "b"], 1.0),
 }
 
 
@@ -380,6 +387,7 @@ SIDECAR_TABLES = {
     "header-comments-duplicate": "3 2\n# comment\na 1 2\n\nb -0.0 4.9e-324\na 9 9\n# end\nc 5 6",
     "non-ascii": "wörd 1 2\n日本 3 4\nçà\t5 6\nwörd 7 8\n",
     "line-ends": "a 1 2\r\nb 3 4\rc 5 6\n",
+    "nul-quote-backslash": 'a\x00b 1 2\nsay" 3 4\nc\\d 5 6\n',
 }
 
 
@@ -412,6 +420,26 @@ def test_cold_and_warm_loads_give_the_parsed_table(tmp_path, text):
         warm = load_embedding_table(str(path))
     assert_same_table(cold, want)
     assert_same_table(warm, want)
+
+
+def test_sidecar_is_one_json_member_and_the_matrix(tmp_path):
+    path = table_file(tmp_path, "a 1 2\nb 3 4\nb 5 6\n")
+    load_embedding_table(path)
+    with zipfile.ZipFile(sidecar.sidecar_path(path)) as zf:
+        assert zf.namelist() == ["fields.json", "matrix.npy"]
+    assert sidecar_members(path)["fields.json"] == {
+        "version": embeddings.SIDECAR_VERSION, "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+        "tokens": ["a", "b"], "duplicates_skipped": 1}
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    # Kept, the mark would open the first token, and "a" would compose as out of the vocabulary.
+    want = load_embedding_table(table_file(tmp_path, "a 1 2\nb 3 4\n"))
+    path = tmp_path / "bom.txt"
+    path.write_bytes(codecs.BOM_UTF8 + b"a 1 2\nb 3 4\n")
+    assert_same_table(load_embedding_table(path), want)
+    with parse_only():
+        assert_same_table(load_embedding_table(path), want)
 
 
 @pytest.mark.parametrize("served", [False, True], ids=["parsed", "from-sidecar"])
@@ -451,12 +479,37 @@ def test_sidecar_takes_the_tables_read_and_write_bits(tmp_path, mode):
 
 
 def sidecar_members(path):
+    """The sidecar's members by name: ``fields.json`` as the JSON it holds, each array without its ``.npy``."""
     with np.load(sidecar.sidecar_path(path)) as npz:
-        return dict(npz)
+        return {name: json.loads(npz[name]) if name == "fields.json" else npz[name] for name in npz.files}
+
+
+def write_sidecar(path, members):
+    """Write ``members`` as the sidecar: ``fields.json`` as JSON (or, given bytes, as they are), each array as ``.npy``."""
+    with zipfile.ZipFile(sidecar.sidecar_path(path), "w") as zf:
+        for name, value in members.items():
+            if name == "fields.json":
+                zf.writestr(name, value if isinstance(value, bytes) else json.dumps(value))
+            else:
+                with zf.open(f"{name}.npy", "w") as out:
+                    np.lib.format.write_array(out, np.asanyarray(value))
 
 
 def rewrite_sidecar(path, **changes):
-    np.savez(sidecar.sidecar_path(path), **{**sidecar_members(path), **changes})
+    """Write the sidecar again with each change: to the key of ``fields.json`` of that name, else to that array."""
+    members = sidecar_members(path)
+    fields = members["fields.json"]
+    for name, value in changes.items():
+        (fields if name in fields else members)[name] = value
+    write_sidecar(path, members)
+
+
+def fields_with(change):
+    """A spoiler that rewrites the sidecar's ``fields.json`` as ``change`` of the JSON it holds."""
+    def spoil(path):
+        members = sidecar_members(path)
+        write_sidecar(path, {**members, "fields.json": change(members["fields.json"])})
+    return spoil
 
 
 def sidecar_bytes(path):
@@ -490,14 +543,18 @@ def matrix_with(row, col, value):
 
 
 def strings_with(name, change):
-    """A spoiler that rewrites the sidecar's text column ``name`` as ``change`` of its strings."""
-    def spoil(path):
-        members = sidecar_members(path)
-        text, ends = members[name].tobytes().decode("utf-8"), members[f"{name}_offsets"].tolist()
-        strings = change([text[a:b] for a, b in zip(ends, ends[1:])])
-        rewrite_sidecar(path, **{name: np.frombuffer("".join(strings).encode("utf-8"), np.uint8),
-                                 f"{name}_offsets": np.cumsum([0, *map(len, strings)], dtype=np.int64)})
-    return spoil
+    """A spoiler that rewrites the sidecar's text field ``name`` as ``change`` of its strings."""
+    return fields_with(lambda fields: {**fields, name: change(fields[name])})
+
+
+# What any sidecar's fields.json may be spoiled to.
+BAD_FIELDS_JSON = {
+    "fields-not-json": fields_with(lambda fields: b"{not json"),
+    "fields-not-an-object": fields_with(lambda fields: list(fields.values())),
+    "fields-missing-a-key": fields_with(lambda fields: {k: v for k, v in fields.items() if k != "sha256"}),
+    "fields-with-an-extra-key": fields_with(lambda fields: {**fields, "rows": {}}),
+    "no-fields-member": lambda p: write_sidecar(p, {k: v for k, v in sidecar_members(p).items() if k != "fields.json"}),
+}
 
 
 BAD_SIDECARS = {
@@ -505,11 +562,10 @@ BAD_SIDECARS = {
     "not-a-zip-file": lambda p: replace_bytes(p, b"not a zip file\n"),
     "a-npy-file": write_npy,
     "corrupt-matrix-byte": flip_last_matrix_byte,
-    "other-version": lambda p: rewrite_sidecar(p, version=np.int64(embeddings.SIDECAR_VERSION + 1)),
-    "other-digest": lambda p: rewrite_sidecar(p, sha256=np.zeros(32, np.uint8)),
-    "missing-member": lambda p: np.savez(sidecar.sidecar_path(p), **{
-        k: v for k, v in sidecar_members(p).items() if k != "duplicates_skipped"}),
-    "pickled-member": lambda p: rewrite_sidecar(p, tokens=np.array(["a", "b"], dtype=object)),
+    "other-version": lambda p: rewrite_sidecar(p, version=embeddings.SIDECAR_VERSION + 1),
+    "other-digest": lambda p: rewrite_sidecar(p, sha256="0" * 64),
+    "missing-member": lambda p: write_sidecar(p, {k: v for k, v in sidecar_members(p).items() if k != "matrix"}),
+    "pickled-member": lambda p: rewrite_sidecar(p, matrix=np.array([[0, 0], [1, 2], [3, 4]], dtype=object)),
     "float32-matrix": lambda p: rewrite_sidecar(p, matrix=sidecar_members(p)["matrix"].astype(np.float32)),
     "non-finite-value": matrix_with(1, 0, np.nan),
     "non-zero-row-0": matrix_with(0, 1, 1.0),
@@ -517,9 +573,13 @@ BAD_SIDECARS = {
     "duplicate-tokens": strings_with("tokens", lambda tokens: [tokens[0], tokens[0]]),
     "token-with-space": strings_with("tokens", lambda tokens: [tokens[0], "b c"]),
     "empty-token": strings_with("tokens", lambda tokens: [tokens[0], ""]),
-    "tokens-offsets-do-not-split": lambda p: rewrite_sidecar(p, tokens_offsets=np.array([0, 1, 3], np.int64)),
+    "list-token": strings_with("tokens", lambda tokens: [tokens[0], [tokens[1]]]),
+    "tokens-as-one-string": strings_with("tokens", "".join),
     "wrong-row-count": lambda p: rewrite_sidecar(p, matrix=np.zeros((4, 2))),
-    "negative-duplicates": lambda p: rewrite_sidecar(p, duplicates_skipped=np.int64(-1)),
+    "negative-duplicates": lambda p: rewrite_sidecar(p, duplicates_skipped=-1),
+    "true-duplicates": lambda p: rewrite_sidecar(p, duplicates_skipped=True),
+    "float-duplicates": lambda p: rewrite_sidecar(p, duplicates_skipped=0.0),
+    **BAD_FIELDS_JSON,
 }
 
 
@@ -550,7 +610,7 @@ EARLIER_SIDECAR = (
 
 
 def test_sidecar_from_the_earlier_loader_is_served(tmp_path):
-    # Parsed once and rewritten as version 2, which is then served.
+    # Parsed once and rewritten as version 3, which is then served.
     path = table_file(tmp_path, "a 1 2\nb 3 4\nb 5 6\n")
     with open(sidecar.sidecar_path(path), "wb") as f:
         f.write(zlib.decompress(base64.b64decode(EARLIER_SIDECAR)))
@@ -559,7 +619,7 @@ def test_sidecar_from_the_earlier_loader_is_served(tmp_path):
     with mock.patch.object(embeddings, "_parse", wraps=embeddings._parse) as parse:
         assert_same_table(load_embedding_table(path), want)
     assert parse.call_count == 1
-    assert sidecar_members(path)["version"] == embeddings.SIDECAR_VERSION == 2
+    assert sidecar_members(path)["fields.json"]["version"] == embeddings.SIDECAR_VERSION == 3
     with parse_only():
         assert_same_table(load_embedding_table(path), want)
 

@@ -1,13 +1,14 @@
 """Peak memory and wall time of ingest at scale: ``load_dataset`` then ``vectorize``.
 
 The data set is ``--copies`` unique-ref train splits from
-``perfbench/workload.py`` (seeds 1, 2, ...), concatenated: 25 copies give
-50,000 tuples. The first copy's embedding table is the table. A fresh
+``perfbench/workload.py`` (seeds 1, 2, ...), concatenated, each copy's ids
+prefixed with its seed so that no id repeats: 25 copies give 50,000
+tuples. The first copy's embedding table is the table. A fresh
 interpreter, importing pairrank from ``CHECKOUT/src``, loads the table by
 path as the CLI does, then the data set by path, then vectorizes it, then
 loads the data set a second time. The data sit in a new temporary
 directory, so the first load of each file is a cold one: it parses the
-text and writes the sidecar. The second load of the data set
+text, counts each tuple's clipped n-gram matches and writes the sidecar. The second load of the data set
 (``warm_load``) reads that sidecar. The script prints one JSON object with
 the wall seconds of each step and ``ru_maxrss`` (the process's peak
 resident set, in MB) after each:
@@ -17,7 +18,8 @@ resident set, in MB) after each:
 
 The data are generated in a separate interpreter too. A child process can
 inherit its parent's peak resident set, so the process that starts the
-measurement imports neither numpy nor pairrank.
+measurement imports neither numpy nor pairrank. A failing child's standard
+error is printed before the script exits 1.
 """
 
 from __future__ import annotations
@@ -49,7 +51,10 @@ def generate(copies: int, out_dir: str) -> None:
         for seed in range(1, copies + 1):
             paths = generate(WORKLOADS["unique-ref"], seed, os.path.join(out_dir, str(seed)))
             with open(paths["train"], encoding="utf-8") as f:
-                sink.write(f.read())
+                for line in f:
+                    doc = json.loads(line)
+                    doc["id"] = f"{seed}:{doc['id']}"
+                    sink.write(json.dumps(doc) + "\n")
             if seed == 1:
                 os.replace(paths["embeddings"], os.path.join(out_dir, "embeddings.txt"))
 
@@ -98,7 +103,10 @@ def main() -> None:
     script = [sys.executable, os.path.abspath(__file__), "--root", args.root, "--copies", str(args.copies)]
     with tempfile.TemporaryDirectory() as tmp:
         subprocess.run([*script, "--generate", tmp], check=True)
-        child = subprocess.run([*script, "--measure", tmp], capture_output=True, text=True, check=True)
+        child = subprocess.run([*script, "--measure", tmp], capture_output=True, text=True)
+    if child.returncode:
+        sys.stderr.write(child.stderr)
+        sys.exit(f"the measuring child exited {child.returncode}")
     print(json.dumps({"root": os.path.abspath(args.root), "copies": args.copies, **json.loads(child.stdout)},
                      indent=2))
 

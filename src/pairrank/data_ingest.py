@@ -22,16 +22,16 @@ import numpy as np
 
 from . import sidecar
 from .embeddings import EmbeddingTable, compose_mean_matrix, gather_tokens, tokenize
-from .features import BLEUCOMP_FEATURE_NAMES, bleu_matrix
+from .features import BLEUCOMP_FEATURE_NAMES, MAX_ORDER, bleu_columns, clipped_matches
 from .model import Batch
 
 # Not called here: the benchmark's traced run hooks these names on this module.
 from .embeddings import compose_sentence_vector  # noqa: F401
 from .features import assemble_pairwise, bleu_components  # noqa: F401
 
-# Tokens per bulk feature pass (a tuple's hyp1, hyp2 and reference tokens, summed
-# over its tuples); bounds the size of its temporary arrays. A pass holds at least
-# one tuple, so one tuple larger than the budget is a pass of its own.
+# Tokens per bulk pass of n-gram counting or composition (a tuple's hyp1, hyp2 and
+# reference tokens, summed over its tuples); bounds the size of its temporary arrays.
+# A pass holds at least one tuple, so one tuple larger than the budget is a pass of its own.
 CHUNK_TOKENS = 8192
 
 # The version of what a dataset's sidecar saves: the layout of its members
@@ -39,17 +39,19 @@ CHUNK_TOKENS = 8192
 # accepts or returns (the text's decoding, lowercasing and whitespace
 # tokenization, dropping "tie" rows, the id and split types and defaults,
 # the sorted schema, the vocabulary in order of first appearance, the
-# sentence dedup), or to the layout; a sidecar of another version is
-# ignored and rewritten. Version 3 saves the text fields and the count in
-# one JSON member, and drops a leading byte-order mark, on which version 2
-# failed. A repeated id is refused without a bump: a sidecar that holds one
-# fails the Dataset's own check, so its file is parsed again.
-SIDECAR_VERSION = 3
+# sentence dedup, the clipped n-gram matches), or to the layout; a sidecar
+# of another version is ignored and rewritten. Version 3 saves the text
+# fields and the count in one JSON member, and drops a leading byte-order
+# mark, on which version 2 failed. Version 4 saves the clipped matches, so
+# a warm load counts no n-grams. A repeated id is refused without a bump: a
+# sidecar that holds one fails the Dataset's own check, so its file is
+# parsed again.
+SIDECAR_VERSION = 4
 
 # What a dataset's sidecar saves: each field of its constructor, and its type (see pairrank.sidecar).
-_FIELDS = {"token_ids": (np.int32, 1), "offsets": (np.int64, 1), "sentences": (np.int32, 2), "labels": (np.int64, 1),
-           "scores": (np.float64, 3), "vectors": (np.float64, 3), "ids": sidecar.JSON, "splits": sidecar.JSON,
-           "vocab": sidecar.JSON, "feature_schema": sidecar.JSON, "dropped_ties": sidecar.JSON}
+_FIELDS = {"token_ids": (np.int32, 1), "offsets": (np.int64, 1), "sentences": (np.int32, 2), "matches": (np.int32, 3),
+           "labels": (np.int64, 1), "scores": (np.float64, 3), "vectors": (np.float64, 3), "ids": sidecar.JSON,
+           "splits": sidecar.JSON, "vocab": sidecar.JSON, "feature_schema": sidecar.JSON, "dropped_ties": sidecar.JSON}
 
 
 class DatasetFormatError(ValueError):
@@ -119,8 +121,10 @@ class Dataset:
     sentence store that holds each distinct sentence once: sentence ``s`` is
     ``token_ids[offsets[s]:offsets[s + 1]]``, ids into ``vocab``, and
     ``sentences`` (3, n) gives the store sentence of each tuple's hyp1, hyp2
-    and reference. ``labels`` (n,) is 1 where hyp1 was judged better and 0
-    where hyp2 was; ``scores`` (2, n, k) holds the external scores of hyp1
+    and reference. ``matches`` (2, n, 4) holds the clipped n-gram matches of
+    hyp1 and hyp2 against the tuple's reference for n = 1..4, counted once,
+    at parse. ``labels`` (n,) is 1 where hyp1 was judged better and 0 where
+    hyp2 was; ``scores`` (2, n, k) holds the external scores of hyp1
     and hyp2 in ``feature_schema`` order; ``vectors`` (3, n, d) the
     precomputed sentence vectors of hyp1, hyp2 and the reference, with
     d = 0 when there are none.
@@ -132,6 +136,7 @@ class Dataset:
     token_ids: np.ndarray
     offsets: np.ndarray
     sentences: np.ndarray
+    matches: np.ndarray
     feature_schema: Sequence[str]
     labels: np.ndarray
     scores: np.ndarray
@@ -171,12 +176,26 @@ class Dataset:
             raise DatasetFormatError("offsets must rise from 0 to the number of tokens")
         self.offsets = offsets
         self.sentences = _column(self.sentences, "sentences", (3, n), len(offsets) - 1).astype(np.int32, copy=False)
+        matches = _column(self.matches, "matches", (2, n, MAX_ORDER), np.iinfo(np.int32).max)
+        # A hypothesis of m tokens holds max(m - k + 1, 0) k-grams, the most it can match. One order
+        # at a time, so that the check's temporary arrays are of one value per hypothesis.
+        length = _lengths(offsets, self.sentences[:2])
+        if any((matches[..., k] > np.maximum(length - k, 0)).any() for k in range(MAX_ORDER)):
+            raise DatasetFormatError("matches must not exceed their hypothesis's k-gram totals")
+        self.matches = matches.astype(np.int32, copy=False)
         if isinstance(self.dropped_ties, bool) or not isinstance(self.dropped_ties, int):
             raise DatasetFormatError(f"dropped_ties must be an integer, got {self.dropped_ties!r}")
         if self.dropped_ties < 0:
             raise DatasetFormatError(f"dropped_ties must be >= 0, got {self.dropped_ties}")
-        for column in (self.labels, self.scores, self.vectors, self.token_ids, self.offsets, self.sentences):
+        for column in (self.labels, self.scores, self.vectors, self.token_ids, self.offsets, self.sentences,
+                       self.matches):
             column.flags.writeable = False
+
+
+def _lengths(offsets: np.ndarray, sentences: np.ndarray) -> np.ndarray:
+    """The number of tokens of each of ``sentences``, from a store's ``offsets``, without
+    an array over the whole store."""
+    return offsets[sentences + 1] - offsets[sentences]
 
 
 def _tokens(obj: dict, lineno: int, name: str) -> list[str]:
@@ -294,7 +313,10 @@ def _parse(source: Iterable[str]) -> Dataset:
         for column, values in zip(vectors, psi):
             column.extend(values)
     n, schema = len(ids), schema or []
-    return Dataset(list(ids), splits, list(vocab), *_distinct(token_ids, ends), schema, labels,
+    # The store takes the place of the token ids read, which are freed before counting.
+    token_ids, offsets, sentences = _distinct(token_ids, ends)
+    return Dataset(list(ids), splits, list(vocab), token_ids, offsets, sentences,
+                   _matches(token_ids, offsets, sentences), schema, labels,
                    np.array(scores).reshape(2, n, len(schema)), np.array(vectors).reshape(3, n, sentence_dim or 0),
                    dropped_ties=dropped)
 
@@ -316,6 +338,34 @@ def _distinct(token_ids: array, ends: array) -> tuple[np.ndarray, np.ndarray, np
     return np.frombuffer(b"".join(seen), np.intc), offsets, sentences
 
 
+def _chunks(offsets: np.ndarray, sentences: np.ndarray) -> list[slice]:
+    """The tuples of ``sentences`` (3, n), into a store with ``offsets``, in runs of
+    whole tuples whose tokens fit ``CHUNK_TOKENS``, or of one tuple larger than that.
+
+    The runs are all cut before any is used, so the arrays that cut them are
+    freed before the caller's pass over them.
+    """
+    # The tokens read by the end of each tuple; a chunk ends at the last tuple that keeps it within the budget.
+    ends = np.cumsum(sum(_lengths(offsets, s) for s in sentences))
+    chunks, lo = [], 0
+    while lo < len(ends):
+        hi = max(lo + 1, int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + CHUNK_TOKENS, "right")))
+        chunks.append(slice(lo, hi))
+        lo = hi
+    return chunks
+
+
+def _matches(token_ids: np.ndarray, offsets: np.ndarray, sentences: np.ndarray) -> np.ndarray:
+    """The (2, n, 4) clipped n-gram matches of each tuple's hyp1 and hyp2 against its
+    reference, counted a chunk at a time (see :func:`_chunks`)."""
+    matches = np.empty((2, sentences.shape[1], MAX_ORDER), np.int32)
+    for chunk in _chunks(offsets, sentences):
+        refs = sentences[2, chunk]
+        counted = clipped_matches(token_ids, offsets, sentences[:2, chunk].ravel(), np.tile(refs, 2))
+        matches[:, chunk] = counted.reshape(2, len(refs), MAX_ORDER)
+    return matches
+
+
 def load_dataset(source: sidecar.Source) -> Dataset:
     """A :class:`Dataset` from a JSON-lines file, given by path or as lines.
 
@@ -332,12 +382,12 @@ def vectorize(dataset: Dataset, table: Optional[EmbeddingTable] = None) -> Batch
     Sentence vectors come from one source: the dataset's precomputed
     vectors when it has them, else mean composition over ``table`` when
     given, else they have width 0; a table given for precomputed vectors
-    raises. The pairwise feature vectors are freshly computed BLEU
-    components, then the dataset's external scores. The BLEU and
-    composition work runs on the dataset's sentence store in bulk, over
-    chunks of whole tuples whose tokens fit ``CHUNK_TOKENS`` (or of one
-    tuple larger than that), into preallocated columns, and gives the same
-    values bit for bit as counting and composing one tuple at a time.
+    raises. The pairwise feature vectors are the BLEU components, made
+    from the dataset's clipped matches and sentence lengths, then its
+    external scores. The BLEU columns and the composition are made in bulk
+    from the dataset's sentence store, over the chunks that counted the
+    matches (see :func:`_chunks`), into preallocated columns, and give the
+    same values bit for bit as counting and composing one tuple at a time.
     """
     if dataset.vectors.size and table is not None:
         raise DatasetFormatError(f"tuple {dataset.ids[0]}: precomputed sentence vectors and an embedding table given")
@@ -350,15 +400,11 @@ def vectorize(dataset: Dataset, table: Optional[EmbeddingTable] = None) -> Batch
     else:
         vectors = np.empty((3, n, table.dimension))
         rows = table.rows_of(dataset.vocab)
-    # The tokens read by the end of each tuple; a chunk ends at the last tuple that keeps it within the budget.
-    ends = np.cumsum(np.diff(dataset.offsets)[sentences].sum(axis=0))
-    lo = 0
-    while lo < n:
-        hi = max(lo + 1, int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + CHUNK_TOKENS, "right")))
-        chunk, lo = slice(lo, hi), hi
-        refs = sentences[2, chunk]
-        bleu = bleu_matrix(*store, sentences[:2, chunk].ravel(), np.tile(refs, 2))
-        features[:, chunk, :k] = bleu.reshape(2, len(refs), k)
+    for chunk in _chunks(dataset.offsets, sentences):
+        hyps, refs = sentences[:2, chunk].ravel(), np.tile(sentences[2, chunk], 2)
+        lengths = (_lengths(dataset.offsets, s) for s in (hyps, refs))
+        bleu = bleu_columns(dataset.matches[:, chunk].reshape(-1, MAX_ORDER), *lengths)
+        features[:, chunk, :k] = bleu.reshape(2, -1, k)
         if table is not None:
             # Each distinct sentence of the chunk is composed once; its tuples share the row.
             used, slots = np.unique(sentences[:, chunk], return_inverse=True)

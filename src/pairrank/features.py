@@ -19,7 +19,7 @@ from .embeddings import encode_tokens, gather_tokens
 MAX_ORDER = 4
 
 # The int64 bound under which n-gram codes and their (sentence, code) keys are
-# kept exact; _clipped_counts renumbers them densely before they reach it.
+# kept exact; clipped_matches renumbers them densely before they reach it.
 CODE_LIMIT = 2**62
 
 
@@ -80,21 +80,18 @@ class PairwiseFeatures:
             raise NonFiniteFeature("feature vector contains non-finite values")
 
 
-def _clipped_counts(
-    token_ids: np.ndarray, offsets: np.ndarray, hyps, refs, max_order: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Clipped n-gram matches and hypothesis n-gram totals of each (hyps[i], refs[i])
-    pair of sentences of a store (see ``gather_tokens``).
+def clipped_matches(token_ids: np.ndarray, offsets: np.ndarray, hyps, refs, max_order: int = MAX_ORDER) -> np.ndarray:
+    """The clipped n-gram matches of each (hyps[i], refs[i]) pair of sentences of a
+    store (see ``gather_tokens``), as an (N, max_order) int32 array for n = 1..max_order.
 
-    Returns (N, max_order) arrays of matches and totals for n = 1..max_order,
-    then both lengths. Each k-gram's code is exact: the (k-1)-gram code
-    before it times the number of token ids, plus its last token id, so no
-    two distinct grams share a code. Once a (sentence, code) key or the next
-    order's codes could reach ``CODE_LIMIT``, the order's codes are
-    renumbered densely with ``np.unique``, which keeps them distinct and
-    small. Grams are counted
-    per hypothesis, and once per distinct reference; clipped matches come
-    from a sorted lookup of each hypothesis gram in its reference's counts.
+    Each k-gram's code is exact: the (k-1)-gram code before it times the
+    number of token ids, plus its last token id, so no two distinct grams
+    share a code. Once a (sentence, code) key or the next order's codes
+    could reach ``CODE_LIMIT``, the order's codes are renumbered densely
+    with ``np.unique``, which keeps them distinct and small. Grams are
+    counted per hypothesis, and once per distinct reference; clipped
+    matches come from a sorted lookup of each hypothesis gram in its
+    reference's counts.
     """
     hyps, refs = np.asarray(hyps, dtype=np.int64), np.asarray(refs, dtype=np.int64)
     n = len(hyps)
@@ -108,10 +105,8 @@ def _clipped_counts(
     sentence = np.repeat(np.arange(len(lens)), lens)
     # Tokens from each position to the end of its sentence, itself included.
     room = lens[sentence] - (np.arange(len(ids)) - starts[sentence])
-    hyp_len, ref_len = lens[:n], lens[n:][ref_of]
     ref_sentence = n + ref_of
-    matches = np.zeros((n, max_order))
-    totals = np.zeros((n, max_order), dtype=np.int64)
+    matches = np.zeros((n, max_order), dtype=np.int32)
     code, n_codes = ids, n_ids
     for k in range(1, max_order + 1):
         if k > 1:
@@ -134,16 +129,16 @@ def _clipped_counts(
         at = np.searchsorted(ref_keys, want)
         in_ref = np.where(ref_keys[at] == want, ref_counts[at], 0)
         matches[:, k - 1] = np.bincount(row, weights=np.minimum(hyp_counts, in_ref), minlength=n)
-        totals[:, k - 1] = np.maximum(hyp_len - k + 1, 0)
-    return matches, totals, hyp_len, ref_len
+    return matches
 
 
-def bleu_matrix(token_ids: np.ndarray, offsets: np.ndarray, hyps, refs) -> np.ndarray:
-    """The 16 decomposed-BLEU features of each (hyps[i], refs[i]) pair of sentences
-    of a store (see ``gather_tokens``), as an (N, 16) array; bit for bit, each row is
-    ``bleu_components`` of the two sentences' tokens, flattened.
+def bleu_columns(matches: np.ndarray, hyp_len: np.ndarray, ref_len: np.ndarray) -> np.ndarray:
+    """The 16 decomposed-BLEU features of N (hypothesis, reference) pairs, as an
+    (N, 16) array, from their (N, 4) clipped matches (see ``clipped_matches``) and
+    both lengths; bit for bit, each row is ``bleu_components`` of the two
+    sentences' tokens, flattened.
     """
-    matches, totals, hyp_len, ref_len = _clipped_counts(token_ids, offsets, hyps, refs, MAX_ORDER)
+    totals = np.maximum(hyp_len[:, None] - np.arange(MAX_ORDER), 0)
     out = np.zeros((len(matches), 16))
     np.divide(matches, totals, out=out[:, 0:4], where=totals > 0)
     out[:, 4:8] = matches
@@ -163,8 +158,8 @@ def ngram_stats(hyp: Sequence[str], ref: Sequence[str], order: int) -> NGramStat
     """Clipped n-gram match count and hypothesis n-gram total."""
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
-    matches, totals, _, _ = _clipped_counts(*encode_tokens([hyp, ref]), [0], [1], order)
-    return NGramStats(order=order, matches=int(matches[0, -1]), total=int(totals[0, -1]))
+    matches = clipped_matches(*encode_tokens([hyp, ref]), [0], [1], order)
+    return NGramStats(order=order, matches=int(matches[0, -1]), total=max(len(hyp) - order + 1, 0))
 
 
 def brevity_penalty(hyp_len: int, ref_len: int) -> float:

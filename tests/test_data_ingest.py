@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairrank import data_ingest, sidecar
+from pairrank import data_ingest, features, sidecar
 
 from pairrank.data_ingest import (
     DatasetFormatError,
@@ -206,12 +206,20 @@ def test_dataset_refuses_scores_outside_the_schema():
     ({"feature_schema": [["M"]]}, "^feature_schema must be a sequence of strings$"),
     ({"dropped_ties": True}, "^dropped_ties must be an integer, got True$"),
     ({"dropped_ties": 1.0}, "^dropped_ties must be an integer, got 1.0$"),
+    # The clipped matches of hyp1 ("a" against the reference "a") and hyp2 ("b"): one unigram each at most.
+    ({"matches": np.zeros((2, 1, 3), np.int32)}, r"^matches has shape \(2, 1, 3\), expected \(2, 1, 4\)$"),
+    ({"matches": np.zeros((2, 1, 4))}, r"^matches must hold integers in \[0, 2147483647\)$"),
+    ({"matches": [[[-1, 0, 0, 0]], [[0, 0, 0, 0]]]}, r"^matches must hold integers in \[0, 2147483647\)$"),
+    ({"matches": [[[1, 1, 0, 0]], [[0, 0, 0, 0]]]}, "^matches must not exceed their hypothesis's k-gram totals$"),
+    # A store in which hyp1 is empty, under the matches counted for "a".
+    ({"token_ids": [1], "offsets": [0, 0, 1]}, "^matches must not exceed their hypothesis's k-gram totals$"),
 ], ids=["short-vector", "nan-vector", "vectors-without-tuple-axis", "label-7", "infinite-score", "huge-score",
         "token-outside-vocab", "float-token-ids", "falling-offsets", "offsets-short-of-tokens",
         "sentence-outside-store", "sentences-without-tuple-axis", "splits-for-other-tuples",
         "repeated-vocab", "unsorted-schema", "repeated-schema-name", "negative-dropped-ties",
         "integer-id", "splits-as-one-string", "vocab-as-an-object", "list-in-schema", "true-dropped-ties",
-        "float-dropped-ties"])
+        "float-dropped-ties", "matches-of-three-orders", "float-matches", "negative-match", "match-above-total",
+        "matches-of-a-longer-store"])
 def test_dataset_refuses_bad_columns(columns, message):
     with pytest.raises(DatasetFormatError, match=message):
         hand_built(**columns)
@@ -230,7 +238,8 @@ def test_dataset_refuses_vectors_of_different_lengths():
     lambda ds: ds.vectors.__setitem__((2, 0, 0), np.nan),
     lambda ds: ds.sentences.__setitem__((0, 0), 1),
     lambda ds: ds.token_ids.__setitem__(0, 1),
-], ids=["label", "score", "vector", "sentence", "token"])
+    lambda ds: ds.matches.__setitem__((0, 0, 3), 9),
+], ids=["label", "score", "vector", "sentence", "token", "match"])
 def test_checked_columns_are_read_only(write):
     # Once checked, a column cannot take a value the check would refuse.
     line = make_line(external_scores_1={"M": 0.9}, external_scores_2={"M": 0.1},
@@ -303,18 +312,22 @@ def test_splits_of():
 
 @contextlib.contextmanager
 def chunk_tokens(budget):
-    """``vectorize`` with a token budget of ``budget`` per chunk, checking that each
-    chunk is a single tuple or holds at most ``budget`` tokens."""
-    real = data_ingest.bleu_matrix
+    """Loads and ``vectorize`` with a token budget of ``budget`` per chunk, checking
+    that each chunk whose n-grams a parse counts is a single tuple or holds at most
+    ``budget`` tokens, and that some chunk was counted."""
+    real, counted = data_ingest.clipped_matches, []
 
     def checked(token_ids, offsets, hyps, refs):
         # hyps holds each hyp1 of the chunk, then each hyp2; refs the references, twice over.
         lens, tuples = np.diff(offsets), len(hyps) // 2
         assert tuples == 1 or lens[hyps].sum() + lens[refs[:tuples]].sum() <= budget
+        counted.append(tuples)
         return real(token_ids, offsets, hyps, refs)
 
-    with mock.patch.object(data_ingest, "CHUNK_TOKENS", budget), mock.patch.object(data_ingest, "bleu_matrix", checked):
+    with mock.patch.object(data_ingest, "CHUNK_TOKENS", budget), \
+            mock.patch.object(data_ingest, "clipped_matches", checked):
         yield
+    assert counted, "no chunk was counted: load the data inside the budget"
 
 
 sentence = st.lists(st.sampled_from(["w0", "w1", "w2", "oov"]), max_size=8)
@@ -330,11 +343,10 @@ def test_vectorize_same_in_one_chunk_or_several(rows, refs, chunk):
     lines = [make_line(id=f"t{i}", split="all", reference=refs[j], hyp1=h1, hyp2=h2, y=i % 2,
                        external_scores_1={"M": i / 7}, external_scores_2={"M": 1.0})
              for i, (h1, h2, j) in enumerate(rows)]
-    ds = load_dataset(lines)
     table = load_embedding_table(io.StringIO("w0 0.1 -0.0\nw1 0.3 2.5\nw2 -7.0 1e-3\n"))
-    whole = vectorize(ds, table)
+    whole = vectorize(load_dataset(lines), table)
     with chunk_tokens(chunk):
-        chunked = vectorize(ds, table)
+        chunked = vectorize(load_dataset(lines), table)
     ya, yb = whole.y, chunked.y
     assert len(whole) == len(chunked) == n
     assert ya.tolist() == yb.tolist()
@@ -358,9 +370,9 @@ def test_store_shares_sentences_and_features_match_oracles(pool, rows, chunk):
 
     lines = [make_line(id=f"t{i}", reference=text(*r), hyp1=text(*h1), hyp2=text(*h2), y=i % 2)
              for i, (h1, h2, r) in enumerate(rows)]
-    ds = load_dataset(lines)
     table = load_embedding_table(io.StringIO("w0 0.1 -0.0\nw1 0.3 2.5\nw2 -7.0 1e-3\n"))
     with chunk_tokens(chunk):
+        ds = load_dataset(lines)
         batch = vectorize(ds, table)
     # The store holds as many sentences as there are distinct token
     # sequences, however they were written, and every tuple reads back its
@@ -576,12 +588,27 @@ def test_dataset_sidecar_is_one_json_member_and_an_array_per_column(tmp_path):
     path = data_file(tmp_path, SIDECAR_DATASETS["ties-and-scores"])
     load_dataset(path)
     with zipfile.ZipFile(sidecar.sidecar_path(path)) as zf:
-        assert zf.namelist() == ["fields.json", "token_ids.npy", "offsets.npy", "sentences.npy", "labels.npy",
-                                 "scores.npy", "vectors.npy"]
+        assert zf.namelist() == ["fields.json", "token_ids.npy", "offsets.npy", "sentences.npy", "matches.npy",
+                                 "labels.npy", "scores.npy", "vectors.npy"]
     assert sidecar_members(path)["fields.json"] == {
         "version": data_ingest.SIDECAR_VERSION, "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
         "ids": ["x1", "x3"], "splits": ["cz", "cz"], "vocab": ["the", "cat", "sat", "a", "stood", "dog"],
         "feature_schema": ["M", "TER"], "dropped_ties": 1}
+
+
+def test_warm_load_and_vectorize_count_no_ngrams(tmp_path):
+    lines = token_dataset_lines(60, seed=5, with_external=True)
+    path = data_file(tmp_path, lines)
+    table = load_embedding_table(io.StringIO("\n".join(f"w{i} {i / 7} {-i}" for i in range(30))))
+    cold = vectorize(load_dataset(path), table)
+    # The parse's counting call, and the token gather through which any count in features reads its tokens.
+    counting = AssertionError("counted n-grams")
+    with parse_only(), mock.patch.object(data_ingest, "clipped_matches", side_effect=counting), \
+            mock.patch.object(features, "gather_tokens", side_effect=counting):
+        warm = vectorize(load_dataset(path), table)
+    for field in ("P1", "P2", "Pr", "F1", "F2", "y"):
+        a, b = getattr(warm, field), getattr(cold, field)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
 
 
 def test_byte_order_mark_is_dropped(tmp_path):
@@ -625,6 +652,9 @@ BAD_DATA_SIDECARS = {
     "token-id-outside-vocabulary": lambda p: member_with("token_ids", 0, len(sidecar_members(p)["fields.json"]["vocab"]))(p),
     "falling-offsets": member_with("offsets", 1, 7),
     "float32-scores": lambda p: rewrite_sidecar(p, scores=sidecar_members(p)["scores"].astype(np.float32)),
+    # x1's hyp1, "the cat sat", has no 4-gram to match.
+    "match-above-total": member_with("matches", (0, 0, 3), 1),
+    "int64-matches": lambda p: rewrite_sidecar(p, matches=sidecar_members(p)["matches"].astype(np.int64)),
     "negative-dropped-ties": lambda p: rewrite_sidecar(p, dropped_ties=-1),
     "true-dropped-ties": lambda p: rewrite_sidecar(p, dropped_ties=True),
     "repeated-vocab": strings_with("vocab", lambda vocab: [vocab[0], *vocab[:-1]]),
@@ -670,7 +700,7 @@ EARLIER_DATA_SIDECAR = (
 
 
 def test_dataset_sidecar_from_the_earlier_loader_is_served(tmp_path):
-    # Version 1 read an id or split of any type; parsed once and rewritten as version 3, which is then served.
+    # Version 1 read an id or split of any type; parsed once and rewritten as version 4, which is then served.
     path = data_file(tmp_path, SIDECAR_DATASETS["ties-and-scores"])
     with open(sidecar.sidecar_path(path), "wb") as f:
         f.write(zlib.decompress(base64.b64decode(EARLIER_DATA_SIDECAR)))
@@ -679,7 +709,7 @@ def test_dataset_sidecar_from_the_earlier_loader_is_served(tmp_path):
     with mock.patch.object(data_ingest, "_parse", wraps=data_ingest._parse) as parse:
         assert_same_dataset(load_dataset(path), want)
     assert parse.call_count == 1
-    assert sidecar_members(path)["fields.json"]["version"] == data_ingest.SIDECAR_VERSION == 3
+    assert sidecar_members(path)["fields.json"]["version"] == data_ingest.SIDECAR_VERSION == 4
     with parse_only():
         assert_same_dataset(load_dataset(path), want)
 

@@ -11,8 +11,9 @@ from pairrank.features import (
     BLEUCOMP_FEATURE_NAMES,
     NonFiniteFeature,
     assemble_pairwise,
+    bleu_columns,
     bleu_components,
-    bleu_matrix,
+    clipped_matches,
     ngram_stats,
 )
 from test_acceptance import brute_bleu_fields
@@ -147,14 +148,23 @@ def store(sentences):
 short_sentence = st.lists(st.sampled_from(["a", "b", "c"]), max_size=10)
 
 
+def bleu_rows(token_ids, offsets, hyps, refs):
+    """The BLEU columns of each (hyps[i], refs[i]) pair of a store, as ``vectorize`` makes them."""
+    lens = np.diff(offsets)
+    return bleu_columns(clipped_matches(token_ids, offsets, hyps, refs), lens[hyps], lens[refs])
+
+
 @given(st.lists(short_sentence, min_size=1, max_size=4),
        st.lists(st.tuples(short_sentence, st.integers(0, 3)), max_size=12))
-def test_bleu_matrix_matches_brute_force(refs, rows):
+def test_bleu_columns_of_clipped_matches_match_brute_force(refs, rows):
     # Rows draw references from a small pool, so many share one.
     hyps = [h for h, _ in rows]
     row_refs = [refs[j % len(refs)] for _, j in rows]
     # The store holds each reference once, after the hypotheses.
-    got = bleu_matrix(*store(hyps + refs), np.arange(len(rows)), [len(rows) + j % len(refs) for _, j in rows])
+    args = *store(hyps + refs), np.arange(len(rows)), np.array([len(rows) + j % len(refs) for _, j in rows], int)
+    matches = clipped_matches(*args)
+    assert (matches.dtype, matches.shape) == (np.int32, (len(rows), features.MAX_ORDER))
+    got = bleu_rows(*args)
     assert got.shape == (len(rows), 16)
     for row, hyp, ref in zip(got, hyps, row_refs):
         want = np.array(brute_bleu_fields(hyp, ref), dtype=float)
@@ -164,29 +174,29 @@ def test_bleu_matrix_matches_brute_force(refs, rows):
 
 @given(st.lists(short_sentence, min_size=1, max_size=4),
        st.lists(st.tuples(short_sentence, st.integers(0, 3)), max_size=12))
-def test_bleu_matrix_same_when_codes_are_renumbered(refs, rows):
+def test_clipped_matches_same_when_codes_are_renumbered(refs, rows):
     hyps = [h for h, _ in rows]
-    args = *store(hyps + refs), np.arange(len(rows)), [len(rows) + j % len(refs) for _, j in rows]
-    exact = bleu_matrix(*args)
+    args = *store(hyps + refs), np.arange(len(rows)), np.array([len(rows) + j % len(refs) for _, j in rows], int)
+    exact = clipped_matches(*args)
     with mock.patch.object(features, "CODE_LIMIT", 0), mock.patch.object(np, "unique", wraps=np.unique) as unique:
-        renumbered = bleu_matrix(*args)
+        renumbered = clipped_matches(*args)
     # The distinct references are found once, then each order renumbers its codes.
     assert [call.kwargs.get("return_inverse") for call in unique.call_args_list].count(True) == 1 + features.MAX_ORDER
     assert renumbered.tobytes() == exact.tobytes()
-    for row, (hyp, j) in zip(renumbered, rows):
+    for row, (hyp, j) in zip(bleu_rows(*args), rows):
         assert row.tobytes() == np.array(brute_bleu_fields(hyp, refs[j % len(refs)]), dtype=float).tobytes()
 
 
-def test_bleu_matrix_exact_for_large_token_ids():
+def test_clipped_matches_exact_for_large_token_ids():
     # With 2^30 token ids, the exact trigram codes of "0 1 2" and "16 1 2" are
     # equal modulo 2^64, so they must be renumbered before order 3 extends them.
     hyp, ref = [0, 1, 2, 2**30 - 1], [16, 1, 2]
-    row = bleu_matrix(np.array(hyp + ref, dtype=np.int32), np.array([0, 4, 7]), [0], [1])[0]
+    row = bleu_rows(np.array(hyp + ref, dtype=np.int32), np.array([0, 4, 7]), np.array([0]), np.array([1]))[0]
     want = brute_bleu_fields(hyp, ref)
     assert want[6] == 0  # no trigram matches
     assert row.tobytes() == np.array(want, dtype=float).tobytes()
 
 
-def test_bleu_matrix_length_mismatch():
+def test_clipped_matches_length_mismatch():
     with pytest.raises(ValueError):
-        bleu_matrix(*store([["a"]]), [0], [])
+        clipped_matches(*store([["a"]]), [0], [])

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -100,15 +101,22 @@ def _load_data(path: str, table: Optional[EmbeddingTable]):
     return dataset, data_ingest.vectorize(dataset, table)
 
 
+def _python_rows(column: np.ndarray):
+    """The rows of ``column`` as Python values, converted 256 rows at a time."""
+    return chain.from_iterable(map(np.ndarray.tolist, np.split(column, range(256, len(column), 256))))
+
+
 def _write_jsonl(columns: dict[str, Sequence], path: Optional[str]) -> None:
     """Write each row of ``columns`` (named, of one length) as a JSON object, keys in
-    column order, one per line to ``path``, or to standard output without one.
+    column order, one per line to ``path``, or to standard output without one. A
+    column is a list, or an array, which is never held whole as Python values.
 
     A reader that closes standard output early (``pairrank predict | head``)
     ends the output quietly, as the end of a pipeline, not as an error.
     """
     names = list(columns)
-    lines = (json.dumps(dict(zip(names, row))) + "\n" for row in zip(*columns.values(), strict=True))
+    values = (_python_rows(c) if isinstance(c, np.ndarray) else c for c in columns.values())
+    lines = (json.dumps(dict(zip(names, row))) + "\n" for row in zip(*values, strict=True))
     if path:
         with open(path, "w", encoding="utf-8") as sink:
             sink.writelines(lines)
@@ -128,9 +136,8 @@ def cmd_extract(args) -> int:
         for name in (*BLEUCOMP_FEATURE_NAMES, *dataset.feature_schema):
             print(name)
         return 0
-    _write_jsonl({"id": dataset.ids, "split": dataset.splits, "y": batch.y.tolist(), "phi_t1r": batch.F1.tolist(),
-                  "phi_t2r": batch.F2.tolist(), "psi_t1": batch.P1.tolist(), "psi_t2": batch.P2.tolist(),
-                  "psi_r": batch.Pr.tolist()}, args.out)
+    _write_jsonl({"id": dataset.ids, "split": dataset.splits, "y": batch.y, "phi_t1r": batch.F1, "phi_t2r": batch.F2,
+                  "psi_t1": batch.P1, "psi_t2": batch.P2, "psi_r": batch.Pr}, args.out)
     return 0
 
 
@@ -219,8 +226,8 @@ def cmd_predict(args) -> int:
     sigma, sigma_rev = predict_delta(model, batch)
     deltas = sigma - sigma_rev
     decisions = DECISIONS[verdicts(deltas, args.tie_epsilon)]
-    _write_jsonl({"id": dataset.ids, "sigma": sigma.tolist(), "sigma_rev": sigma_rev.tolist(),
-                  "delta": deltas.tolist(), "decision": decisions.tolist()}, args.out)
+    _write_jsonl({"id": dataset.ids, "sigma": sigma, "sigma_rev": sigma_rev, "delta": deltas, "decision": decisions},
+                 args.out)
     return 0
 
 

@@ -79,7 +79,7 @@ def predict_delta(model: Model, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     preference for hypothesis 1.
     """
     # Index the results so that neither layer cache outlives its call.
-    return forward_batch(model, batch)[0], forward_batch(model, batch.swapped())[0]
+    return forward_batch(model, batch)[0], forward_batch(model, batch, swapped=True)[0]
 
 
 def evaluate(

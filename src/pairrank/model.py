@@ -28,6 +28,15 @@ class LabelError(ValueError):
     pass
 
 
+def check_integer_fields(config) -> None:
+    """Refuse a config field typed int that is not a Python int; one typed Optional[int] may also be None."""
+    # The type itself: a bool is an int subclass, and neither it nor a numpy integer saves as a JSON integer.
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in ("int", "Optional[int]") and type(value) is not int and not (value is None and f.type != "int"):
+            raise ShapeMismatchError(f"config key {f.name} must be an integer, got {json.dumps(value, default=repr)}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     sentence_dim: int
@@ -37,11 +46,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # The type itself: a bool is an int subclass, and neither it nor a numpy integer saves as a JSON integer.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and type(value) is not int:
-                raise ShapeMismatchError(f"config key {f.name} must be an integer, got {json.dumps(value, default=repr)}")
+        check_integer_fields(self)
         if self.sentence_dim < 0 or self.pairwise_dim < 0:
             raise ValueError("dimensions must be non-negative")
         if self.sentence_dim + self.pairwise_dim < 1:
@@ -88,10 +93,19 @@ class Model:
             raise ShapeMismatchError(
                 "; ".join([f"missing parameter {n}" for n in missing] + [f"unexpected parameter {n}" for n in extra])
             )
-        for name, shape in shapes.items():
-            if self.params[name].shape != shape:
-                raise ShapeMismatchError(f"{name} must have shape {shape}, got {self.params[name].shape}")
-            if not np.all(np.isfinite(self.params[name])):
+        for name, value in self.params.items():
+            try:
+                a = np.asarray(value)
+            except ValueError as exc:
+                raise ShapeMismatchError(f"{name} must be an array of numbers") from exc
+            # numpy reads a true or false among numbers as 1 or 0, so look for one among the values themselves.
+            if a.dtype.kind not in "if" or a is not value and bool in map(type, np.array(value, dtype=object).flat):
+                raise ShapeMismatchError(f"{name} must be an array of numbers")
+            # Float arrays are kept as they are: a flat copy's views, or grad_check's longdouble copies.
+            self.params[name] = a = a.astype(float) if a.dtype.kind == "i" else a
+            if a.shape != shapes[name]:
+                raise ShapeMismatchError(f"{name} must have shape {shapes[name]}, got {a.shape}")
+            if not np.all(np.isfinite(a)):
                 raise ShapeMismatchError(f"non-finite values in {name}")
 
     @property
@@ -134,7 +148,7 @@ def init_model(config: ModelConfig) -> Model:
 
 # The block inputs a batch builds: each block's, in BLOCKS order, then the
 # (t2,t1) input. Exchanging the hypotheses maps this list onto itself
-# reversed, so a batch's swapped view reads the same inputs backwards.
+# reversed, so the exchanged order reads the same inputs backwards.
 BLOCK_INPUTS = (*BLOCKS.values(), ("P2", "P1"))
 COLUMNS = ("P1", "P2", "Pr", "F1", "F2", "y")
 
@@ -185,35 +199,19 @@ class Batch:
         for column in columns:
             column.flags.writeable = False
 
-    @classmethod
-    def _of_checked(cls, columns, blocks: Optional[list] = None) -> "Batch":
-        """A batch of read-only columns drawn from a checked batch's, which hold
-        its rules already, and their block inputs if built: no check runs again."""
-        out = cls.__new__(cls)
-        vars(out).update(zip(COLUMNS, columns), _blocks=blocks)
-        return out
-
     def __len__(self) -> int:
         return self.P1.shape[0]
 
-    def block_inputs(self) -> list[np.ndarray]:
+    def block_inputs(self, swapped: bool = False) -> list[np.ndarray]:
         """Each block's input, in BLOCKS order: its two sentence-vector columns
-        side by side (N x 2 * sentence_dim). Built on first use, with the (t2,t1)
-        input that the swapped view reads, and kept."""
+        side by side (N x 2 * sentence_dim). With ``swapped``, the inputs of the
+        exchanged order instead: (t2,t1), (t2,r) and (t1,r). All four are built on
+        first use and kept."""
         if self._blocks is None:
             self._blocks = [np.concatenate([getattr(self, a), getattr(self, b)], axis=1) for a, b in BLOCK_INPUTS]
             for x in self._blocks:
                 x.setflags(write=False)
-        return self._blocks[:3]
-
-    def swapped(self) -> "Batch":
-        """The same tuples with the two hypotheses, so the labels, exchanged: a new
-        view on each call, sharing the block inputs built by then in reverse
-        order, so the (t1,r) and (t2,r) inputs trade places."""
-        y = 1 - self.y
-        y.setflags(write=False)
-        blocks = None if self._blocks is None else self._blocks[::-1]
-        return Batch._of_checked((self.P2, self.P1, self.Pr, self.F2, self.F1, y), blocks)
+        return self._blocks[:0:-1] if swapped else self._blocks[:3]
 
     def take(self, idx) -> "Batch":
         """The rows at ``idx``, in that order, as a batch that builds its own block
@@ -228,7 +226,10 @@ class Batch:
         columns = [getattr(self, name).take(rows, axis=0) for name in COLUMNS]
         for a in columns:
             a.setflags(write=False)
-        return Batch._of_checked(columns)
+        # Drawn from this batch's checked columns, the rows hold its rules already: no check runs again.
+        part = Batch.__new__(Batch)
+        vars(part).update(zip(COLUMNS, columns), _blocks=None)
+        return part
 
     def astype(self, dtype) -> "Batch":
         """A copy with every column, the labels too, cast to ``dtype``."""
@@ -240,28 +241,26 @@ def pack(rows: Sequence[tuple], y: Sequence[int]) -> Batch:
     return Batch(*(np.array(column, dtype=float) for column in zip(*rows)), np.array(y))
 
 
-def _check_batch(model: Model, batch: Batch) -> None:
-    c = model.config
+def forward_batch(model: Model, batch: Batch, swapped: bool = False):
+    """Output activations for a whole batch, and the layer cache that backward_batch takes.
+
+    The output unit reads one N x len(w_out) matrix Z, filled in place and of
+    the inputs' dtype: the blocks' tanh units in BLOCKS order (for the
+    single-layer model, P1, P2 and Pr), then F1 and F2. With ``swapped``, each
+    tuple is scored with its hypotheses exchanged: the pass reads P2 for P1,
+    F2 for F1 and the block inputs of that order, and so gives sigma(t2, t1, r).
+    """
+    c, p, h = model.config, model.params, model.config.hidden_per_block
     if batch.P1.shape[1] != c.sentence_dim or batch.F1.shape[1] != c.pairwise_dim:
         raise ShapeMismatchError(
             f"input dims ({batch.P1.shape[1]}, {batch.F1.shape[1]}) do not match "
             f"config ({c.sentence_dim}, {c.pairwise_dim})"
         )
-
-
-def forward_batch(model: Model, batch: Batch):
-    """Output activations for a whole batch, and the layer cache that backward_batch takes.
-
-    The output unit reads one N x len(w_out) matrix Z, filled in place and of
-    the inputs' dtype: the blocks' tanh units in BLOCKS order (for the
-    single-layer model, P1, P2 and Pr), then F1 and F2.
-    """
-    _check_batch(model, batch)
-    p, h = model.params, model.config.hidden_per_block
-    if model.config.architecture == MULTI_LAYER:
-        X, copied = batch.block_inputs(), [batch.F1, batch.F2]
+    columns = [getattr(batch, name) for name in (("P2", "P1", "Pr", "F2", "F1") if swapped else COLUMNS[:5])]
+    if c.architecture == MULTI_LAYER:
+        X, copied = batch.block_inputs(swapped), columns[3:]
     else:
-        X, copied = [], [batch.P1, batch.P2, batch.Pr, batch.F1, batch.F2]
+        X, copied = [], columns
     Z = np.empty((len(batch), p["w_out"].size), np.result_type(batch.F1, p["w_out"]))
     k = len(X) * h
     np.concatenate(copied, axis=1, out=Z[:, k:])
@@ -306,18 +305,6 @@ def save_model(model: Model, sink: IO[str]) -> None:
     sink.write(json.dumps(doc))
 
 
-def _param_array(name: str, value) -> np.ndarray:
-    """A checkpoint parameter as a float array; a string, null, true/false or ragged nesting raises naming it."""
-    try:
-        a = np.array(value)
-    except ValueError as exc:
-        raise ShapeMismatchError(f"{name} must be an array of numbers") from exc
-    # numpy reads a true or false among numbers as 1 or 0, so look for one among the values themselves.
-    if a.dtype.kind not in "if" or bool in map(type, np.array(value, dtype=object).flat):
-        raise ShapeMismatchError(f"{name} must be an array of numbers")
-    return a.astype(float)
-
-
 def load_model(source: IO[str]) -> Model:
     doc = json.load(source)
     for key in ("config", "params"):
@@ -333,5 +320,4 @@ def load_model(source: IO[str]) -> Model:
     problems += [f"missing config key {k}" for k, required in known.items() if required and k not in config]
     if problems:
         raise ShapeMismatchError("; ".join(problems))
-    params = {k: _param_array(k, v) for k, v in doc["params"].items()}
-    return Model(config=ModelConfig(**config), params=params)
+    return Model(config=ModelConfig(**config), params=doc["params"])

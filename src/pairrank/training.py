@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .evaluation import EmptyEvaluation, evaluate
-from .model import Batch, Model, backward_batch, flat_copy, forward_batch
+from .model import Batch, Model, backward_batch, check_integer_fields, flat_copy, forward_batch
 
 # Not called here: the benchmark's traced run hooks this name on this module.
 from .model import pack  # noqa: F401
@@ -61,6 +61,7 @@ class CostConfig:
     pretrain_epochs: Optional[int] = None
 
     def __post_init__(self):
+        check_integer_fields(self)
         if self.kind not in COST_KINDS:
             raise ValueError(f"unknown cost kind: {self.kind}")
         _check_finite(self, "gamma", "beta", "tie_weight")
@@ -90,6 +91,7 @@ class TrainConfig:
     early_stop_patience: int = 0
 
     def __post_init__(self):
+        check_integer_fields(self)
         _check_finite(self, "learning_rate", "l2")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("invalid training configuration")
@@ -162,7 +164,7 @@ def _batch_gradients(model: Model, batch: Batch, cfg: CostConfig, kind: str):
         return backward_batch(model, cache, dz), cost
     if kind != KENDALL:
         raise ValueError(f"cannot take gradients of unresolved cost kind {kind!r}")
-    sigma_rev, cache_rev = forward_batch(model, batch.swapped())
+    sigma_rev, cache_rev = forward_batch(model, batch, swapped=True)
     cost, dJ_dDelta = _kendall_terms(sigma - sigma_rev, batch.y, cfg)
     # Delta sees sigma with +1 and sigma' with -1; each pass backprops
     # through its own logistic output.

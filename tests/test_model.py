@@ -16,6 +16,7 @@ from pairrank.model import (
     BLOCKS,
     Batch,
     LabelError,
+    Model,
     ModelConfig,
     ShapeMismatchError,
     flat_copy,
@@ -42,6 +43,11 @@ def random_input(config, seed=0):
         rng.normal(size=d), rng.normal(size=d), rng.normal(size=d),
         rng.normal(size=p), rng.normal(size=p),
     )], [1])
+
+
+def exchanged(batch):
+    """The batch's tuples with their hypotheses, so their labels, exchanged, built by hand."""
+    return Batch(batch.P2, batch.P1, batch.Pr, batch.F2, batch.F1, 1 - batch.y)
 
 
 def forward_one(model, batch):
@@ -167,7 +173,7 @@ def test_delta_antisymmetric_under_swap(seed):
     m = init_model(CFG)
     inp = random_input(CFG, seed)
     sigma, sigma_rev = predict_delta(m, inp)
-    swapped_sigma, swapped_sigma_rev = predict_delta(m, inp.swapped())
+    swapped_sigma, swapped_sigma_rev = predict_delta(m, exchanged(inp))
     assert sigma - sigma_rev == -(swapped_sigma - swapped_sigma_rev)
     assert sigma == swapped_sigma_rev
 
@@ -176,20 +182,37 @@ def test_swapped_view_shares_the_traded_block_inputs_without_a_cycle():
     m = init_model(CFG)
     batch = random_input(CFG, 3)
     forward_batch(m, batch)
-    swapped = batch.swapped()
-    forward_batch(m, swapped)
+    forward_batch(m, batch, swapped=True)
     X12, X1r, X2r = batch.block_inputs()
-    Y12, Y1r, Y2r = swapped.block_inputs()
+    Y12, Y1r, Y2r = batch.block_inputs(swapped=True)
     assert Y1r is X2r and Y2r is X1r
     assert np.array_equal(Y12, np.hstack([batch.P2, batch.P1]))
-    # Reference counting alone must free both, so that no collector pass is needed.
-    refs = [weakref.ref(batch), weakref.ref(swapped)]
+    # Reference counting alone must free the batch, so that no collector pass is needed.
+    ref = weakref.ref(batch)
     gc.disable()
     try:
-        del batch, swapped
-        assert [r() for r in refs] == [None, None]
+        del batch
+        assert ref() is None
     finally:
         gc.enable()
+
+
+def identical(a, b):
+    """Same dtype and the same value in every place, signed zeros included."""
+    return a.dtype == b.dtype and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("built", [False, True], ids=["built-by-the-swapped-pass", "built-before"])
+@pytest.mark.parametrize("arch", ["multi-layer", "single-layer"])
+def test_swapped_pass_is_the_pass_over_the_exchanged_batch(arch, built):
+    m = init_model(ModelConfig(3, 2, hidden_per_block=4, architecture=arch, seed=5))
+    batch = labelled_input(9, seed=7)
+    if built:
+        forward_batch(m, batch)
+    sigma, (X, Z) = forward_batch(m, batch, swapped=True)
+    want, (want_X, want_Z) = forward_batch(m, exchanged(batch))
+    assert identical(sigma, want) and identical(Z, want_Z)
+    assert len(X) == len(want_X) and all(identical(x, w) for x, w in zip(X, want_X))
 
 
 @pytest.mark.parametrize("column", ["P1", "P2", "Pr", "F1", "F2", "y"])
@@ -266,7 +289,7 @@ def test_batch_refuses_labels_other_than_0_and_1_or_not_1d(y, error, message):
 @pytest.mark.parametrize("y", [np.array([0, 1, 1]), np.array([0.0, 1.0, 1.0]), np.array([0, 1, 1], np.uint8)])
 def test_batch_takes_int_and_float_labels(y):
     batch = dataclasses.replace(labelled_input(3), y=y)
-    assert batch.y is y and np.array_equal(batch.swapped().y, [1, 0, 0])
+    assert batch.y is y
 
 
 @pytest.mark.parametrize("y, bad", [([2] * 10, "2"), ([0.5] * 10, "0.5"), ([1] * 9 + [-1], "-1")])
@@ -296,7 +319,7 @@ def test_take_keeps_the_block_inputs_with_their_rows(built):
     assert all(np.array_equal(x, whole[idx]) for x, whole in zip(part.block_inputs(), batch.block_inputs()))
     for x, (a, b) in zip(part.block_inputs(), BLOCKS.values()):
         assert np.array_equal(x, np.hstack([getattr(part, a), getattr(part, b)]))
-    assert np.array_equal(part.swapped().block_inputs()[0], np.hstack([part.P2, part.P1]))
+    assert np.array_equal(part.block_inputs(swapped=True)[0], np.hstack([part.P2, part.P1]))
 
 
 def test_take_by_boolean_mask_takes_the_rows_that_indexing_does():
@@ -331,10 +354,10 @@ def test_take_of_no_rows_is_an_empty_batch(idx):
 
 def test_taken_and_swapped_batches_are_read_only_like_any_other():
     part = labelled_input(5).take([4, 0])
-    for batch in (part, part.swapped()):
-        for name in ("P1", "P2", "Pr", "F1", "F2", "y"):
-            assert not getattr(batch, name).flags.writeable, name
-        assert not any(x.flags.writeable for x in batch.block_inputs())
+    for name in ("P1", "P2", "Pr", "F1", "F2", "y"):
+        assert not getattr(part, name).flags.writeable, name
+    for swapped in (False, True):
+        assert not any(x.flags.writeable for x in part.block_inputs(swapped))
 
 
 def edited(model, name, how):
@@ -369,12 +392,6 @@ def test_forward_sees_every_parameter_change(arch, flat, how):
         assert not (np.array_equal(sigma, before_delta[0]) and np.array_equal(sigma_rev, before_delta[1])), name
         want = predict_delta(fresh, batch)
         assert np.array_equal(sigma, want[0]) and np.array_equal(sigma_rev, want[1]), name
-
-
-def test_swapped_carries_the_opposite_labels():
-    batch = labelled_input(8, seed=2)
-    assert batch.swapped().y.tolist() == (1 - batch.y).tolist()
-    assert batch.swapped().swapped().y.tolist() == batch.y.tolist()
 
 
 def test_astype_casts_the_labels():
@@ -482,6 +499,25 @@ def saved_checkpoint(*path, value=None):
 def test_malformed_checkpoint_names_what_is_wrong(text, message):
     with pytest.raises(ShapeMismatchError, match=message):
         load_model(io.StringIO(text))
+
+
+def test_model_built_by_hand_takes_parameters_as_nested_lists():
+    m = init_model(ModelConfig(2, 1, 1, seed=4))
+    listed = Model(m.config, {name: v.tolist() for name, v in m.params.items()})
+    for name in m.param_names:
+        assert identical(listed.params[name], m.params[name]), name
+    batch = random_input(m.config, 2)
+    assert identical(forward_batch(listed, batch)[0], forward_batch(m, batch)[0])
+
+
+@pytest.mark.parametrize("name, value", [("b_out", np.array(True)), ("W12", np.full((1, 4), "0.5")),
+                                          ("b12", np.array([None]))], ids=["bool-b_out", "string-W12", "null-b12"])
+def test_model_built_by_hand_refuses_parameters_that_are_not_numbers(name, value):
+    # A bool b_out used to be accepted and scored as 1.0.
+    params = init_model(ModelConfig(2, 1, 1)).params
+    params[name] = value
+    with pytest.raises(ShapeMismatchError, match=f"^{name} must be an array of numbers$"):
+        Model(ModelConfig(2, 1, 1), params)
 
 
 @pytest.mark.parametrize(

@@ -113,9 +113,8 @@ def separate_gradients(model, batch, ys, cfg, kind):
         grads = backward_batch(model, cache, sigma - ys)
         s = np.clip(sigma, SIGMA_CLAMP, 1.0 - SIGMA_CLAMP)
         return grads, -np.sum(ys * np.log(s) + (1 - ys) * np.log(1.0 - s))
-    swapped = batch.swapped()
     sigma, cache = forward_batch(model, batch)
-    sigma_rev, cache_rev = forward_batch(model, swapped)
+    sigma_rev, cache_rev = forward_batch(model, step_oracle_swapped(batch))
     delta = sigma - sigma_rev
     g, b, lam = cfg.gamma, cfg.beta, cfg.tie_weight
     sig_neg = sigmoid(-g * delta)
@@ -157,7 +156,7 @@ def test_batch_gradients_equal_separate_oracle(kind, arch, dtype):
         batch = pack(rows, ys)
         m = dataclasses.replace(m, params={k: v.astype(dtype) for k, v in m.params.items()})
         batch, ys = batch.astype(dtype), ys.astype(dtype)
-        sigma, sigma_rev = forward_batch(m, batch)[0], forward_batch(m, batch.swapped())[0]
+        sigma, sigma_rev = forward_batch(m, batch)[0], forward_batch(m, batch, swapped=True)[0]
         saturated += int(np.sum(np.abs(cfg.gamma * (sigma - sigma_rev)) > 40.0))
         grad, cost = _batch_gradients(m, batch, cfg, kind)
         want_grad, want_cost = separate_gradients(m, batch, ys, cfg, kind)
@@ -211,6 +210,19 @@ def test_cost_config_validation():
 def test_non_finite_float_field_refused(cls, field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         cls(**{field: value})
+
+
+@pytest.mark.parametrize("cls, field", [
+    (TrainConfig, "epochs"), (TrainConfig, "batch_size"), (TrainConfig, "shuffle_seed"),
+    (TrainConfig, "early_stop_patience"), (CostConfig, "pretrain_epochs"),
+])
+@pytest.mark.parametrize("value", [2.5, True, np.int64(2), "2"], ids=["float", "bool", "numpy-int", "string"])
+def test_non_integer_int_field_refused(cls, field, value):
+    # epochs=2.5 used to fail only inside train's range(), and batch_size=True trained on batches of one.
+    extra = {"kind": "logistic-then-kendall"} if cls is CostConfig else {}
+    with pytest.raises(ValueError, match=f"^config key {field} must be an integer, got "):
+        cls(**extra, **{field: value})
+    assert getattr(cls(**extra, **{field: 2}), field) == 2
 
 
 @pytest.mark.parametrize("pretrain, epochs", [(3, 3), (50, 3)])

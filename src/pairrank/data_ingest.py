@@ -380,14 +380,15 @@ def vectorize(dataset: Dataset, table: Optional[EmbeddingTable] = None) -> Batch
     """The dataset's batch of model inputs, in order; its labels are ``dataset.labels``.
 
     Sentence vectors come from one source: the dataset's precomputed
-    vectors when it has them, else mean composition over ``table`` when
-    given, else they have width 0; a table given for precomputed vectors
-    raises. The pairwise feature vectors are the BLEU components, made
-    from the dataset's clipped matches and sentence lengths, then its
-    external scores. The BLEU columns and the composition are made in bulk
-    from the dataset's sentence store, over the chunks that counted the
-    matches (see :func:`_chunks`), into preallocated columns, and give the
-    same values bit for bit as counting and composing one tuple at a time.
+    vectors when it has them (copied once), else mean composition over
+    ``table`` when given, else they have width 0; a table given for
+    precomputed vectors raises. The pairwise feature vectors are the BLEU
+    components, made from the dataset's clipped matches and sentence
+    lengths, then its external scores. The BLEU columns and the composition
+    are made in bulk from the dataset's sentence store, over the chunks that
+    counted the matches (see :func:`_chunks`), straight into the features
+    and the (n, 3, d) sentence array ``P``, and give the same values bit for
+    bit as counting and composing one tuple at a time.
     """
     if dataset.vectors.size and table is not None:
         raise DatasetFormatError(f"tuple {dataset.ids[0]}: precomputed sentence vectors and an embedding table given")
@@ -396,9 +397,9 @@ def vectorize(dataset: Dataset, table: Optional[EmbeddingTable] = None) -> Batch
     features = np.empty((2, n, k + len(dataset.feature_schema)))
     features[:, :, k:] = dataset.scores
     if table is None:
-        vectors = dataset.vectors
+        P = dataset.vectors.transpose(1, 0, 2).copy()
     else:
-        vectors = np.empty((3, n, table.dimension))
+        P = np.empty((n, 3, table.dimension))
         rows = table.rows_of(dataset.vocab)
     for chunk in _chunks(dataset.offsets, sentences):
         hyps, refs = sentences[:2, chunk].ravel(), np.tile(sentences[2, chunk], 2)
@@ -410,6 +411,5 @@ def vectorize(dataset: Dataset, table: Optional[EmbeddingTable] = None) -> Batch
             used, slots = np.unique(sentences[:, chunk], return_inverse=True)
             tokens, lens = gather_tokens(*store, used)
             composed, _ = compose_mean_matrix(rows[tokens], lens, table)
-            for s, slots_s in enumerate(slots.reshape(3, -1)):
-                np.take(composed, slots_s, axis=0, out=vectors[s, chunk], mode="clip")
-    return Batch(*vectors, *features, dataset.labels)
+            np.take(composed, slots.reshape(3, -1).T, axis=0, out=P[chunk], mode="clip")
+    return Batch(P, *features, dataset.labels)

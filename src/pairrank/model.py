@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import IO, Optional, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -146,78 +146,64 @@ def init_model(config: ModelConfig) -> Model:
     return Model(config=config, params=params)
 
 
-# The block inputs a batch builds: each block's, in BLOCKS order, then the
-# (t2,t1) input. Exchanging the hypotheses maps this list onto itself
-# reversed, so the exchanged order reads the same inputs backwards.
-BLOCK_INPUTS = (*BLOCKS.values(), ("P2", "P1"))
-COLUMNS = ("P1", "P2", "Pr", "F1", "F2", "y")
+COLUMNS = ("P", "F1", "F2", "y")
+SENTENCES = ("P1", "P2", "Pr")  # the columns of P: hypothesis 1, hypothesis 2, the reference
 
 
 @dataclass
 class Batch:
     """Model inputs for a set of tuples, one row per tuple.
 
-    P1, P2 and Pr hold the sentence vectors of hypothesis 1, hypothesis 2
-    and the reference (N x sentence_dim); F1 and F2 hold each
-    hypothesis's pairwise features against the reference
-    (N x pairwise_dim); y holds each tuple's label (N,), 1 where
-    hypothesis 1 was judged better and 0 where hypothesis 2 was, as ints
-    or floats. The constructor checks these shapes and labels, then takes
-    over the arrays it was given and makes them read-only in place.
+    P holds the sentence vectors of hypothesis 1, hypothesis 2 and the
+    reference side by side (N x 3 x sentence_dim), and P1, P2 and Pr are
+    views of its three columns; F1 and F2 hold each hypothesis's pairwise
+    features against the reference (N x pairwise_dim); y holds each
+    tuple's label (N,), 1 where hypothesis 1 was judged better and 0 where
+    hypothesis 2 was, as ints or floats. The constructor checks these
+    shapes and labels, then takes over the arrays it was given and makes
+    them read-only in place.
     """
 
-    P1: np.ndarray
-    P2: np.ndarray
-    Pr: np.ndarray
+    P: np.ndarray
     F1: np.ndarray
     F2: np.ndarray
     y: np.ndarray
-    # The block inputs in BLOCK_INPUTS order, once built.
-    _blocks: Optional[list] = field(default=None, init=False, repr=False, compare=False)
+
+    P1 = property(lambda self: self.P[:, 0])
+    P2 = property(lambda self: self.P[:, 1])
+    Pr = property(lambda self: self.P[:, 2])
 
     def __post_init__(self):
-        columns = (self.P1, self.P2, self.Pr, self.F1, self.F2, self.y)
+        columns = (self.P, self.F1, self.F2, self.y)
+        if self.P.ndim != 3 or self.P.shape[1] != len(SENTENCES):
+            raise ShapeMismatchError(f"P must have shape (N, 3, sentence_dim), got {self.P.shape}")
         if self.y.ndim != 1:
             raise ShapeMismatchError(f"y must be 1-D, got shape {self.y.shape}")
         rows = [len(column) for column in columns]
         if len(set(rows)) > 1:
             counts = ", ".join(f"{name} {n}" for name, n in zip(COLUMNS, rows))
             raise ShapeMismatchError(f"batch columns differ in rows: {counts}")
-        if any(column.ndim != 2 for column in columns[:5]):
-            dims = ", ".join(f"{name} {column.ndim}" for name, column in zip(COLUMNS, columns[:5]))
-            raise ShapeMismatchError(f"batch columns must be 2-D: {dims}")
-        widths = [column.shape[1] for column in columns[:5]]
-        if not widths[0] == widths[1] == widths[2] or widths[3] != widths[4]:
-            named = ", ".join(f"{name} {w}" for name, w in zip(COLUMNS, widths))
-            raise ShapeMismatchError(f"batch columns differ in width: {named}")
+        if self.F1.ndim != 2 or self.F2.ndim != 2:
+            raise ShapeMismatchError(f"batch columns must be 2-D: F1 {self.F1.ndim}, F2 {self.F2.ndim}")
+        if self.F1.shape[1] != self.F2.shape[1]:
+            raise ShapeMismatchError(f"batch columns differ in width: F1 {self.F1.shape[1]}, F2 {self.F2.shape[1]}")
         if self.y.dtype.kind not in "iuf":
             raise LabelError(f"labels must be ints or floats, got {self.y.dtype}")
         bad = self.y[(self.y != 0) & (self.y != 1)]
         if len(bad):
             raise LabelError(f"labels must be 0 or 1, got {bad[0]:g}")
-        # Read-only from here on: block_inputs caches what it builds from them.
+        # Read-only from here on: y may be the dataset's own labels, and P1, P2 and Pr are views of P.
         for column in columns:
             column.flags.writeable = False
 
     def __len__(self) -> int:
-        return self.P1.shape[0]
-
-    def block_inputs(self, swapped: bool = False) -> list[np.ndarray]:
-        """Each block's input, in BLOCKS order: its two sentence-vector columns
-        side by side (N x 2 * sentence_dim). With ``swapped``, the inputs of the
-        exchanged order instead: (t2,t1), (t2,r) and (t1,r). All four are built on
-        first use and kept."""
-        if self._blocks is None:
-            self._blocks = [np.concatenate([getattr(self, a), getattr(self, b)], axis=1) for a, b in BLOCK_INPUTS]
-            for x in self._blocks:
-                x.setflags(write=False)
-        return self._blocks[:0:-1] if swapped else self._blocks[:3]
+        return self.P.shape[0]
 
     def take(self, idx) -> "Batch":
-        """The rows at ``idx``, in that order, as a batch that builds its own block
-        inputs on first use. ``idx`` is anything that picks rows of a 1-D array,
-        such as row numbers or a boolean mask over the rows, and picks the rows
-        that ``P1[idx]`` would. Any other index raises ShapeMismatchError."""
+        """The rows at ``idx``, in that order, as a batch. ``idx`` is anything that
+        picks rows of a 1-D array, such as row numbers or a boolean mask over the
+        rows, and picks the rows that ``P[idx]`` would. Any other index raises
+        ShapeMismatchError."""
         if np.ndim(idx) != 1:
             raise ShapeMismatchError(f"take needs a 1-D index, got {np.ndim(idx)}-D")
         # Row numbers, so that every column is gathered by ndarray.take, which
@@ -228,17 +214,24 @@ class Batch:
             a.setflags(write=False)
         # Drawn from this batch's checked columns, the rows hold its rules already: no check runs again.
         part = Batch.__new__(Batch)
-        vars(part).update(zip(COLUMNS, columns), _blocks=None)
+        vars(part).update(zip(COLUMNS, columns))
         return part
 
     def astype(self, dtype) -> "Batch":
         """A copy with every column, the labels too, cast to ``dtype``."""
-        return Batch(*(a.astype(dtype) for a in (self.P1, self.P2, self.Pr, self.F1, self.F2, self.y)))
+        return Batch(*(getattr(self, name).astype(dtype) for name in COLUMNS))
 
 
 def pack(rows: Sequence[tuple], y: Sequence[int]) -> Batch:
     """A batch from (psi_t1, psi_t2, psi_r, phi_t1r, phi_t2r) rows of number sequences and their 0/1 labels."""
-    return Batch(*(np.array(column, dtype=float) for column in zip(*rows)), np.array(y))
+    P, F1, F2 = (np.array([row[part] for row in rows], dtype=float) for part in (slice(3), 3, 4))
+    return Batch(P, F1, F2, np.array(y))
+
+
+def _block_input(P: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Sentence columns ``a`` and ``b`` of P side by side (N x 2 * sentence_dim): a
+    view of a C-contiguous P where column b follows column a, else a new array."""
+    return P[:, a : b + 1].reshape(len(P), -1) if b == a + 1 else np.concatenate([P[:, a], P[:, b]], axis=1)
 
 
 def forward_batch(model: Model, batch: Batch, swapped: bool = False):
@@ -247,20 +240,25 @@ def forward_batch(model: Model, batch: Batch, swapped: bool = False):
     The output unit reads one N x len(w_out) matrix Z, filled in place and of
     the inputs' dtype: the blocks' tanh units in BLOCKS order (for the
     single-layer model, P1, P2 and Pr), then F1 and F2. With ``swapped``, each
-    tuple is scored with its hypotheses exchanged: the pass reads P2 for P1,
-    F2 for F1 and the block inputs of that order, and so gives sigma(t2, t1, r).
+    tuple is scored with its hypotheses exchanged: the pass reads P2 for P1 and
+    F2 for F1, and so gives sigma(t2, t1, r). A block whose two sentence
+    columns stand side by side in P, (t1,t2) as given and (t2,r) in either
+    order, reads a view of P; the pass builds the (t1,r) input, and the
+    (t2,t1) input when swapped.
     """
     c, p, h = model.config, model.params, model.config.hidden_per_block
-    if batch.P1.shape[1] != c.sentence_dim or batch.F1.shape[1] != c.pairwise_dim:
+    if batch.P.shape[2] != c.sentence_dim or batch.F1.shape[1] != c.pairwise_dim:
         raise ShapeMismatchError(
-            f"input dims ({batch.P1.shape[1]}, {batch.F1.shape[1]}) do not match "
+            f"input dims ({batch.P.shape[2]}, {batch.F1.shape[1]}) do not match "
             f"config ({c.sentence_dim}, {c.pairwise_dim})"
         )
-    columns = [getattr(batch, name) for name in (("P2", "P1", "Pr", "F2", "F1") if swapped else COLUMNS[:5])]
+    # The column of P that each name reads: with the hypotheses exchanged, P1 reads hypothesis 2's.
+    place = dict(zip(SENTENCES, (1, 0, 2) if swapped else (0, 1, 2)))
+    pairwise = [batch.F2, batch.F1] if swapped else [batch.F1, batch.F2]
     if c.architecture == MULTI_LAYER:
-        X, copied = batch.block_inputs(swapped), columns[3:]
+        X, copied = [_block_input(batch.P, place[a], place[b]) for a, b in BLOCKS.values()], pairwise
     else:
-        X, copied = [], columns
+        X, copied = [], [batch.P[:, place[name]] for name in SENTENCES] + pairwise
     Z = np.empty((len(batch), p["w_out"].size), np.result_type(batch.F1, p["w_out"]))
     k = len(X) * h
     np.concatenate(copied, axis=1, out=Z[:, k:])

@@ -151,6 +151,10 @@ def test_vectorize_batch_carries_the_dataset_labels(source):
     assert batch.y.tolist() == ds.labels.tolist() == [1, 0, 0, 1, 0]
     # The dataset's own column, not a copy of it.
     assert batch.y is ds.labels
+    # The sentence vectors are one C-contiguous (n, 3, d) array, so that forward_batch reads
+    # adjacent pairs of its columns in place; precomputed vectors are copied into it once.
+    assert batch.P.shape == (5, 3, 2) and batch.P.flags.c_contiguous
+    assert not np.shares_memory(batch.P, ds.vectors)
 
 
 def hand_built(**columns):

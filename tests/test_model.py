@@ -1,10 +1,8 @@
 import dataclasses
-import gc
 import io
 import json
 import math
 import re
-import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +11,6 @@ from hypothesis import strategies as st
 
 from pairrank.evaluation import predict_delta
 from pairrank.model import (
-    BLOCKS,
     Batch,
     LabelError,
     Model,
@@ -47,7 +44,7 @@ def random_input(config, seed=0):
 
 def exchanged(batch):
     """The batch's tuples with their hypotheses, so their labels, exchanged, built by hand."""
-    return Batch(batch.P2, batch.P1, batch.Pr, batch.F2, batch.F1, 1 - batch.y)
+    return Batch(batch.P[:, [1, 0, 2]], batch.F2, batch.F1, 1 - batch.y)
 
 
 def forward_one(model, batch):
@@ -178,47 +175,40 @@ def test_delta_antisymmetric_under_swap(seed):
     assert sigma == swapped_sigma_rev
 
 
-def test_swapped_view_shares_the_traded_block_inputs_without_a_cycle():
-    m = init_model(CFG)
-    batch = random_input(CFG, 3)
-    forward_batch(m, batch)
-    forward_batch(m, batch, swapped=True)
-    X12, X1r, X2r = batch.block_inputs()
-    Y12, Y1r, Y2r = batch.block_inputs(swapped=True)
-    assert Y1r is X2r and Y2r is X1r
-    assert np.array_equal(Y12, np.hstack([batch.P2, batch.P1]))
-    # Reference counting alone must free the batch, so that no collector pass is needed.
-    ref = weakref.ref(batch)
-    gc.disable()
-    try:
-        del batch
-        assert ref() is None
-    finally:
-        gc.enable()
-
-
 def identical(a, b):
     """Same dtype and the same value in every place, signed zeros included."""
     return a.dtype == b.dtype and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
-@pytest.mark.parametrize("built", [False, True], ids=["built-by-the-swapped-pass", "built-before"])
 @pytest.mark.parametrize("arch", ["multi-layer", "single-layer"])
-def test_swapped_pass_is_the_pass_over_the_exchanged_batch(arch, built):
+def test_swapped_pass_is_the_pass_over_the_exchanged_batch(arch):
     m = init_model(ModelConfig(3, 2, hidden_per_block=4, architecture=arch, seed=5))
     batch = labelled_input(9, seed=7)
-    if built:
-        forward_batch(m, batch)
     sigma, (X, Z) = forward_batch(m, batch, swapped=True)
     want, (want_X, want_Z) = forward_batch(m, exchanged(batch))
     assert identical(sigma, want) and identical(Z, want_Z)
     assert len(X) == len(want_X) and all(identical(x, w) for x, w in zip(X, want_X))
 
 
-@pytest.mark.parametrize("column", ["P1", "P2", "Pr", "F1", "F2", "y"])
+def test_adjacent_sentence_columns_are_read_as_views_of_p():
+    # (t1,t2) as given and (t2,r) in either order stand side by side in P, so
+    # each pass reads them in place and builds only (t1,r), and (t2,t1) when
+    # swapped; the batch keeps nothing of either pass.
+    m = init_model(CFG)
+    whole = labelled_input(6, seed=2)
+    for batch in (whole, whole.take([4, 0, 4, 1])):
+        _, (X, _) = forward_batch(m, batch)
+        _, (Y, _) = forward_batch(m, batch, swapped=True)
+        assert [np.shares_memory(x, batch.P) for x in X] == [True, False, True]
+        assert [np.shares_memory(x, batch.P) for x in Y] == [False, True, False]
+        assert sorted(vars(batch)) == ["F1", "F2", "P", "y"]
+
+
+@pytest.mark.parametrize("column", ["P", "P1", "P2", "Pr", "F1", "F2", "y"])
 def test_batch_columns_are_read_only(column):
-    # forward_batch keeps the block inputs it builds from the sentence vectors,
-    # so a column written after it would leave the next forward stale.
+    # A batch's columns may be its dataset's own arrays (y is the dataset's
+    # labels), and P1, P2 and Pr are views of P: a write through any of them
+    # would change the data that every later pass reads.
     m = init_model(CFG)
     batch = random_input(CFG, 3)
     before, _ = forward_batch(m, batch)
@@ -236,7 +226,7 @@ def labelled_input(n, seed=0):
     return pack(rows, y)
 
 
-COLUMNS = ("P1", "P2", "Pr", "F1", "F2", "y")
+COLUMNS = ("P", "F1", "F2", "y")
 
 
 @pytest.mark.parametrize("short", COLUMNS)
@@ -250,23 +240,34 @@ def test_batch_refuses_a_column_one_row_short(short):
 
 
 @pytest.mark.parametrize("arch", ["single-layer", "multi-layer"])
-@pytest.mark.parametrize("widths", [(3, 4, 2, 2, 2), (3, 3, 3, 2, 1)], ids=["sentence", "pairwise"])
-def test_batch_refuses_columns_of_different_widths(arch, widths):
-    # The single-layer model reads P1, P2 and Pr side by side, so a 3 + 4 + 2
-    # split of its 9 sentence inputs would score without error.
+@pytest.mark.parametrize("shapes, message", [
+    ([(5, 9), (5, 2), (5, 2)], re.escape("P must have shape (N, 3, sentence_dim), got (5, 9)")),
+    ([(5, 3, 3), (5, 2), (5, 1)], "batch columns differ in width: F1 2, F2 1"),
+], ids=["sentence", "pairwise"])
+def test_batch_refuses_columns_of_different_widths(arch, shapes, message):
+    # The single-layer model reads the sentence vectors side by side, so 9
+    # sentence inputs in one flat row (a 3 + 4 + 2 split, say) would score
+    # without error.
     rng = np.random.default_rng(0)
-    columns = {c: rng.normal(size=(5, w)) for c, w in zip(COLUMNS, widths)}
-    named = ", ".join(f"{c} {w}" for c, w in zip(COLUMNS, widths))
-    with pytest.raises(ShapeMismatchError, match=f"^batch columns differ in width: {named}$"):
+    columns = {c: rng.normal(size=shape) for c, shape in zip(COLUMNS, shapes)}
+    with pytest.raises(ShapeMismatchError, match=f"^{message}$"):
         batch = Batch(**columns, y=np.ones(5, int))
         forward_batch(init_model(ModelConfig(3, 2, 2, architecture=arch)), batch)
 
 
-@pytest.mark.parametrize("flat", COLUMNS[:5])
+@pytest.mark.parametrize("shape", [(5,), (5, 6), (5, 2, 3), (5, 4, 3), (5, 3, 3, 1)],
+                         ids=["1-d", "2-d", "two-sentences", "four-sentences", "4-d"])
+def test_batch_refuses_a_sentence_array_not_of_three_sentence_columns(shape):
+    message = re.escape(f"P must have shape (N, 3, sentence_dim), got {shape}")
+    with pytest.raises(ShapeMismatchError, match=f"^{message}$"):
+        Batch(np.zeros(shape), np.zeros((5, 2)), np.zeros((5, 2)), np.ones(5, int))
+
+
+@pytest.mark.parametrize("flat", COLUMNS[1:3])
 def test_batch_refuses_a_column_that_is_not_2d(flat):
-    columns = {c: np.zeros((5, 2)) for c in COLUMNS[:5]}
+    columns = {"P": np.zeros((5, 3, 2)), "F1": np.zeros((5, 2)), "F2": np.zeros((5, 2))}
     columns[flat] = np.zeros(5)
-    dims = ", ".join(f"{c} {1 if c == flat else 2}" for c in COLUMNS[:5])
+    dims = ", ".join(f"{c} {1 if c == flat else 2}" for c in COLUMNS[1:3])
     with pytest.raises(ShapeMismatchError, match=f"^batch columns must be 2-D: {dims}$"):
         Batch(**columns, y=np.ones(5, int))
 
@@ -307,29 +308,12 @@ def test_take_keeps_the_labels_with_their_rows():
     assert np.array_equal(part.F1[:, 0], part.y)
 
 
-@pytest.mark.parametrize("built", [False, True], ids=["built-after-take", "built-before-take"])
-def test_take_keeps_the_block_inputs_with_their_rows(built):
-    batch = labelled_input(8, seed=4)
-    if built:
-        batch.block_inputs()
-    idx = [6, 1, 1, 3]
-    part = batch.take(idx)
-    # The part gathers none of its parent's block inputs; it builds its own on first use.
-    assert part._blocks is None
-    assert all(np.array_equal(x, whole[idx]) for x, whole in zip(part.block_inputs(), batch.block_inputs()))
-    for x, (a, b) in zip(part.block_inputs(), BLOCKS.values()):
-        assert np.array_equal(x, np.hstack([getattr(part, a), getattr(part, b)]))
-    assert np.array_equal(part.block_inputs(swapped=True)[0], np.hstack([part.P2, part.P1]))
-
-
 def test_take_by_boolean_mask_takes_the_rows_that_indexing_does():
     batch = labelled_input(6, seed=5)
-    batch.block_inputs()
     mask = np.array([False, True, False, True, True, False])
     part = batch.take(mask)
-    for name in ("P1", "P2", "Pr", "F1", "F2", "y"):
+    for name in ("P", "P1", "P2", "Pr", "F1", "F2", "y"):
         assert np.array_equal(getattr(part, name), getattr(batch, name)[mask]), name
-    assert all(np.array_equal(x, whole[mask]) for x, whole in zip(part.block_inputs(), batch.block_inputs()))
     with pytest.raises(IndexError):
         batch.take(mask[:-1])
 
@@ -344,20 +328,16 @@ def test_take_refuses_an_index_that_is_not_1d(idx):
 @pytest.mark.parametrize("idx", [np.arange(0), []], ids=["array", "list"])
 def test_take_of_no_rows_is_an_empty_batch(idx):
     batch = labelled_input(5)
-    batch.block_inputs()
     part = batch.take(idx)
     assert len(part) == 0
-    assert [getattr(part, c).shape for c in ("P1", "F1", "y")] == [(0, 3), (0, 2), (0,)]
+    assert [getattr(part, c).shape for c in ("P", "P1", "F1", "y")] == [(0, 3, 3), (0, 3), (0, 2), (0,)]
     assert part.y.dtype == batch.y.dtype
-    assert [x.shape for x in part.block_inputs()] == [(0, 6)] * 3
 
 
 def test_taken_and_swapped_batches_are_read_only_like_any_other():
     part = labelled_input(5).take([4, 0])
-    for name in ("P1", "P2", "Pr", "F1", "F2", "y"):
+    for name in ("P", "P1", "P2", "Pr", "F1", "F2", "y"):
         assert not getattr(part, name).flags.writeable, name
-    for swapped in (False, True):
-        assert not any(x.flags.writeable for x in part.block_inputs(swapped))
 
 
 def edited(model, name, how):

@@ -321,7 +321,7 @@ def test_divergence_names_the_first_non_finite_parameter():
     # stay finite while the step overflows every parameter after them; the cost
     # of that step is finite.
     batch = mixed_rule_batch(16, seed=4)
-    zero = dataclasses.replace(batch, **{c: np.zeros_like(batch.P1) for c in ("P1", "P2", "Pr")})
+    zero = dataclasses.replace(batch, P=np.zeros_like(batch.P))
     m = init_model(ModelConfig(3, 2, 2, seed=1))
     m.params["w_out"] = 10 * m.params["w_out"]
     tcfg = TrainConfig(learning_rate=1e308, epochs=1, batch_size=16)
@@ -370,7 +370,7 @@ def step_oracle_backward(model, cache, dz):
 
 
 def step_oracle_swapped(batch):
-    return Batch(batch.P2, batch.P1, batch.Pr, batch.F2, batch.F1, 1 - batch.y)
+    return Batch(batch.P[:, [1, 0, 2]], batch.F2, batch.F1, 1 - batch.y)
 
 
 def step_oracle_gradients(model, batch, ys, cfg, kind):

@@ -131,11 +131,12 @@ def _write_jsonl(columns: dict[str, Sequence], path: Optional[str]) -> None:
 
 
 def cmd_extract(args) -> int:
-    dataset, batch = _load_data(args.data, _load_table(args.embeddings))
     if args.schema:
-        for name in (*BLEUCOMP_FEATURE_NAMES, *dataset.feature_schema):
+        # The schema is the dataset's alone: no table is read and no features are made.
+        for name in (*BLEUCOMP_FEATURE_NAMES, *data_ingest.load_dataset(args.data).feature_schema):
             print(name)
         return 0
+    dataset, batch = _load_data(args.data, _load_table(args.embeddings))
     _write_jsonl({"id": dataset.ids, "split": dataset.splits, "y": batch.y, "phi_t1r": batch.F1, "phi_t2r": batch.F2,
                   "psi_t1": batch.P1, "psi_t2": batch.P2, "psi_r": batch.Pr}, args.out)
     return 0

@@ -43,10 +43,11 @@ CHUNK_TOKENS = 8192
 # of another version is ignored and rewritten. Version 3 saves the text
 # fields and the count in one JSON member, and drops a leading byte-order
 # mark, on which version 2 failed. Version 4 saves the clipped matches, so
-# a warm load counts no n-grams. A repeated id is refused without a bump: a
-# sidecar that holds one fails the Dataset's own check, so its file is
-# parsed again.
-SIDECAR_VERSION = 4
+# a warm load counts no n-grams. Version 5 lays the columns out tuple-first,
+# as (n, 3) where version 4 had (3, n), which a version-4 sidecar of three
+# tuples would pass. A repeated id is refused without a bump: a sidecar
+# that holds one fails the Dataset's own check, so its file is parsed again.
+SIDECAR_VERSION = 5
 
 # What a dataset's sidecar saves: each field of its constructor, and its type (see pairrank.sidecar).
 _FIELDS = {"token_ids": (np.int32, 1), "offsets": (np.int64, 1), "sentences": (np.int32, 2), "matches": (np.int32, 3),
@@ -106,7 +107,7 @@ class _Tuples(Sequence):
     def __getitem__(self, i: int) -> EvaluationTuple:
         d = self._dataset
         hyp1, hyp2, reference = ([d.vocab[t] for t in d.token_ids[d.offsets[s] : d.offsets[s + 1]].tolist()]
-                                 for s in d.sentences[:, i].tolist())
+                                 for s in d.sentences[i].tolist())
         return EvaluationTuple(d.ids[i], d.splits[i], reference, hyp1, hyp2)
 
 
@@ -119,15 +120,16 @@ class Dataset:
 
     ``ids`` and ``splits`` name each of the n tuples, no id twice. The text is a
     sentence store that holds each distinct sentence once: sentence ``s`` is
-    ``token_ids[offsets[s]:offsets[s + 1]]``, ids into ``vocab``, and
-    ``sentences`` (3, n) gives the store sentence of each tuple's hyp1, hyp2
-    and reference. ``matches`` (2, n, 4) holds the clipped n-gram matches of
-    hyp1 and hyp2 against the tuple's reference for n = 1..4, counted once,
-    at parse. ``labels`` (n,) is 1 where hyp1 was judged better and 0 where
-    hyp2 was; ``scores`` (2, n, k) holds the external scores of hyp1
-    and hyp2 in ``feature_schema`` order; ``vectors`` (3, n, d) the
-    precomputed sentence vectors of hyp1, hyp2 and the reference, with
-    d = 0 when there are none.
+    ``token_ids[offsets[s]:offsets[s + 1]]``, ids into ``vocab``. Every
+    other column holds one row per tuple, its parts in the order that a
+    Batch reads them: ``sentences`` (n, 3) gives the store sentence of
+    each tuple's hyp1, hyp2 and reference; ``matches`` (n, 2, 4) holds the
+    clipped n-gram matches of hyp1 and hyp2 against the tuple's reference
+    for n = 1..4, counted once, at parse; ``labels`` (n,) is 1 where hyp1
+    was judged better and 0 where hyp2 was; ``scores`` (n, 2, k) holds the
+    external scores of hyp1 and hyp2 in ``feature_schema`` order;
+    ``vectors`` (n, 3, d) the precomputed sentence vectors of hyp1, hyp2
+    and the reference, with d = 0 when there are none.
     """
 
     ids: Sequence[str]
@@ -166,20 +168,20 @@ class Dataset:
         if len(bad):
             raise DatasetFormatError(f"labels must be 0 or 1, got {bad[0]:g}")
         self.labels = labels.astype(int)
-        self.scores = _column(self.scores, "scores", (2, n, None))
+        self.scores = _column(self.scores, "scores", (n, 2, None))
         if self.scores.shape[2] != k:
             raise InconsistentSchema(f"scores have {self.scores.shape[2]} columns for schema {list(self.feature_schema)}")
-        self.vectors = _column(self.vectors, "vectors", (3, n, None))
+        self.vectors = _column(self.vectors, "vectors", (n, 3, None))
         self.token_ids = _column(self.token_ids, "token_ids", (None,), len(self.vocab)).astype(np.int32, copy=False)
         offsets = _column(self.offsets, "offsets", (None,), len(self.token_ids) + 1).astype(np.int64, copy=False)
         if offsets[:1].tolist() != [0] or offsets[-1] != len(self.token_ids) or (np.diff(offsets) < 0).any():
             raise DatasetFormatError("offsets must rise from 0 to the number of tokens")
         self.offsets = offsets
-        self.sentences = _column(self.sentences, "sentences", (3, n), len(offsets) - 1).astype(np.int32, copy=False)
-        matches = _column(self.matches, "matches", (2, n, MAX_ORDER), np.iinfo(np.int32).max)
+        self.sentences = _column(self.sentences, "sentences", (n, 3), len(offsets) - 1).astype(np.int32, copy=False)
+        matches = _column(self.matches, "matches", (n, 2, MAX_ORDER), np.iinfo(np.int32).max)
         # A hypothesis of m tokens holds max(m - k + 1, 0) k-grams, the most it can match. One order
         # at a time, so that the check's temporary arrays are of one value per hypothesis.
-        length = _lengths(offsets, self.sentences[:2])
+        length = _lengths(offsets, self.sentences[:, :2])
         if any((matches[..., k] > np.maximum(length - k, 0)).any() for k in range(MAX_ORDER)):
             raise DatasetFormatError("matches must not exceed their hypothesis's k-gram totals")
         self.matches = matches.astype(np.int32, copy=False)
@@ -222,13 +224,13 @@ def _number(value, lineno: int, what: str) -> float:
     return x
 
 
-def _vectors(obj: dict, lineno: int) -> tuple[list[float], list[float], list[float]]:
-    """The line's psi_t1, psi_t2 and psi_r, each empty when the line has none."""
+def _vectors(obj: dict, lineno: int) -> list[float]:
+    """The line's psi_t1, psi_t2 and psi_r one after another, empty when the line has none."""
     names = ("psi_t1", "psi_t2", "psi_r")
     vecs = [obj.get(k) for k in names]
     present = [v is not None for v in vecs]
     if not any(present):
-        return [], [], []
+        return []
     if not all(present):
         raise DatasetFormatError(f"line {lineno}: precomputed vectors must all be present or absent")
     for name, v in zip(names, vecs):
@@ -236,7 +238,7 @@ def _vectors(obj: dict, lineno: int) -> tuple[list[float], list[float], list[flo
             raise DatasetFormatError(f"line {lineno}: {name} must be an array of numbers")
     if len({len(v) for v in vecs}) != 1:
         raise DatasetFormatError(f"line {lineno}: precomputed vectors differ in dimension")
-    return tuple([_number(x, lineno, name) for x in v] for name, v in zip(names, vecs))
+    return [_number(x, lineno, name) for name, v in zip(names, vecs) for x in v]
 
 
 def _scores(obj: dict, lineno: int, name: str) -> dict[str, float]:
@@ -250,11 +252,10 @@ def _scores(obj: dict, lineno: int, name: str) -> dict[str, float]:
 
 def _parse(source: Iterable[str]) -> Dataset:
     """The dataset in JSON lines, as :func:`load_dataset` describes."""
-    # One flat list per field, made into the dataset's columns at the end;
-    # ids maps each kept record's id to its line, to name a repeat.
+    # One flat list per field, tuple by tuple, made into the dataset's columns
+    # at the end; ids maps each kept record's id to its line, to name a repeat.
     ids: dict[str, int] = {}
-    splits, labels = [], []
-    scores, vectors = ([], []), ([], [], [])
+    splits, labels, scores, vectors = [], [], [], []
     schema: Optional[list[str]] = None
     sentence_dim: Optional[int] = None
     dropped = 0
@@ -291,9 +292,9 @@ def _parse(source: Iterable[str]) -> Dataset:
             raise InconsistentSchema(f"line {lineno}: external scores {sorted(ext[0])} do not match schema {schema}")
         psi = _vectors(obj, lineno)
         if sentence_dim is None:
-            sentence_dim = len(psi[0])
-        elif len(psi[0]) != sentence_dim:
-            raise DatasetFormatError(f"line {lineno}: sentence vector dimension {len(psi[0])} != {sentence_dim}")
+            sentence_dim = len(psi) // 3
+        elif len(psi) // 3 != sentence_dim:
+            raise DatasetFormatError(f"line {lineno}: sentence vector dimension {len(psi) // 3} != {sentence_dim}")
         tid, split = obj.get("id", lineno), obj.get("split", "all")
         # bool is an int subclass, so true would otherwise pass as the id "True".
         if isinstance(tid, bool) or not isinstance(tid, (str, int)):
@@ -308,21 +309,19 @@ def _parse(source: Iterable[str]) -> Dataset:
             raise DatasetFormatError(f"line {lineno}: id {str(tid)!r} repeats line {first}")
         splits.append(split)
         labels.append(y)
-        for column, named in zip(scores, ext):
-            column.extend(map(named.__getitem__, schema))
-        for column, values in zip(vectors, psi):
-            column.extend(values)
+        scores.extend(named[name] for named in ext for name in schema)
+        vectors.extend(psi)
     n, schema = len(ids), schema or []
     # The store takes the place of the token ids read, which are freed before counting.
     token_ids, offsets, sentences = _distinct(token_ids, ends)
     return Dataset(list(ids), splits, list(vocab), token_ids, offsets, sentences,
                    _matches(token_ids, offsets, sentences), schema, labels,
-                   np.array(scores).reshape(2, n, len(schema)), np.array(vectors).reshape(3, n, sentence_dim or 0),
+                   np.array(scores).reshape(n, 2, len(schema)), np.array(vectors).reshape(n, 3, sentence_dim or 0),
                    dropped_ties=dropped)
 
 
 def _distinct(token_ids: array, ends: array) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The store of the distinct sentences read (token ids and offsets), and the (3, n)
+    """The store of the distinct sentences read (token ids and offsets), and the (n, 3)
     index of each tuple's hyp1, hyp2 and reference into it.
 
     Sentence i of ``token_ids``, the reference, hyp1 or hyp2 of a tuple in
@@ -334,19 +333,19 @@ def _distinct(token_ids: array, ends: array) -> tuple[np.ndarray, np.ndarray, np
     seen: dict[bytes, int] = {}  # a sentence's ids -> its place in the store
     place = [seen.setdefault(raw[width * a : width * b], len(seen)) for a, b in zip([0, *ends], ends)]
     offsets = np.cumsum([0, *map(len, seen)]) // width
-    sentences = np.array(place, np.int32).reshape(-1, 3).T[[1, 2, 0]]
+    sentences = np.array(place, np.int32).reshape(-1, 3)[:, [1, 2, 0]]
     return np.frombuffer(b"".join(seen), np.intc), offsets, sentences
 
 
 def _chunks(offsets: np.ndarray, sentences: np.ndarray) -> list[slice]:
-    """The tuples of ``sentences`` (3, n), into a store with ``offsets``, in runs of
+    """The tuples of ``sentences`` (n, 3), into a store with ``offsets``, in runs of
     whole tuples whose tokens fit ``CHUNK_TOKENS``, or of one tuple larger than that.
 
     The runs are all cut before any is used, so the arrays that cut them are
     freed before the caller's pass over them.
     """
     # The tokens read by the end of each tuple; a chunk ends at the last tuple that keeps it within the budget.
-    ends = np.cumsum(sum(_lengths(offsets, s) for s in sentences))
+    ends = np.cumsum(_lengths(offsets, sentences).sum(axis=1))
     chunks, lo = [], 0
     while lo < len(ends):
         hi = max(lo + 1, int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + CHUNK_TOKENS, "right")))
@@ -356,13 +355,12 @@ def _chunks(offsets: np.ndarray, sentences: np.ndarray) -> list[slice]:
 
 
 def _matches(token_ids: np.ndarray, offsets: np.ndarray, sentences: np.ndarray) -> np.ndarray:
-    """The (2, n, 4) clipped n-gram matches of each tuple's hyp1 and hyp2 against its
+    """The (n, 2, 4) clipped n-gram matches of each tuple's hyp1 and hyp2 against its
     reference, counted a chunk at a time (see :func:`_chunks`)."""
-    matches = np.empty((2, sentences.shape[1], MAX_ORDER), np.int32)
+    matches = np.empty((len(sentences), 2, MAX_ORDER), np.int32)
     for chunk in _chunks(offsets, sentences):
-        refs = sentences[2, chunk]
-        counted = clipped_matches(token_ids, offsets, sentences[:2, chunk].ravel(), np.tile(refs, 2))
-        matches[:, chunk] = counted.reshape(2, len(refs), MAX_ORDER)
+        hyps, refs = sentences[chunk, :2].ravel(), np.repeat(sentences[chunk, 2], 2)
+        matches[chunk] = clipped_matches(token_ids, offsets, hyps, refs).reshape(-1, 2, MAX_ORDER)
     return matches
 
 
@@ -380,36 +378,36 @@ def vectorize(dataset: Dataset, table: Optional[EmbeddingTable] = None) -> Batch
     """The dataset's batch of model inputs, in order; its labels are ``dataset.labels``.
 
     Sentence vectors come from one source: the dataset's precomputed
-    vectors when it has them (copied once), else mean composition over
-    ``table`` when given, else they have width 0; a table given for
-    precomputed vectors raises. The pairwise feature vectors are the BLEU
-    components, made from the dataset's clipped matches and sentence
-    lengths, then its external scores. The BLEU columns and the composition
-    are made in bulk from the dataset's sentence store, over the chunks that
-    counted the matches (see :func:`_chunks`), straight into the features
-    and the (n, 3, d) sentence array ``P``, and give the same values bit for
-    bit as counting and composing one tuple at a time.
+    vectors when it has them, handed over as they are, like its labels;
+    else mean composition over ``table`` when given; else they have width
+    0. A table given for precomputed vectors raises. The pairwise features
+    are the BLEU components, made from the dataset's clipped matches and
+    sentence lengths, then its external scores. The BLEU columns and the
+    composition are made in bulk from the sentence store, over the chunks
+    that counted the matches (see :func:`_chunks`), straight into each
+    chunk's rows of ``F`` (n, 2, K) and ``P`` (n, 3, d), and give the same
+    values bit for bit as counting and composing one tuple at a time.
     """
     if dataset.vectors.size and table is not None:
         raise DatasetFormatError(f"tuple {dataset.ids[0]}: precomputed sentence vectors and an embedding table given")
     n, k = len(dataset.ids), len(BLEUCOMP_FEATURE_NAMES)
     store, sentences = (dataset.token_ids, dataset.offsets), dataset.sentences
-    features = np.empty((2, n, k + len(dataset.feature_schema)))
-    features[:, :, k:] = dataset.scores
+    F = np.empty((n, 2, k + len(dataset.feature_schema)))
+    F[:, :, k:] = dataset.scores
     if table is None:
-        P = dataset.vectors.transpose(1, 0, 2).copy()
+        P = dataset.vectors
     else:
         P = np.empty((n, 3, table.dimension))
         rows = table.rows_of(dataset.vocab)
     for chunk in _chunks(dataset.offsets, sentences):
-        hyps, refs = sentences[:2, chunk].ravel(), np.tile(sentences[2, chunk], 2)
+        hyps, refs = sentences[chunk, :2].ravel(), np.repeat(sentences[chunk, 2], 2)
         lengths = (_lengths(dataset.offsets, s) for s in (hyps, refs))
-        bleu = bleu_columns(dataset.matches[:, chunk].reshape(-1, MAX_ORDER), *lengths)
-        features[:, chunk, :k] = bleu.reshape(2, -1, k)
+        bleu = bleu_columns(dataset.matches[chunk].reshape(-1, MAX_ORDER), *lengths)
+        F[chunk, :, :k] = bleu.reshape(-1, 2, k)
         if table is not None:
             # Each distinct sentence of the chunk is composed once; its tuples share the row.
-            used, slots = np.unique(sentences[:, chunk], return_inverse=True)
+            used, slots = np.unique(sentences[chunk], return_inverse=True)
             tokens, lens = gather_tokens(*store, used)
             composed, _ = compose_mean_matrix(rows[tokens], lens, table)
-            np.take(composed, slots.reshape(3, -1).T, axis=0, out=P[chunk], mode="clip")
-    return Batch(P, *features, dataset.labels)
+            np.take(composed, slots.reshape(-1, 3), axis=0, out=P[chunk], mode="clip")
+    return Batch(P, F, dataset.labels)

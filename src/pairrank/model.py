@@ -58,11 +58,11 @@ class ModelConfig:
 
 
 # The interaction blocks of the multi-layer network: each block's name and
-# the two sentence-vector columns of the Batch whose concatenation it reads.
-# Its parameters are W<name> (hidden_per_block x 2 * sentence_dim) and
-# b<name>; its tanh units fill the next hidden_per_block inputs of the
-# output layer.
-BLOCKS = {"12": ("P1", "P2"), "1r": ("P1", "Pr"), "2r": ("P2", "Pr")}
+# the two columns of a Batch's P (0 hypothesis 1, 1 hypothesis 2, 2 the
+# reference) whose concatenation it reads. Its parameters are W<name>
+# (hidden_per_block x 2 * sentence_dim) and b<name>; its tanh units fill the
+# next hidden_per_block inputs of the output layer.
+BLOCKS = {"12": (0, 1), "1r": (0, 2), "2r": (1, 2)}
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -146,53 +146,51 @@ def init_model(config: ModelConfig) -> Model:
     return Model(config=config, params=params)
 
 
-COLUMNS = ("P", "F1", "F2", "y")
-SENTENCES = ("P1", "P2", "Pr")  # the columns of P: hypothesis 1, hypothesis 2, the reference
+COLUMNS = ("P", "F", "y")
 
 
 @dataclass
 class Batch:
-    """Model inputs for a set of tuples, one row per tuple.
+    """Model inputs for a set of tuples, one row per tuple, laid out as the network reads them.
 
     P holds the sentence vectors of hypothesis 1, hypothesis 2 and the
     reference side by side (N x 3 x sentence_dim), and P1, P2 and Pr are
-    views of its three columns; F1 and F2 hold each hypothesis's pairwise
-    features against the reference (N x pairwise_dim); y holds each
-    tuple's label (N,), 1 where hypothesis 1 was judged better and 0 where
-    hypothesis 2 was, as ints or floats. The constructor checks these
-    shapes and labels, then takes over the arrays it was given and makes
-    them read-only in place.
+    views of its three columns; F holds each hypothesis's pairwise features
+    against the reference side by side (N x 2 x pairwise_dim), and F1 and F2
+    are views of its two columns; y holds each tuple's label (N,), 1 where
+    hypothesis 1 was judged better and 0 where hypothesis 2 was, as ints or
+    floats. The constructor checks these shapes and labels, then takes over
+    the arrays it was given and makes them read-only in place.
     """
 
     P: np.ndarray
-    F1: np.ndarray
-    F2: np.ndarray
+    F: np.ndarray
     y: np.ndarray
 
     P1 = property(lambda self: self.P[:, 0])
     P2 = property(lambda self: self.P[:, 1])
     Pr = property(lambda self: self.P[:, 2])
+    F1 = property(lambda self: self.F[:, 0])
+    F2 = property(lambda self: self.F[:, 1])
 
     def __post_init__(self):
-        columns = (self.P, self.F1, self.F2, self.y)
-        if self.P.ndim != 3 or self.P.shape[1] != len(SENTENCES):
+        columns = (self.P, self.F, self.y)
+        if self.P.ndim != 3 or self.P.shape[1] != 3:
             raise ShapeMismatchError(f"P must have shape (N, 3, sentence_dim), got {self.P.shape}")
+        if self.F.ndim != 3 or self.F.shape[1] != 2:
+            raise ShapeMismatchError(f"F must have shape (N, 2, pairwise_dim), got {self.F.shape}")
         if self.y.ndim != 1:
             raise ShapeMismatchError(f"y must be 1-D, got shape {self.y.shape}")
         rows = [len(column) for column in columns]
         if len(set(rows)) > 1:
             counts = ", ".join(f"{name} {n}" for name, n in zip(COLUMNS, rows))
             raise ShapeMismatchError(f"batch columns differ in rows: {counts}")
-        if self.F1.ndim != 2 or self.F2.ndim != 2:
-            raise ShapeMismatchError(f"batch columns must be 2-D: F1 {self.F1.ndim}, F2 {self.F2.ndim}")
-        if self.F1.shape[1] != self.F2.shape[1]:
-            raise ShapeMismatchError(f"batch columns differ in width: F1 {self.F1.shape[1]}, F2 {self.F2.shape[1]}")
         if self.y.dtype.kind not in "iuf":
             raise LabelError(f"labels must be ints or floats, got {self.y.dtype}")
         bad = self.y[(self.y != 0) & (self.y != 1)]
         if len(bad):
             raise LabelError(f"labels must be 0 or 1, got {bad[0]:g}")
-        # Read-only from here on: y may be the dataset's own labels, and P1, P2 and Pr are views of P.
+        # Read-only from here on: P and y may be the dataset's own arrays, and P1 to F2 are views.
         for column in columns:
             column.flags.writeable = False
 
@@ -223,9 +221,10 @@ class Batch:
 
 
 def pack(rows: Sequence[tuple], y: Sequence[int]) -> Batch:
-    """A batch from (psi_t1, psi_t2, psi_r, phi_t1r, phi_t2r) rows of number sequences and their 0/1 labels."""
-    P, F1, F2 = (np.array([row[part] for row in rows], dtype=float) for part in (slice(3), 3, 4))
-    return Batch(P, F1, F2, np.array(y))
+    """A batch from (psi_t1, psi_t2, psi_r, phi_t1r, phi_t2r) rows of number sequences and their 0/1 labels:
+    the first three of each row make its row of P, the last two its row of F."""
+    P, F = (np.array([row[part] for row in rows], dtype=float) for part in (slice(3), slice(3, 5)))
+    return Batch(P, F, np.array(y))
 
 
 def _block_input(P: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -239,27 +238,27 @@ def forward_batch(model: Model, batch: Batch, swapped: bool = False):
 
     The output unit reads one N x len(w_out) matrix Z, filled in place and of
     the inputs' dtype: the blocks' tanh units in BLOCKS order (for the
-    single-layer model, P1, P2 and Pr), then F1 and F2. With ``swapped``, each
-    tuple is scored with its hypotheses exchanged: the pass reads P2 for P1 and
-    F2 for F1, and so gives sigma(t2, t1, r). A block whose two sentence
-    columns stand side by side in P, (t1,t2) as given and (t2,r) in either
-    order, reads a view of P; the pass builds the (t1,r) input, and the
-    (t2,t1) input when swapped.
+    single-layer model, the three columns of P), then the two columns of F.
+    With ``swapped``, each tuple is scored with its hypotheses exchanged, as
+    sigma(t2, t1, r): the columns of P and F are read in the order (1, 0, 2),
+    so that the pass reads hypothesis 2's for hypothesis 1's. A block whose
+    two sentence columns stand side by side in P, (t1,t2) as given and (t2,r)
+    in either order, reads a view of P; the pass builds the (t1,r) input, and
+    the (t2,t1) input when swapped.
     """
     c, p, h = model.config, model.params, model.config.hidden_per_block
-    if batch.P.shape[2] != c.sentence_dim or batch.F1.shape[1] != c.pairwise_dim:
+    P, F = batch.P, batch.F
+    if P.shape[2] != c.sentence_dim or F.shape[2] != c.pairwise_dim:
         raise ShapeMismatchError(
-            f"input dims ({batch.P.shape[2]}, {batch.F1.shape[1]}) do not match "
-            f"config ({c.sentence_dim}, {c.pairwise_dim})"
+            f"input dims ({P.shape[2]}, {F.shape[2]}) do not match config ({c.sentence_dim}, {c.pairwise_dim})"
         )
-    # The column of P that each name reads: with the hypotheses exchanged, P1 reads hypothesis 2's.
-    place = dict(zip(SENTENCES, (1, 0, 2) if swapped else (0, 1, 2)))
-    pairwise = [batch.F2, batch.F1] if swapped else [batch.F1, batch.F2]
+    order = (1, 0, 2) if swapped else (0, 1, 2)
+    pairwise = [F[:, i] for i in order[:2]]
     if c.architecture == MULTI_LAYER:
-        X, copied = [_block_input(batch.P, place[a], place[b]) for a, b in BLOCKS.values()], pairwise
+        X, copied = [_block_input(P, order[a], order[b]) for a, b in BLOCKS.values()], pairwise
     else:
-        X, copied = [], [batch.P[:, place[name]] for name in SENTENCES] + pairwise
-    Z = np.empty((len(batch), p["w_out"].size), np.result_type(batch.F1, p["w_out"]))
+        X, copied = [], [P[:, i] for i in order] + pairwise
+    Z = np.empty((len(batch), p["w_out"].size), np.result_type(F, p["w_out"]))
     k = len(X) * h
     np.concatenate(copied, axis=1, out=Z[:, k:])
     for i, (name, x) in enumerate(zip(BLOCKS, X)):

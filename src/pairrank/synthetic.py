@@ -72,7 +72,7 @@ def mixed_rule_batch(n: int, seed: int = 0) -> Batch:
     on both of the network's channels, as the gradient check takes it."""
     sent = interaction_rule_dataset(n, sentence_dim=3, seed=seed)
     pair = linear_rule_dataset(n, pairwise_dim=2, seed=seed + 1)
-    return dataclasses.replace(sent, F1=pair.F1, F2=pair.F2, y=pair.y)
+    return dataclasses.replace(sent, F=pair.F, y=pair.y)
 
 
 def token_dataset_lines(

@@ -52,6 +52,20 @@ def test_schema_flag(capsys, data_file):
     assert out[0] == "precision_1"
 
 
+def test_schema_reads_only_the_dataset(tmp_path, capsys, data_file, emb_file):
+    # The schema is the dataset's: with a table beside precomputed vectors it
+    # once ran vectorize, which refused the two vector sources, and exited 1.
+    data = tmp_path / "psi.jsonl"
+    data.write_text(edited_lines(data_file, psi_t1=[0.5], psi_t2=[0.25], psi_r=[1.0],
+                                 external_scores_1={"METEOR": 0.5}, external_scores_2={"METEOR": 0.25}))
+    unread = AssertionError("read beyond the dataset")
+    with mock.patch.object(pairrank.data_ingest, "vectorize", side_effect=unread), \
+            mock.patch.object(pairrank.cli, "load_embedding_table", side_effect=unread):
+        assert run(["extract", "--data", str(data), "--embeddings", emb_file, "--schema"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 17 and out[0] == "precision_1" and out[-1] == "METEOR"
+
+
 def test_extract_writes_features(tmp_path, data_file, emb_file):
     out = tmp_path / "feats.jsonl"
     assert run(["extract", "--data", data_file, "--embeddings", emb_file, "--out", str(out)]) == 0

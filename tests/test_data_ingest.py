@@ -152,9 +152,10 @@ def test_vectorize_batch_carries_the_dataset_labels(source):
     # The dataset's own column, not a copy of it.
     assert batch.y is ds.labels
     # The sentence vectors are one C-contiguous (n, 3, d) array, so that forward_batch reads
-    # adjacent pairs of its columns in place; precomputed vectors are copied into it once.
+    # adjacent pairs of its columns in place. Precomputed vectors are the dataset's own, like the labels:
+    # copied, they were held twice, some 46 MB of a warm evaluate's peak at 20,000 tuples of width 100.
     assert batch.P.shape == (5, 3, 2) and batch.P.flags.c_contiguous
-    assert not np.shares_memory(batch.P, ds.vectors)
+    assert np.shares_memory(batch.P, ds.vectors) == (source == "precomputed")
 
 
 def hand_built(**columns):
@@ -166,41 +167,41 @@ def hand_built(**columns):
 
 def test_dataset_refuses_vectors_for_other_tuples():
     # Vectors of dimension 5 for no tuple, where the dataset has one.
-    with pytest.raises(DatasetFormatError, match=r"^vectors has shape \(3, 0, 5\), expected \(3, 1, any\)$"):
-        hand_built(vectors=np.zeros((3, 0, 5)))
+    with pytest.raises(DatasetFormatError, match=r"^vectors has shape \(0, 3, 5\), expected \(1, 3, any\)$"):
+        hand_built(vectors=np.zeros((0, 3, 5)))
 
 
 def test_dataset_refuses_scores_outside_the_schema():
     with pytest.raises(InconsistentSchema, match=r"^scores have 2 columns for schema \['M'\]$"):
-        hand_built(scores=[[[0.9, 0.5]], [[0.1, 0.5]]])
+        hand_built(scores=[[[0.9, 0.5], [0.1, 0.5]]])
 
 
 # The hand-built datasets that vectorize once took without a typed error.
 @pytest.mark.parametrize("columns, message", [
     # psi_t1 shorter than psi_t2 and psi_r: it was broadcast to their width.
-    ({"vectors": [[[0.5]], [[0.5, 0.5, 0.5]], [[0.5, 0.5, 0.5]]]}, "^vectors: setting an array element"),
+    ({"vectors": [[[0.5], [0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]]}, "^vectors: setting an array element"),
     # A NaN psi_r went through unchecked.
-    ({"vectors": [[[0.5]], [[0.25]], [[float("nan")]]]}, "^vectors holds a non-finite value$"),
+    ({"vectors": [[[0.5], [0.25], [float("nan")]]]}, "^vectors holds a non-finite value$"),
     # One tuple's vectors without the tuple axis; given with dimension 0, vectors were dropped.
-    ({"vectors": [[0.5, 0.5], [0.25, 0.25], [1.0, 1.0]]}, r"^vectors has shape \(3, 2\), expected \(3, 1, any\)$"),
+    ({"vectors": [[0.5, 0.5], [0.25, 0.25], [1.0, 1.0]]}, r"^vectors has shape \(3, 2\), expected \(1, 3, any\)$"),
     ({"labels": [7]}, "^labels must be 0 or 1, got 7$"),
-    ({"scores": [[[0.9]], [[float("inf")]]]}, "^scores holds a non-finite value$"),
-    ({"scores": [[[0.9]], [[10 ** 400]]]}, "^scores: int too large to convert to float$"),
+    ({"scores": [[[0.9], [float("inf")]]]}, "^scores holds a non-finite value$"),
+    ({"scores": [[[0.9], [10 ** 400]]]}, "^scores: int too large to convert to float$"),
     # The sentence store: ids outside the vocabulary, offsets that do not
     # cover the tokens in order, and sentences outside the store.
     ({"token_ids": [0, 2]}, r"^token_ids must hold integers in \[0, 2\)$"),
     ({"token_ids": [0.0, 1.0]}, r"^token_ids must hold integers in \[0, 2\)$"),
     ({"offsets": [0, 2, 1]}, "^offsets must rise from 0 to the number of tokens$"),
     ({"offsets": [0, 1]}, "^offsets must rise from 0 to the number of tokens$"),
-    ({"sentences": [[0], [1], [2]]}, r"^sentences must hold integers in \[0, 2\)$"),
-    ({"sentences": [0, 1, 0]}, r"^sentences has shape \(3,\), expected \(3, 1\)$"),
+    ({"sentences": [[0, 1, 2]]}, r"^sentences must hold integers in \[0, 2\)$"),
+    ({"sentences": [0, 1, 0]}, r"^sentences has shape \(3,\), expected \(1, 3\)$"),
     ({"splits": []}, "^0 splits for 1 tuples$"),
     # Token ids name vocabulary entries, and BLEU compares ids: a repeated
     # entry would make two ids of one token.
     ({"vocab": ["a", "a"]}, "^vocab must hold each token once$"),
-    ({"feature_schema": ["TER", "M"], "scores": [[[0.9, 0.5]], [[0.1, 0.5]]]},
+    ({"feature_schema": ["TER", "M"], "scores": [[[0.9, 0.5], [0.1, 0.5]]]},
      r"^schema \['TER', 'M'\] must be sorted and hold each name once$"),
-    ({"feature_schema": ["M", "M"], "scores": [[[0.9, 0.5]], [[0.1, 0.5]]]},
+    ({"feature_schema": ["M", "M"], "scores": [[[0.9, 0.5], [0.1, 0.5]]]},
      r"^schema \['M', 'M'\] must be sorted and hold each name once$"),
     ({"dropped_ties": -1}, "^dropped_ties must be >= 0, got -1$"),
     # Text fields and the count as a sidecar's JSON may hold them.
@@ -211,10 +212,10 @@ def test_dataset_refuses_scores_outside_the_schema():
     ({"dropped_ties": True}, "^dropped_ties must be an integer, got True$"),
     ({"dropped_ties": 1.0}, "^dropped_ties must be an integer, got 1.0$"),
     # The clipped matches of hyp1 ("a" against the reference "a") and hyp2 ("b"): one unigram each at most.
-    ({"matches": np.zeros((2, 1, 3), np.int32)}, r"^matches has shape \(2, 1, 3\), expected \(2, 1, 4\)$"),
-    ({"matches": np.zeros((2, 1, 4))}, r"^matches must hold integers in \[0, 2147483647\)$"),
-    ({"matches": [[[-1, 0, 0, 0]], [[0, 0, 0, 0]]]}, r"^matches must hold integers in \[0, 2147483647\)$"),
-    ({"matches": [[[1, 1, 0, 0]], [[0, 0, 0, 0]]]}, "^matches must not exceed their hypothesis's k-gram totals$"),
+    ({"matches": np.zeros((1, 2, 3), np.int32)}, r"^matches has shape \(1, 2, 3\), expected \(1, 2, 4\)$"),
+    ({"matches": np.zeros((1, 2, 4))}, r"^matches must hold integers in \[0, 2147483647\)$"),
+    ({"matches": [[[-1, 0, 0, 0], [0, 0, 0, 0]]]}, r"^matches must hold integers in \[0, 2147483647\)$"),
+    ({"matches": [[[1, 1, 0, 0], [0, 0, 0, 0]]]}, "^matches must not exceed their hypothesis's k-gram totals$"),
     # A store in which hyp1 is empty, under the matches counted for "a".
     ({"token_ids": [1], "offsets": [0, 0, 1]}, "^matches must not exceed their hypothesis's k-gram totals$"),
 ], ids=["short-vector", "nan-vector", "vectors-without-tuple-axis", "label-7", "infinite-score", "huge-score",
@@ -231,7 +232,7 @@ def test_dataset_refuses_bad_columns(columns, message):
 
 def test_dataset_refuses_vectors_of_different_lengths():
     ds = load_dataset([make_line(id="t0"), make_line(id="t1", y=0)])
-    ragged = [[[1.0, 2.0], [1.0]]] * 3  # the second tuple's vectors are shorter
+    ragged = [[[1.0, 2.0]] * 3, [[1.0]] * 3]  # the second tuple's vectors are shorter
     with pytest.raises(DatasetFormatError, match="^vectors: setting an array element"):
         dataclasses.replace(ds, vectors=ragged)
 
@@ -239,7 +240,7 @@ def test_dataset_refuses_vectors_of_different_lengths():
 @pytest.mark.parametrize("write", [
     lambda ds: ds.labels.__setitem__(0, 7),
     lambda ds: ds.scores.__setitem__((0, 0, 0), np.nan),
-    lambda ds: ds.vectors.__setitem__((2, 0, 0), np.nan),
+    lambda ds: ds.vectors.__setitem__((0, 2, 0), np.nan),
     lambda ds: ds.sentences.__setitem__((0, 0), 1),
     lambda ds: ds.token_ids.__setitem__(0, 1),
     lambda ds: ds.matches.__setitem__((0, 0, 3), 9),
@@ -322,9 +323,9 @@ def chunk_tokens(budget):
     real, counted = data_ingest.clipped_matches, []
 
     def checked(token_ids, offsets, hyps, refs):
-        # hyps holds each hyp1 of the chunk, then each hyp2; refs the references, twice over.
+        # hyps holds each tuple's hyp1 and hyp2 of the chunk in turn; refs each tuple's reference twice.
         lens, tuples = np.diff(offsets), len(hyps) // 2
-        assert tuples == 1 or lens[hyps].sum() + lens[refs[:tuples]].sum() <= budget
+        assert tuples == 1 or lens[hyps].sum() + lens[refs[::2]].sum() <= budget
         counted.append(tuples)
         return real(token_ids, offsets, hyps, refs)
 
@@ -704,7 +705,7 @@ EARLIER_DATA_SIDECAR = (
 
 
 def test_dataset_sidecar_from_the_earlier_loader_is_served(tmp_path):
-    # Version 1 read an id or split of any type; parsed once and rewritten as version 4, which is then served.
+    # Version 1 read an id or split of any type; parsed once and rewritten as version 5, which is then served.
     path = data_file(tmp_path, SIDECAR_DATASETS["ties-and-scores"])
     with open(sidecar.sidecar_path(path), "wb") as f:
         f.write(zlib.decompress(base64.b64decode(EARLIER_DATA_SIDECAR)))
@@ -713,7 +714,30 @@ def test_dataset_sidecar_from_the_earlier_loader_is_served(tmp_path):
     with mock.patch.object(data_ingest, "_parse", wraps=data_ingest._parse) as parse:
         assert_same_dataset(load_dataset(path), want)
     assert parse.call_count == 1
-    assert sidecar_members(path)["fields.json"]["version"] == data_ingest.SIDECAR_VERSION == 4
+    assert sidecar_members(path)["fields.json"]["version"] == data_ingest.SIDECAR_VERSION == 5
+    with parse_only():
+        assert_same_dataset(load_dataset(path), want)
+
+
+def test_version_4_sidecar_of_three_tuples_is_parsed_again_not_served_transposed(tmp_path):
+    # Version 4 laid the columns out role first: sentences (3, n), matches and
+    # scores (2, n, ...), vectors (3, n, d). Of three tuples, its sentences and
+    # vectors have version 5's shapes with their rows and columns exchanged.
+    lines = [make_line(id=f"x{i}", hyp1=f"the cat sat {'on ' * i}", reference="the cat sat on on",
+                       hyp2=["a", "dog"][: i + 1], y=i % 2, psi_t1=[i, 0.5], psi_t2=[-i, 1.5], psi_r=[2 * i, 7],
+                       external_scores_1={"M": i / 4}, external_scores_2={"M": -i})
+             for i in range(3)]
+    path = data_file(tmp_path, lines)
+    want = parsed(path)
+    load_dataset(path)
+    members = sidecar_members(path)
+    role_first = {name: np.ascontiguousarray(np.swapaxes(members[name], 0, 1))
+                  for name in ("sentences", "matches", "scores", "vectors")}
+    rewrite_sidecar(path, version=4, **role_first)
+    with mock.patch.object(data_ingest, "_parse", wraps=data_ingest._parse) as parse:
+        assert_same_dataset(load_dataset(path), want)
+    assert parse.call_count == 1
+    assert sidecar_members(path)["fields.json"]["version"] == 5
     with parse_only():
         assert_same_dataset(load_dataset(path), want)
 

@@ -122,7 +122,7 @@ def test_splits_of_the_wrong_length_are_refused(n_splits):
 
 def test_empty_dataset():
     m = init_model(CFG)
-    empty = Batch(np.zeros((0, 3, 3)), np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0, dtype=int))
+    empty = Batch(np.zeros((0, 3, 3)), np.zeros((0, 2, 0)), np.zeros(0, dtype=int))
     with pytest.raises(EmptyEvaluation):
         evaluate(m, empty)
 

@@ -44,7 +44,7 @@ def random_input(config, seed=0):
 
 def exchanged(batch):
     """The batch's tuples with their hypotheses, so their labels, exchanged, built by hand."""
-    return Batch(batch.P[:, [1, 0, 2]], batch.F2, batch.F1, 1 - batch.y)
+    return Batch(batch.P[:, [1, 0, 2]], batch.F[:, [1, 0]], 1 - batch.y)
 
 
 def forward_one(model, batch):
@@ -201,13 +201,13 @@ def test_adjacent_sentence_columns_are_read_as_views_of_p():
         _, (Y, _) = forward_batch(m, batch, swapped=True)
         assert [np.shares_memory(x, batch.P) for x in X] == [True, False, True]
         assert [np.shares_memory(x, batch.P) for x in Y] == [False, True, False]
-        assert sorted(vars(batch)) == ["F1", "F2", "P", "y"]
+        assert sorted(vars(batch)) == ["F", "P", "y"]
 
 
-@pytest.mark.parametrize("column", ["P", "P1", "P2", "Pr", "F1", "F2", "y"])
+@pytest.mark.parametrize("column", ["P", "P1", "P2", "Pr", "F", "F1", "F2", "y"])
 def test_batch_columns_are_read_only(column):
     # A batch's columns may be its dataset's own arrays (y is the dataset's
-    # labels), and P1, P2 and Pr are views of P: a write through any of them
+    # labels, P its precomputed vectors), and P1 to F2 are views: a write through any of them
     # would change the data that every later pass reads.
     m = init_model(CFG)
     batch = random_input(CFG, 3)
@@ -226,7 +226,7 @@ def labelled_input(n, seed=0):
     return pack(rows, y)
 
 
-COLUMNS = ("P", "F1", "F2", "y")
+COLUMNS = ("P", "F", "y")
 
 
 @pytest.mark.parametrize("short", COLUMNS)
@@ -241,13 +241,14 @@ def test_batch_refuses_a_column_one_row_short(short):
 
 @pytest.mark.parametrize("arch", ["single-layer", "multi-layer"])
 @pytest.mark.parametrize("shapes, message", [
-    ([(5, 9), (5, 2), (5, 2)], re.escape("P must have shape (N, 3, sentence_dim), got (5, 9)")),
-    ([(5, 3, 3), (5, 2), (5, 1)], "batch columns differ in width: F1 2, F2 1"),
+    ([(5, 9), (5, 2, 2)], re.escape("P must have shape (N, 3, sentence_dim), got (5, 9)")),
+    ([(5, 3, 3), (5, 3)], re.escape("F must have shape (N, 2, pairwise_dim), got (5, 3)")),
 ], ids=["sentence", "pairwise"])
 def test_batch_refuses_columns_of_different_widths(arch, shapes, message):
     # The single-layer model reads the sentence vectors side by side, so 9
     # sentence inputs in one flat row (a 3 + 4 + 2 split, say) would score
-    # without error.
+    # without error. Pairwise inputs in one flat row (a 2 + 1 split) are
+    # refused alike, where F1 and F2 of widths 2 and 1 were.
     rng = np.random.default_rng(0)
     columns = {c: rng.normal(size=shape) for c, shape in zip(COLUMNS, shapes)}
     with pytest.raises(ShapeMismatchError, match=f"^{message}$"):
@@ -260,16 +261,15 @@ def test_batch_refuses_columns_of_different_widths(arch, shapes, message):
 def test_batch_refuses_a_sentence_array_not_of_three_sentence_columns(shape):
     message = re.escape(f"P must have shape (N, 3, sentence_dim), got {shape}")
     with pytest.raises(ShapeMismatchError, match=f"^{message}$"):
-        Batch(np.zeros(shape), np.zeros((5, 2)), np.zeros((5, 2)), np.ones(5, int))
+        Batch(np.zeros(shape), np.zeros((5, 2, 2)), np.ones(5, int))
 
 
-@pytest.mark.parametrize("flat", COLUMNS[1:3])
-def test_batch_refuses_a_column_that_is_not_2d(flat):
-    columns = {"P": np.zeros((5, 3, 2)), "F1": np.zeros((5, 2)), "F2": np.zeros((5, 2))}
-    columns[flat] = np.zeros(5)
-    dims = ", ".join(f"{c} {1 if c == flat else 2}" for c in COLUMNS[1:3])
-    with pytest.raises(ShapeMismatchError, match=f"^batch columns must be 2-D: {dims}$"):
-        Batch(**columns, y=np.ones(5, int))
+@pytest.mark.parametrize("shape", [(5,), (5, 4), (5, 1, 2), (5, 3, 2), (5, 2, 2, 1)],
+                         ids=["1-d", "2-d", "one-hypothesis", "three-hypotheses", "4-d"])
+def test_batch_refuses_a_pairwise_array_not_of_two_hypothesis_columns(shape):
+    message = re.escape(f"F must have shape (N, 2, pairwise_dim), got {shape}")
+    with pytest.raises(ShapeMismatchError, match=f"^{message}$"):
+        Batch(np.zeros((5, 3, 2)), np.zeros(shape), np.ones(5, int))
 
 
 @pytest.mark.parametrize("y, error, message", [
@@ -312,7 +312,7 @@ def test_take_by_boolean_mask_takes_the_rows_that_indexing_does():
     batch = labelled_input(6, seed=5)
     mask = np.array([False, True, False, True, True, False])
     part = batch.take(mask)
-    for name in ("P", "P1", "P2", "Pr", "F1", "F2", "y"):
+    for name in ("P", "P1", "P2", "Pr", "F", "F1", "F2", "y"):
         assert np.array_equal(getattr(part, name), getattr(batch, name)[mask]), name
     with pytest.raises(IndexError):
         batch.take(mask[:-1])
@@ -330,13 +330,13 @@ def test_take_of_no_rows_is_an_empty_batch(idx):
     batch = labelled_input(5)
     part = batch.take(idx)
     assert len(part) == 0
-    assert [getattr(part, c).shape for c in ("P", "P1", "F1", "y")] == [(0, 3, 3), (0, 3), (0, 2), (0,)]
+    assert [getattr(part, c).shape for c in ("P", "P1", "F", "F1", "y")] == [(0, 3, 3), (0, 3), (0, 2, 2), (0, 2), (0,)]
     assert part.y.dtype == batch.y.dtype
 
 
 def test_taken_and_swapped_batches_are_read_only_like_any_other():
     part = labelled_input(5).take([4, 0])
-    for name in ("P", "P1", "P2", "Pr", "F1", "F2", "y"):
+    for name in ("P", "P1", "P2", "Pr", "F", "F1", "F2", "y"):
         assert not getattr(part, name).flags.writeable, name
 
 

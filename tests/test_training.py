@@ -307,9 +307,9 @@ def test_train_schedule_records_phases():
 
 def test_train_divergence_detected():
     batch = mixed_rule_batch(32, seed=4)
-    F1 = batch.F1.copy()
-    F1[0] = [np.nan, 0.0]
-    data = dataclasses.replace(batch, F1=F1)
+    F = batch.F.copy()
+    F[0, 0] = [np.nan, 0.0]
+    data = dataclasses.replace(batch, F=F)
     m = init_model(ModelConfig(3, 2, 2, seed=1))
     tcfg = TrainConfig(learning_rate=0.01, epochs=2, batch_size=32, shuffle_seed=1)
     with pytest.raises(DivergenceError):
@@ -349,7 +349,7 @@ def test_train_early_stopping_returns_best():
 def step_oracle_forward(model, batch):
     p = model.params
     if model.config.architecture == "multi-layer":
-        X = [np.hstack([getattr(batch, a), getattr(batch, b)]) for a, b in BLOCKS.values()]
+        X = [np.hstack([batch.P[:, a], batch.P[:, b]]) for a, b in BLOCKS.values()]
         inner = [np.tanh(x @ p[f"W{name}"].T + p[f"b{name}"]) for name, x in zip(BLOCKS, X)]
     else:
         X, inner = [], [batch.P1, batch.P2, batch.Pr]
@@ -370,7 +370,7 @@ def step_oracle_backward(model, cache, dz):
 
 
 def step_oracle_swapped(batch):
-    return Batch(batch.P[:, [1, 0, 2]], batch.F2, batch.F1, 1 - batch.y)
+    return Batch(batch.P[:, [1, 0, 2]], batch.F[:, [1, 0]], 1 - batch.y)
 
 
 def step_oracle_gradients(model, batch, ys, cfg, kind):
@@ -448,7 +448,7 @@ def benchmark_shaped_batch(n, seed):
     of the train-heavy benchmark's inputs, labelled by the pairwise rule."""
     sent = interaction_rule_dataset(n, sentence_dim=100, seed=seed)
     pair = linear_rule_dataset(n, pairwise_dim=17, seed=seed + 1)
-    return dataclasses.replace(sent, F1=pair.F1, F2=pair.F2, y=pair.y)
+    return dataclasses.replace(sent, F=pair.F, y=pair.y)
 
 
 @pytest.mark.parametrize("kind", ["logistic", "kendall", "logistic-then-kendall"])

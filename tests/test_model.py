@@ -229,12 +229,15 @@ def labelled_input(n, seed=0):
 COLUMNS = ("P", "F", "y")
 
 
-@pytest.mark.parametrize("short", COLUMNS)
+@pytest.mark.parametrize("short", ["P", "F1", "F2", "y"])
 def test_batch_refuses_a_column_one_row_short(short):
+    # F1 and F2 are views of the columns of F: a hypothesis's pairwise column
+    # one row short comes only in an F one row short, and the count names F.
+    held_in = "F" if short in ("F1", "F2") else short
     batch = labelled_input(4)
     columns = {c: getattr(batch, c) for c in COLUMNS}
-    columns[short] = columns[short][:-1]
-    counts = ", ".join(f"{c} {3 if c == short else 4}" for c in COLUMNS)
+    columns[held_in] = columns[held_in][:-1]
+    counts = ", ".join(f"{c} {3 if c == held_in else 4}" for c in COLUMNS)
     with pytest.raises(ShapeMismatchError, match=re.escape(counts)):
         Batch(**columns)
 
@@ -270,6 +273,18 @@ def test_batch_refuses_a_pairwise_array_not_of_two_hypothesis_columns(shape):
     message = re.escape(f"F must have shape (N, 2, pairwise_dim), got {shape}")
     with pytest.raises(ShapeMismatchError, match=f"^{message}$"):
         Batch(np.zeros((5, 3, 2)), np.zeros(shape), np.ones(5, int))
+
+
+@pytest.mark.parametrize("flat", ["F1", "F2"])
+def test_batch_refuses_a_column_that_is_not_2d(flat):
+    # F1 and F2 are views of the columns of F, so a flat hypothesis column (one
+    # feature per tuple) comes only in an F of two dims; it is refused naming
+    # that shape, before any view of it is read.
+    F = np.zeros((5, 2))
+    assert F[:, ("F1", "F2").index(flat)].ndim == 1
+    message = re.escape("F must have shape (N, 2, pairwise_dim), got (5, 2)")
+    with pytest.raises(ShapeMismatchError, match=f"^{message}$"):
+        Batch(np.zeros((5, 3, 2)), F, np.ones(5, int))
 
 
 @pytest.mark.parametrize("y, error, message", [

@@ -17,49 +17,50 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import data_ingest, evaluation, training
+from . import data_ingest, evaluation
 from .embeddings import EmbeddingTable, load_embedding_table
 from .features import BLEUCOMP_FEATURE_NAMES
 from .evaluation import DEFAULT_TIE_EPSILON, predict_delta, verdicts
-from .model import ARCHITECTURES, Batch, ModelConfig, init_model, load_model, save_model
+from .model import Batch, ModelConfig, expected, init_model, load_model, save_model
 from .training import CostConfig, TrainConfig, grad_check, train
 
-# Each train option, once: its config-file key (the flag is the key with "-"
-# for "_"), the config dataclass and field it sets, and the values it takes:
-# int (a JSON integer), float (any JSON number) or a tuple of choices. The
-# field's default is the option's default; where that is None, a config
-# file may also give null.
+# Each train option: its config-file key (the flag is the key with "-" for
+# "_"), and the config dataclass and field it sets. The field declares the
+# values the option takes (model.expected) and its default.
 TRAIN_OPTIONS = {
-    "cost": (CostConfig, "kind", training.COST_KINDS),
-    "epochs": (TrainConfig, "epochs", int),
-    "lr": (TrainConfig, "learning_rate", float),
-    "batch_size": (TrainConfig, "batch_size", int),
-    "seed": (ModelConfig, "seed", int),
-    "shuffle_seed": (TrainConfig, "shuffle_seed", int),
-    "hidden": (ModelConfig, "hidden_per_block", int),
-    "arch": (ModelConfig, "architecture", ARCHITECTURES),
-    "gamma": (CostConfig, "gamma", float),
-    "beta": (CostConfig, "beta", float),
-    "tie_weight": (CostConfig, "tie_weight", float),
-    "pretrain_epochs": (CostConfig, "pretrain_epochs", int),
-    "l2": (TrainConfig, "l2", float),
-    "patience": (TrainConfig, "early_stop_patience", int),
+    "cost": (CostConfig, "kind"),
+    "epochs": (TrainConfig, "epochs"),
+    "lr": (TrainConfig, "learning_rate"),
+    "batch_size": (TrainConfig, "batch_size"),
+    "seed": (ModelConfig, "seed"),
+    "shuffle_seed": (TrainConfig, "shuffle_seed"),
+    "hidden": (ModelConfig, "hidden_per_block"),
+    "arch": (ModelConfig, "architecture"),
+    "gamma": (CostConfig, "gamma"),
+    "beta": (CostConfig, "beta"),
+    "tie_weight": (CostConfig, "tie_weight"),
+    "pretrain_epochs": (CostConfig, "pretrain_epochs"),
+    "l2": (TrainConfig, "l2"),
+    "patience": (TrainConfig, "early_stop_patience"),
 }
 
 
-def _default(key: str):
-    cls, name, _ = TRAIN_OPTIONS[key]
-    return {f.name: f.default for f in dataclasses.fields(cls)}[name]
+def _field(key: str) -> dataclasses.Field:
+    cls, name = TRAIN_OPTIONS[key]
+    return {f.name: f for f in dataclasses.fields(cls)}[name]
 
 
-def _add_option(parser: argparse.ArgumentParser, key: str, default=None) -> None:
-    kind = TRAIN_OPTIONS[key][2]
-    check = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
-    parser.add_argument(f"--{key.replace('_', '-')}", dest=key, default=default, **check)
+def _add_option(parser: argparse.ArgumentParser, key: str, field_default: bool = False) -> None:
+    """The flag of option ``key``, parsed to its field's choices or type; its default
+    is the field's with ``field_default``, else None (not given)."""
+    f = _field(key)
+    choices = f.metadata.get("choices")
+    check = {"choices": choices} if choices else {"type": float if f.type == "float" else int}
+    parser.add_argument(f"--{key.replace('_', '-')}", dest=key, default=f.default if field_default else None, **check)
 
 
 def _read_config(path: str) -> dict:
-    """The options in a JSON config file, each refused unless its flag could give it."""
+    """The options in a JSON config file, each refused unless its field takes it."""
     with open(path, encoding="utf-8") as f:
         opts = json.load(f)
     if not isinstance(opts, dict):
@@ -68,15 +69,9 @@ def _read_config(path: str) -> dict:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, value in opts.items():
-        kind = TRAIN_OPTIONS[key][2]
-        if isinstance(kind, tuple):
-            ok, expected = value in kind, f"one of {list(kind)}"
-        else:
-            # JSON true and false load as bool, an int subclass, but are not numbers.
-            ok = isinstance(value, (int, float) if kind is float else int) and not isinstance(value, bool)
-            expected = "a number" if kind is float else "an integer"
-        if not (ok or value is None and _default(key) is None):
-            raise ValueError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
+        need = expected(_field(key), value)
+        if need:
+            raise ValueError(f"config key {key!r} must be {need}, got {json.dumps(value)}")
     return opts
 
 
@@ -86,7 +81,7 @@ def _train_fields(args: argparse.Namespace) -> dict[type, dict]:
     opts.update((key, getattr(args, key)) for key in TRAIN_OPTIONS if getattr(args, key) is not None)
     fields: dict[type, dict] = {ModelConfig: {}, TrainConfig: {}, CostConfig: {}}
     for key, value in opts.items():
-        cls, name, _ = TRAIN_OPTIONS[key]
+        cls, name = TRAIN_OPTIONS[key]
         fields[cls][name] = value
     return fields
 
@@ -192,8 +187,8 @@ def cmd_train(args) -> int:
 
 
 def _print_tau_table(report: evaluation.EvalReport) -> None:
-    rows = sorted(report.per_split) or ["all"]
-    taus = [report.per_split[s][1] for s in rows] if report.per_split else [report.tau]
+    rows = sorted(report.per_split)
+    taus = [report.per_split[s][1] for s in rows]
     header = "".join(f"{s:>12}" for s in rows + ["AVG"])
     values = "".join(f"{t * 100:12.2f}" for t in taus + [float(np.mean(taus))])
     print(header)
@@ -277,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient self-check")
     for key in ("seed", "cost", "arch", "hidden"):
-        _add_option(p, key, default=_default(key))
+        _add_option(p, key, field_default=True)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -40,11 +40,8 @@ CHUNK_TOKENS = 8192
 # tokenization, dropping "tie" rows, the id and split types and defaults,
 # the sorted schema, the vocabulary in order of first appearance, the
 # sentence dedup, the clipped n-gram matches), or to the layout; a sidecar
-# of another version is ignored and rewritten. Version 3 saves the text
-# fields and the count in one JSON member, and drops a leading byte-order
-# mark, on which version 2 failed. Version 4 saves the clipped matches, so
-# a warm load counts no n-grams. Version 5 lays the columns out tuple-first,
-# as (n, 3) where version 4 had (3, n), which a version-4 sidecar of three
+# of another version is ignored and rewritten. Version 5 lays the columns
+# out tuple-first, as (n, 3), a shape that an older (3, n) sidecar of three
 # tuples would pass. A repeated id is refused without a bump: a sidecar
 # that holds one fails the Dataset's own check, so its file is parsed again.
 SIDECAR_VERSION = 5

@@ -45,10 +45,9 @@ BLOCK_LINES = 512
 # or returns (the text's decoding, header detection, which fields are
 # numeric, the non-finite check, keep-first on duplicates, the token -> row
 # order), or to the layout; a sidecar of another version is ignored and
-# rewritten. Version 1 joined the tokens with newlines, and version 2 saved
-# them as one blob with offsets, and kept a leading byte-order mark as part
-# of the first token; version 3 saves them, with the count, in one JSON
-# member, and drops the mark.
+# rewritten. Version 3 saves the tokens, with the count, in one JSON member,
+# and drops a leading byte-order mark that an earlier version kept as part
+# of the first token.
 SIDECAR_VERSION = 3
 
 

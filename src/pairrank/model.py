@@ -10,8 +10,9 @@ straight into the output unit (plain logistic regression).
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import IO, Sequence
+import math
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields
+from typing import IO, Optional, Sequence
 
 import numpy as np
 
@@ -28,13 +29,29 @@ class LabelError(ValueError):
     pass
 
 
-def check_integer_fields(config) -> None:
-    """Refuse a config field typed int that is not a Python int; one typed Optional[int] may also be None."""
-    # The type itself: a bool is an int subclass, and neither it nor a numpy integer saves as a JSON integer.
+def expected(f: Field, value) -> Optional[str]:
+    """None where config field ``f`` takes ``value``, else what it takes: one of the
+    choices in its metadata, a number (annotated float) or an integer (annotated
+    int; Optional[int] also takes None)."""
+    if "choices" in f.metadata:
+        return None if value in f.metadata["choices"] else f"one of {list(f.metadata['choices'])}"
+    # A bool is an int subclass but not a number, and neither it nor a numpy integer saves as a JSON integer.
+    if f.type == "float":
+        return None if isinstance(value, (int, float)) and not isinstance(value, bool) else "a number"
+    return None if type(value) is int or value is None and f.type == "Optional[int]" else "an integer"
+
+
+def check_fields(config) -> None:
+    """Refuse a config field whose value its declaration does not take (see
+    ``expected``), or a float field that is not finite."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if f.type in ("int", "Optional[int]") and type(value) is not int and not (value is None and f.type != "int"):
-            raise ShapeMismatchError(f"config key {f.name} must be an integer, got {json.dumps(value, default=repr)}")
+        need = expected(f, value)
+        if need:
+            raise ShapeMismatchError(f"config key {f.name} must be {need}, got {json.dumps(value, default=repr)}")
+        # NaN fails every ordered comparison, so the range checks alone would let it through.
+        if f.type == "float" and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -42,17 +59,15 @@ class ModelConfig:
     sentence_dim: int
     pairwise_dim: int
     hidden_per_block: int = 4
-    architecture: str = MULTI_LAYER
+    architecture: str = field(default=MULTI_LAYER, metadata={"choices": ARCHITECTURES})
     seed: int = 0
 
     def __post_init__(self):
-        check_integer_fields(self)
+        check_fields(self)
         if self.sentence_dim < 0 or self.pairwise_dim < 0:
             raise ValueError("dimensions must be non-negative")
         if self.sentence_dim + self.pairwise_dim < 1:
             raise ValueError("need at least one input source")
-        if self.architecture not in ARCHITECTURES:
-            raise ValueError(f"unknown architecture: {self.architecture}")
         if self.architecture == MULTI_LAYER and self.hidden_per_block < 1:
             raise ValueError("hidden_per_block must be positive")
 
@@ -185,6 +200,9 @@ class Batch:
         if len(set(rows)) > 1:
             counts = ", ".join(f"{name} {n}" for name, n in zip(COLUMNS, rows))
             raise ShapeMismatchError(f"batch columns differ in rows: {counts}")
+        for name in ("P", "F"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ShapeMismatchError(f"non-finite values in {name}")
         if self.y.dtype.kind not in "iuf":
             raise LabelError(f"labels must be ints or floats, got {self.y.dtype}")
         bad = self.y[(self.y != 0) & (self.y != 1)]

@@ -208,6 +208,39 @@ def test_config_file_trains_as_the_same_flags(tmp_path, data_file, opts, flags):
     assert outs[0] == outs[1]
 
 
+# Per train option: a value its field takes, and one it does not.
+OPTION_VALUES = {
+    "cost": ("kendall", "hinge"), "epochs": (3, 2.5), "lr": (0.5, "x"), "batch_size": (3, 2.5), "seed": (3, 2.5),
+    "shuffle_seed": (3, 2.5), "hidden": (3, 2.5), "arch": ("single-layer", "two-layer"), "gamma": (0.5, "x"),
+    "beta": (0.5, "x"), "tie_weight": (0.5, "x"), "pretrain_epochs": (3, 2.5), "l2": (0.5, "x"), "patience": (3, 2.5),
+}
+
+
+@pytest.mark.parametrize("key", list(OPTION_VALUES))
+def test_flag_and_config_key_take_the_same_values(tmp_path, capsys, data_file, key):
+    assert set(OPTION_VALUES) == set(pairrank.cli.TRAIN_OPTIONS)
+    good, bad = OPTION_VALUES[key]
+    flag, cfg, model = f"--{key.replace('_', '-')}", tmp_path / "cfg.json", tmp_path / "m.json"
+    args = ["train", "--data", data_file, "--out", str(model)]
+    cfg.write_text(json.dumps({key: good}))
+    parse = pairrank.cli.build_parser().parse_args
+    from_flag = pairrank.cli._train_fields(parse(args + [flag, str(good)]))
+    assert from_flag == pairrank.cli._train_fields(parse(args + ["--config", str(cfg)]))
+    [(value,)] = [tuple(fields.values()) for fields in from_flag.values() if fields]
+    assert type(value) is type(good) and value == good
+    # A value refused as a flag by argparse (exit 2) is refused in the config file too (exit 1).
+    with pytest.raises(SystemExit) as flag_exit:
+        run(args + [flag, str(bad)])
+    assert flag_exit.value.code == 2
+    assert f"argument {flag}: invalid " in capsys.readouterr().err
+    cfg.write_text(json.dumps({key: bad}))
+    assert run(args + ["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: config key {key!r} must be ")
+    assert err.endswith(f", got {json.dumps(bad)}\n")
+    assert not model.exists()
+
+
 def test_train_defaults_are_the_config_defaults(tmp_path, data_file, emb_file):
     spelled_out = ["--cost", "logistic", "--epochs", "10", "--lr", "0.01", "--batch-size", "32",
                    "--seed", "0", "--shuffle-seed", "0", "--hidden", "4", "--arch", "multi-layer",

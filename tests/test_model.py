@@ -287,6 +287,24 @@ def test_batch_refuses_a_column_that_is_not_2d(flat):
         Batch(np.zeros((5, 3, 2)), F, np.ones(5, int))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["P", "F"])
+@pytest.mark.parametrize("how", ["constructor", "pack", "replace"])
+def test_batch_refuses_non_finite_inputs(how, column, value):
+    # A NaN feature used to be scored silently, as a t2-better verdict, and an
+    # inf one to stop training as a divergence, blaming the step for its input.
+    batch = labelled_input(4)
+    columns = {c: getattr(batch, c).copy() for c in COLUMNS}
+    columns[column][2, 1, 0] = value
+    build = {
+        "constructor": lambda: Batch(**columns),
+        "pack": lambda: pack([(*p, *f) for p, f in zip(columns["P"], columns["F"])], columns["y"]),
+        "replace": lambda: dataclasses.replace(batch, **{column: columns[column]}),
+    }[how]
+    with pytest.raises(ShapeMismatchError, match=f"^non-finite values in {column}$"):
+        build()
+
+
 @pytest.mark.parametrize("y, error, message", [
     (np.full(5, 2), LabelError, "labels must be 0 or 1, got 2"),
     (np.full(5, 0.5), LabelError, "labels must be 0 or 1, got 0.5"),

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -213,6 +215,18 @@ def test_non_finite_float_field_refused(cls, field, value):
 
 
 @pytest.mark.parametrize("cls, field", [
+    (TrainConfig, "learning_rate"), (TrainConfig, "l2"),
+    (CostConfig, "gamma"), (CostConfig, "beta"), (CostConfig, "tie_weight"),
+])
+@pytest.mark.parametrize("value", [True, False, "1.0", None], ids=["true", "false", "string", "none"])
+def test_non_number_float_field_refused(cls, field, value):
+    # gamma=True and l2=True used to train as 1.0, and learning_rate="0.1" failed with a bare TypeError.
+    with pytest.raises(ValueError, match=f"^config key {field} must be a number, got {re.escape(json.dumps(value))}$"):
+        cls(**{field: value})
+    assert getattr(cls(**{field: 2}), field) == 2
+
+
+@pytest.mark.parametrize("cls, field", [
     (TrainConfig, "epochs"), (TrainConfig, "batch_size"), (TrainConfig, "shuffle_seed"),
     (TrainConfig, "early_stop_patience"), (CostConfig, "pretrain_epochs"),
 ])
@@ -306,14 +320,13 @@ def test_train_schedule_records_phases():
 
 
 def test_train_divergence_detected():
-    batch = mixed_rule_batch(32, seed=4)
-    F = batch.F.copy()
-    F[0, 0] = [np.nan, 0.0]
-    data = dataclasses.replace(batch, F=F)
+    # A batch refuses non-finite inputs, so the divergence comes from a step too large for float64.
+    data = mixed_rule_batch(32, seed=4)
     m = init_model(ModelConfig(3, 2, 2, seed=1))
-    tcfg = TrainConfig(learning_rate=0.01, epochs=2, batch_size=32, shuffle_seed=1)
-    with pytest.raises(DivergenceError):
-        train(m, data, data, tcfg, CostConfig(kind="logistic"))
+    tcfg = TrainConfig(learning_rate=1e308, epochs=2, batch_size=32, shuffle_seed=1)
+    for kind in ("logistic", "kendall"):
+        with pytest.raises(DivergenceError, match="^non-finite parameter W12 at epoch 0$"):
+            train(m, data, data, tcfg, CostConfig(kind=kind))
 
 
 def test_divergence_names_the_first_non_finite_parameter():

@@ -31,13 +31,19 @@ class LabelError(ValueError):
 
 def expected(f: Field, value) -> Optional[str]:
     """None where config field ``f`` takes ``value``, else what it takes: one of the
-    choices in its metadata, a number (annotated float) or an integer (annotated
-    int; Optional[int] also takes None)."""
+    choices in its metadata, a number (annotated float) that a float can hold, or an
+    integer (annotated int; Optional[int] also takes None)."""
     if "choices" in f.metadata:
         return None if value in f.metadata["choices"] else f"one of {list(f.metadata['choices'])}"
     # A bool is an int subclass but not a number, and neither it nor a numpy integer saves as a JSON integer.
     if f.type == "float":
-        return None if isinstance(value, (int, float)) and not isinstance(value, bool) else "a number"
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            return "a number"
+        try:
+            float(value)
+        except OverflowError:  # an int too large for a float, which would fail wherever it is used as one
+            return "a number within float range"
+        return None
     return None if type(value) is int or value is None and f.type == "Optional[int]" else "an integer"
 
 

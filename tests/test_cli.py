@@ -139,6 +139,17 @@ def test_config_value_is_checked_like_its_flag(tmp_path, capsys, data_file, key,
     assert not model.exists()
 
 
+def test_config_number_too_large_for_a_float_is_refused(tmp_path, capsys, data_file):
+    # A 401-digit "lr" used to end train with a bare OverflowError that named no key.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"lr": 1' + "0" * 400 + "}")
+    model = tmp_path / "m.json"
+    assert run(["train", "--data", data_file, "--out", str(model), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: ValueError: config key 'lr' must be a number within float range, got 1{'0' * 400}\n"
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("doc", ["null", "5", "[]", '"abc"'])
 def test_config_that_is_not_a_json_object_is_refused(tmp_path, capsys, data_file, doc):
     cfg = tmp_path / "cfg.json"

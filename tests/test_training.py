@@ -227,6 +227,17 @@ def test_non_number_float_field_refused(cls, field, value):
 
 
 @pytest.mark.parametrize("cls, field", [
+    (TrainConfig, "learning_rate"), (TrainConfig, "l2"),
+    (CostConfig, "gamma"), (CostConfig, "beta"), (CostConfig, "tie_weight"),
+])
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_int_too_large_for_a_float_field_refused(cls, field, sign):
+    # 10**400 used to raise a bare OverflowError from math.isfinite, naming no field.
+    with pytest.raises(ValueError, match=f"^config key {field} must be a number within float range, got -?10+$"):
+        cls(**{field: sign * 10**400})
+
+
+@pytest.mark.parametrize("cls, field", [
     (TrainConfig, "epochs"), (TrainConfig, "batch_size"), (TrainConfig, "shuffle_seed"),
     (TrainConfig, "early_stop_patience"), (CostConfig, "pretrain_epochs"),
 ])
